@@ -10,7 +10,6 @@ from .complexes import (
     PurityError,
     SimplicialComplex,
     all_faces,
-    brute_force_isomorphic,
     face,
     face_vertices,
     format_complex,

@@ -12,9 +12,12 @@ classes get short labels by structural family:
   type 4  the triangulated bands on 5, 6 and 7 vertices ("4a".."4c").
 
 Letters inside a family follow canonical-form order except where a class is
-pinned by an explicit construction.  All output is byte-stable: entries are
-sorted by (vertex count, facet count, canonical form) and the JSON layout is
-fixed.
+pinned by an explicit construction.  Families 1 and 3 live on at most six
+vertices, where the canonical form (the least leaf of the
+individualization-refinement tree) is a single leaf enumerated exhaustively
+and has not changed since the tree was introduced, so their letters cannot
+move.  All output is byte-stable: entries are sorted by (vertex count, facet
+count, canonical form) and the JSON layout is fixed.
 """
 
 from __future__ import annotations

@@ -22,11 +22,7 @@ from typing import Optional
 from . import catalog as catalog_mod
 from .cohen_macaulay import is_sequentially_cm
 from .complexes import SimplicialComplex, face_vertices, format_complex, parse_complex
-from .enumeration import (
-    EnumerationTask,
-    enumerate_obstructions,
-    verify_coincidence,
-)
+from .enumeration import EnumerationTask, enumerate_obstructions
 from .graphs import cycle_graph, independence_complex
 from .obstruction import is_hereditary, obstruction_report
 from .partition import is_partitionable
@@ -53,7 +49,7 @@ class RunConfig:
     as_json: bool = False
     certificate: bool = False
     summary: bool = False
-    compare: tuple[str, ...] = ()
+    compare: tuple[PropertyKind, ...] = ()
 
 
 def _face_words(mask: int) -> str:
@@ -203,11 +199,14 @@ def cmd_enumerate(config: RunConfig) -> int:
     if config.summary:
         for line in catalog_mod.summary_lines(entries):
             print(line)
+    classes = {c.canonical_form() for c in found}
     for other in config.compare:
-        report = verify_coincidence(task.dimension, task.max_vertices)
-        tag = f"obstructions({task.property.value}) vs obstructions({other})"
-        print(f"{tag}: {'IDENTICAL' if report.ok else 'DIFFERENT'}")
-        if not report.ok:
+        other_task = EnumerationTask(task.dimension, other, task.mode, task.max_vertices)
+        others = enumerate_obstructions(other_task, workers=config.workers)
+        same = classes == {c.canonical_form() for c in others}
+        tag = f"obstructions({task.property.value}) vs obstructions({other.value})"
+        print(f"{tag}: {'IDENTICAL' if same else 'DIFFERENT'}")
+        if not same:
             return 1
     return 0
 
@@ -304,7 +303,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 workers=args.workers,
                 output=args.output,
                 summary=args.summary,
-                compare=tuple(args.compare),
+                compare=tuple(PropertyKind.from_name(name) for name in args.compare),
             )
             return cmd_enumerate(config)
         if args.command == "atlas":

@@ -9,13 +9,27 @@ construction, so instances can be shared freely.
 Vertex ids must be below 64.  Everything this library enumerates lives on at
 most nine vertices; the cap simply keeps all face arithmetic on machine-word
 bitmasks.
+
+Isomorphism classes are keyed by a canonical form (at most nine vertices),
+found by individualization-refinement in the style of McKay and Piperno,
+"Practical graph isomorphism, II" (J. Symb. Comput. 2014): colour refinement
+splits the vertices into cells; while the cells admit more than 6! labelings,
+each vertex of the first non-singleton cell is individualized in turn and the
+colours refined again; the leaves, at 6! labelings or fewer, are enumerated
+exhaustively.  Automorphisms found on the way prune the children.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import permutations, product
+from array import array
+from functools import lru_cache
+from itertools import permutations
+from math import factorial, prod
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Union
+
+from . import cache
 
 VERTEX_CAP = 64
 CANONICAL_VERTEX_CAP = 9
@@ -89,12 +103,16 @@ def _facet_sort_key(mask: int) -> tuple[int, int]:
 class CanonicalForm(NamedTuple):
     """Isomorphism-class key: two complexes are isomorphic iff these compare equal.
 
-    ``facets`` is the facet list relabelled onto ``0..n_vertices-1`` and
-    minimised lexicographically among all relabelings compatible with an
-    iterated vertex-colour refinement (the refinement is itself an
-    isomorphism invariant, so the restricted minimum still separates
-    isomorphism classes exactly; this is cross-checked against a brute-force
-    permutation oracle in the test suite).
+    ``facets`` is the facet list relabelled onto ``0..n_vertices-1``, sorted
+    by size, then mask, and is the least such list over the leaves of the
+    individualization-refinement tree.  A leaf is an ordered partition of the
+    vertices into cells admitting at most 6! = 720 labelings that number each
+    cell consecutively; its key is the least over all of them.  The tree, the
+    leaves and their keys are isomorphism invariants, so the key separates
+    isomorphism classes exactly; the test suite cross-checks it against a
+    brute-force permutation oracle.  On at most six vertices the root is a
+    leaf, and the key is the one of exhaustive enumeration over the refined
+    colour classes, unchanged from before the tree existed.
     """
 
     n_vertices: int
@@ -330,35 +348,264 @@ def relabel_face(mask: int, mapping: dict[int, int]) -> int:
 # canonical labeling
 # ---------------------------------------------------------------------------
 
-_CANON_CACHE: dict[tuple[int, ...], tuple[CanonicalForm, tuple[tuple[int, int], ...]]] = {}
-_CANON_CACHE_LIMIT = 400_000
+_CANON_CACHE: dict[tuple[int, ...], tuple[CanonicalForm, tuple[tuple[int, int], ...]]]
+_CANON_CACHE = cache.new_cache()
+
+# A node of the search tree is a leaf once its cells admit at most this many
+# compatible labelings (6!).  Every complex on at most six vertices is then a
+# leaf at the root, so its key is the exhaustive minimum it always was.
+_LEAF_LABELINGS = 720
 
 
-def _refine_colors(n: int, facet_bits: list[tuple[int, ...]]) -> list[int]:
-    """Iterated colour refinement over the vertex-facet incidence structure."""
+def _ranks(sigs: list) -> list[int]:
+    rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [rank[s] for s in sigs]
+
+
+def _refine_colors(
+    n: int, facet_bits: list[tuple[int, ...]], colors: list[int] | None = None
+) -> list[int]:
+    """Iterated colour refinement over the vertex-facet incidence structure.
+
+    Starts from ``colors`` (ranks 0..k-1) or, by default, from the multiset of
+    incident facet sizes.  Each round ranks the signatures (own colour, the
+    sizes and neighbour colours of the incident facets), so cells only ever
+    split and the result is an isomorphism invariant of the start.
+    """
     sizes = [len(b) for b in facet_bits]
     incident: list[list[int]] = [[] for _ in range(n)]
     for idx, bits in enumerate(facet_bits):
         for v in bits:
             incident[v].append(idx)
-    colors = [0] * n
-    # initial colour: multiset of incident facet sizes
-    sig0 = [tuple(sorted(sizes[i] for i in incident[v])) for v in range(n)]
-    order = sorted(set(sig0))
-    colors = [order.index(s) for s in sig0]
+    if colors is None:
+        colors = _ranks([tuple(sorted(sizes[i] for i in incident[v])) for v in range(n)])
     while True:
+        # v sees in a facet the facet's sorted colours less one copy of its own
+        facet_colors = [sorted([colors[w] for w in bits]) for bits in facet_bits]
         sigs = []
         for v in range(n):
-            local = sorted(
-                (sizes[i], tuple(sorted(colors[w] for w in facet_bits[i] if w != v)))
-                for i in incident[v]
-            )
-            sigs.append((colors[v], tuple(local)))
-        order = sorted(set(sigs))
-        new_colors = [order.index(s) for s in sigs]
+            c = colors[v]
+            local = []
+            for i in incident[v]:
+                others = facet_colors[i][:]
+                others.remove(c)
+                local.append((sizes[i], tuple(others)))
+            local.sort()
+            sigs.append((c, tuple(local)))
+        new_colors = _ranks(sigs)
         if new_colors == colors:
             return colors
         colors = new_colors
+
+
+def _cells(colors: list[int]) -> list[list[int]]:
+    """Vertices grouped by colour, cells in colour order, each cell ascending."""
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return cells
+
+
+def _is_leaf(cells: list[list[int]]) -> bool:
+    """Whether the labelings numbering each cell consecutively are few enough."""
+    return prod(factorial(len(cell)) for cell in cells) <= _LEAF_LABELINGS
+
+
+@lru_cache(maxsize=None)
+def _cell_relabelings(k: int, offset: int) -> tuple[tuple[tuple[int, ...], array], ...]:
+    """Every permutation p of range(k), in ``itertools`` order, with its table.
+
+    The table maps a subset of a k-vertex cell, as a mask over cell indices,
+    to its labels when cell index p[pos] gets label offset + pos.
+    """
+    out = []
+    inverse = [0] * k
+    for perm in permutations(range(k)):
+        for pos, j in enumerate(perm):
+            inverse[j] = pos
+        table = [0]
+        for j in range(k):
+            bit = 1 << (offset + inverse[j])
+            table += [t + bit for t in table]
+        out.append((perm, array("H", table)))
+    return tuple(out)
+
+
+def _swap_preserves(fmasks: list[int], facet_set: set[int], v: int, w: int) -> bool:
+    """Whether exchanging vertices v and w maps the facets onto themselves."""
+    both = (1 << v) | (1 << w)
+    return all(f & both in (0, both) or f ^ both in facet_set for f in fmasks)
+
+
+def _leaf(
+    n: int, facet_bits: list[tuple[int, ...]], cells: list[list[int]], ties: list | None = None
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Least key over the labelings that number the cells consecutively.
+
+    Enumerates every product of permutations of the non-singleton cells, in
+    the order of ``itertools.product``, and keeps the first one reaching the
+    least key.  A cell whose adjacent transpositions all preserve the facets
+    is symmetric: all its permutations give the same key, so only the first
+    is tried.  Keys are facet masks with the facet size added above bit n,
+    so one sort orders them by size, then mask.  Returns the key and the
+    winning permutations (see ``_label``); ``ties`` receives the later ones
+    that reach the same key.
+    """
+    if len(cells) < n:  # some cell has labelings to choose from
+        fmasks = [sum(1 << v for v in bits) for bits in facet_bits]
+        facet_set = set(fmasks)
+    label_bit = [0] * n  # of a vertex in a singleton cell
+    in_cell: list = [None] * n  # (the cell's facet masks, index bit) otherwise
+    varying = []
+    offset = 0
+    for cell in cells:
+        if len(cell) == 1:
+            label_bit[cell[0]] = 1 << offset
+        else:
+            local = [0] * len(facet_bits)
+            for j, v in enumerate(cell):
+                in_cell[v] = (local, 1 << j)
+            relabelings = _cell_relabelings(len(cell), offset)
+            if all(_swap_preserves(fmasks, facet_set, v, w) for v, w in zip(cell, cell[1:])):
+                relabelings = relabelings[:1]
+            varying.append((local, relabelings))
+        offset += len(cell)
+    base = [len(bits) << n for bits in facet_bits]
+    for idx, bits in enumerate(facet_bits):
+        for v in bits:
+            if in_cell[v] is None:
+                base[idx] += label_bit[v]
+            else:
+                local, bit = in_cell[v]
+                local[idx] += bit
+
+    best: list = [sorted(base), ()]
+    chosen: list[tuple[int, ...]] = []
+
+    def descend(depth: int, masks: list[int]) -> None:
+        local, relabelings = varying[depth]
+        last = depth + 1 == len(varying)
+        for perm, table in relabelings:
+            grown = map(add, masks, map(table.__getitem__, local))
+            if not last:
+                chosen.append(perm)
+                descend(depth + 1, list(grown))
+                chosen.pop()
+                continue
+            key = sorted(grown)
+            if not best[1] or key < best[0]:
+                best[:] = [key, (*chosen, perm)]
+                if ties is not None:
+                    ties.clear()
+            elif ties is not None and key == best[0]:
+                ties.append((*chosen, perm))
+
+    if varying:
+        descend(0, base)
+    return best[0], best[1]
+
+
+def _label(n: int, cells: list[list[int]], perms: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Label by vertex: cells numbered in order, each non-singleton cell
+    ordered by its permutation of cell indices."""
+    label = [0] * n
+    offset = 0
+    perms_left = iter(perms)
+    for cell in cells:
+        order = cell if len(cell) == 1 else [cell[j] for j in next(perms_left)]
+        for pos, v in enumerate(order):
+            label[v] = offset + pos
+        offset += len(cell)
+    return label
+
+
+def _individualize(colors: list[int], v: int) -> list[int]:
+    """Split v off the front of its cell, keeping colours contiguous ranks."""
+    c = colors[v]
+    return [k + (k > c or (k == c and w != v)) for w, k in enumerate(colors)]
+
+
+def _orbits(n: int, generators: list[list[int]]) -> list[int]:
+    """The least vertex of each vertex's orbit under the generated group."""
+    orbit = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for g in generators:
+            for v in range(n):
+                if orbit[v] < orbit[g[v]]:
+                    orbit[g[v]] = orbit[v]
+                    changed = True
+    return orbit
+
+
+def _search_tree(n: int, facet_bits: list[tuple[int, ...]], root: list[int]) -> tuple[list[int], list[int]]:
+    """Least leaf of the individualization-refinement tree below ``root``.
+
+    A node individualizes, in turn, each vertex of its first non-singleton
+    cell and refines again.  A child is skipped when an automorphism fixing
+    the node's individualized vertices maps it to an explored sibling: either
+    its transposition with that sibling, or one generated from the
+    automorphisms read off pairs of leaves with equal keys and off labelings
+    tied within a leaf.  The skipped subtree is the image of an explored one
+    and has the same leaf keys, so the least key is exact.
+    """
+    fmasks = [sum(1 << v for v in bits) for bits in facet_bits]
+    facet_set = set(fmasks)
+    leaves: dict[tuple[int, ...], list[int]] = {}
+    automorphisms: list[list[int]] = []
+    best_key: list[int] | None = None
+    best_label: list[int] = []
+
+    def found(label: list[int], twin: list[int]) -> list[int]:
+        """The automorphism taking each vertex to the one ``twin`` labels alike."""
+        inverse = [0] * n
+        for v, lab in enumerate(twin):
+            inverse[lab] = v
+        return [inverse[lab] for lab in label]
+
+    def visit(colors: list[int], prefix: tuple[int, ...]) -> None:
+        nonlocal best_key, best_label
+        cells = _cells(colors)
+        if _is_leaf(cells):
+            ties: list = []
+            key, perms = _leaf(n, facet_bits, cells, ties)
+            label = _label(n, cells, perms)
+            twin = leaves.setdefault(tuple(key), label)
+            if twin is not label:
+                automorphisms.append(found(label, twin))
+            # labelings tied within the leaf differ by automorphisms that fix
+            # its cells; keep those that merge orbits, until each cell is a
+            # single orbit
+            kept: list[list[int]] = []
+            for tied in reversed(ties):
+                orbit = _orbits(n, kept)
+                if len(set(orbit)) == len(cells):
+                    break
+                g = found(_label(n, cells, tied), label)
+                if any(orbit[v] != orbit[g[v]] for v in range(n)):
+                    kept.append(g)
+            automorphisms.extend(kept)
+            if best_key is None or key < best_key:
+                best_key, best_label = key, label
+            return
+        explored: list[int] = []
+        for v in next(cell for cell in cells if len(cell) > 1):
+            fixing = [g for g in automorphisms if all(g[u] == u for u in prefix)]
+            orbit = _orbits(n, fixing)
+            if any(orbit[v] == orbit[w] for w in explored):
+                continue
+            twin = next((w for w in explored if _swap_preserves(fmasks, facet_set, v, w)), None)
+            if twin is not None:
+                g = list(range(n))
+                g[v], g[twin] = twin, v
+                automorphisms.append(g)
+                continue
+            visit(_refine_colors(n, facet_bits, _individualize(colors, v)), prefix + (v,))
+            explored.append(v)
+
+    visit(root, ())
+    return best_key, best_label
 
 
 def _canonicalize(facets: tuple[int, ...], vertices: int) -> tuple[CanonicalForm, tuple[tuple[int, int], ...]]:
@@ -379,50 +626,17 @@ def _canonicalize(facets: tuple[int, ...], vertices: int) -> tuple[CanonicalForm
         result = (CanonicalForm(0, (0,)), ())
     else:
         colors = _refine_colors(n, facet_bits)
-        classes: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            classes.setdefault(c, []).append(v)
-        blocks = [classes[c] for c in sorted(classes)]
-        offsets = []
-        start = 0
-        for b in blocks:
-            offsets.append(start)
-            start += len(b)
+        cells = _cells(colors)
+        if _is_leaf(cells):
+            key, perms = _leaf(n, facet_bits, cells)
+            label = _label(n, cells, perms)
+        else:
+            key, label = _search_tree(n, facet_bits, colors)
+        low = (1 << n) - 1
+        mapping = tuple((verts[v], label[v]) for v in range(n))
+        result = (CanonicalForm(n, tuple(m & low for m in key)), mapping)
 
-        # facets grouped by size so each candidate key only sorts within groups
-        size_groups: list[list[int]] = []
-        for idx in range(len(facet_bits)):
-            if idx == 0 or len(facet_bits[idx]) != len(facet_bits[idx - 1]):
-                size_groups.append([idx])
-            else:
-                size_groups[-1].append(idx)
-
-        best_key = None
-        best_label = None
-        label = [0] * n
-        for choice in product(*(permutations(b) for b in blocks)):
-            for block_perm, off in zip(choice, offsets):
-                for pos, v in enumerate(block_perm):
-                    label[v] = off + pos
-            key_parts: list[int] = []
-            for group in size_groups:
-                vals = []
-                for idx in group:
-                    m = 0
-                    for v in facet_bits[idx]:
-                        m |= 1 << label[v]
-                    vals.append(m)
-                vals.sort()
-                key_parts.extend(vals)
-            key = tuple(key_parts)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_label = list(label)
-        mapping = tuple((verts[v], best_label[v]) for v in range(n))
-        result = (CanonicalForm(n, best_key), mapping)
-
-    if len(_CANON_CACHE) >= _CANON_CACHE_LIMIT:
-        _CANON_CACHE.clear()
+    cache.trim(_CANON_CACHE)
     _CANON_CACHE[facets] = result
     return result
 
@@ -508,22 +722,6 @@ def two_disjoint_edges() -> SimplicialComplex:
 def all_faces(c: SimplicialComplex) -> list[int]:
     """All faces as a deterministic sorted list (by dimension, then mask)."""
     return sorted(c.faces(), key=_facet_sort_key)
-
-
-def brute_force_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
-    """Reference isomorphism test by trying every vertex bijection.
-
-    Exponential; used as the oracle the canonical form is validated against.
-    """
-    va, vb = a.vertex_ids(), b.vertex_ids()
-    if len(va) != len(vb):
-        return False
-    fa = set(a.facets)
-    for perm in permutations(vb):
-        mapping = dict(zip(va, perm))
-        if {relabel_face(f, mapping) for f in a.facets} == set(b.facets):
-            return True
-    return False
 
 
 def random_complex(rng, n_max: int = 6, max_facets: int = 7, dim_cap: int = 3) -> SimplicialComplex:

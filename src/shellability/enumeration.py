@@ -287,7 +287,8 @@ def _scan_level(
             rep = key.facets
             if is_shellable(from_facets(rep)).shellable:
                 # shellable + the per-vertex filter already implies hereditary
-                assert _hereditary_star_shellable(rep)
+                if not _hereditary_star_shellable(rep):
+                    raise RuntimeError("shellable class failed the hereditary star filter")
                 hereditary.append(rep)
             else:
                 cores.append(rep)

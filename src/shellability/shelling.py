@@ -89,7 +89,8 @@ def verify_shelling(c: SimplicialComplex, ordering) -> tuple[bool, Optional[tupl
     if sorted(ordering) != sorted(c.facets):
         raise ValueError("ordering is not a permutation of the facets")
     ok, restrictions = _restriction_map_check(ordering)
-    assert ok == _definitional_check(ordering), "shelling criteria disagree"
+    if ok != _definitional_check(ordering):
+        raise RuntimeError("shelling criteria disagree")
     return ok, restrictions
 
 
@@ -208,7 +209,8 @@ def _attach_order(seen: int, edge_facets: list[int]) -> Optional[list[int]]:
 
 def _certificate(c: SimplicialComplex, ordering) -> ShellingCertificate:
     ok, restrictions = verify_shelling(c, ordering)
-    assert ok, "constructed ordering failed verification"
+    if not ok:
+        raise RuntimeError("constructed ordering failed verification")
     return ShellingCertificate(tuple(ordering), restrictions)
 
 
@@ -242,7 +244,8 @@ def is_shellable(c: SimplicialComplex) -> ShellingDecision:
         order_triangles = list(ordering2)
         edge_facets = [f for f in c.facets if f.bit_count() == 2]
         tail = _attach_order(_union(order_triangles), edge_facets)
-        assert tail is not None, "edge facets detached despite connected 1-skeleton"
+        if tail is None:
+            raise RuntimeError("edge facets detached despite connected 1-skeleton")
         isolated = [f for f in c.facets if f.bit_count() == 1]
         ordering = order_triangles + tail + sorted(isolated)
         return ShellingDecision(True, _certificate(c, ordering))

@@ -85,6 +85,23 @@ def test_enumerate_compare(tmp_path, capsys):
     assert text.count("IDENTICAL") == 2
 
 
+def test_enumerate_compare_rejects_unknown_property(tmp_path, capsys):
+    out = tmp_path / "cat.json"
+    code = main(["enumerate", "--dim", "1", "--output", str(out), "--compare", "bogus"])
+    assert code == 2
+    assert "unknown property 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_enumerate_compare_names_the_pair(tmp_path, capsys):
+    out = tmp_path / "cat.json"
+    code = main(["enumerate", "--dim", "2", "--max-vertices", "5", "--property", "scm",
+                 "--output", str(out), "--compare", "partitionable"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "obstructions(scm) vs obstructions(partitionable): IDENTICAL"
+
+
 def test_enumerate_edge_minimal_six_vertices(tmp_path, capsys):
     out = tmp_path / "cat.json"
     code = main(["enumerate", "--dim", "2", "--max-vertices", "6",

@@ -1,10 +1,12 @@
 import random
 import warnings
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
+from shellability import cache, complexes
 from shellability.complexes import (
+    CanonicalForm,
     CapacityError,
     FacetAbsorbedWarning,
     InvalidFaceError,
@@ -18,6 +20,7 @@ from shellability.complexes import (
     parse_complex,
     two_disjoint_edges,
 )
+from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 
 from conftest import corpus
@@ -202,6 +205,152 @@ def test_isomorphism_examples(ind_c6, complex_1a, two_k2):
     assert brute_isomorphic(ind_c6, complex_1a)
     path3 = from_facets(masks({0, 1}, {1, 2}, {2, 3}))
     assert not two_k2.is_isomorphic(path3)
+
+
+# --- symmetric families: the inputs that exercise the search tree ------------
+
+def cross_polytope_boundary(d: int):
+    """Boundary of the d-dimensional cross-polytope on 2d vertices."""
+    return from_facets([
+        sum(1 << (2 * i + side) for i, side in enumerate(sides))
+        for sides in product((0, 1), repeat=d)
+    ])
+
+
+def skeleton(k: int, n: int):
+    """The complete k-skeleton of the simplex on n vertices."""
+    return from_facets([face(s) for s in combinations(range(n), k + 1)])
+
+
+def circulant(n: int, offsets):
+    return from_facets([face((i + o) % n for o in offsets) for i in range(n)])
+
+
+def symmetric_families():
+    for n in range(4, 10):
+        yield f"Ind(C_{n})", independence_complex(cycle_graph(n))
+    for n in range(5, 10):
+        yield f"band(2,{n})", band_complex(2, n)
+    for d in range(2, 5):
+        yield f"cross({d})", cross_polytope_boundary(d)
+    for k in (0, 1, 2):
+        for n in range(k + 1, 10):
+            yield f"skel({k},{n})", skeleton(k, n)
+
+
+def cycles(*lengths):
+    """Disjoint cycles: 2-regular, so refinement leaves one cell of several orbits."""
+    facets, start = [], 0
+    for k in lengths:
+        facets += [face({start + i, start + (i + 1) % k}) for i in range(k)]
+        start += k
+    return from_facets(facets)
+
+
+# Triangle systems on 8 vertices, every vertex in three triangles, found by a
+# random search for inputs whose refinement leaves a single cell and whose
+# leaves have tied labelings that are not least; they exercise the
+# automorphisms read off those ties.
+TIED_TRIANGLE_SYSTEMS = [
+    (22, 42, 49, 67, 100, 137, 140, 208),
+    (26, 41, 69, 98, 112, 134, 140, 145),
+]
+
+
+def refinement_hard_families():
+    for lengths in [(3, 5), (4, 4), (3, 6), (4, 5), (3, 3, 3)]:
+        yield f"cycles{lengths}", cycles(*lengths)
+    for facets in TIED_TRIANGLE_SYSTEMS:
+        yield f"triangles{facets}", from_facets(facets)
+
+
+def shuffled(c, rng):
+    verts = list(c.vertex_ids())
+    image = verts[:]
+    rng.shuffle(image)
+    return c.relabel(dict(zip(verts, image)))
+
+
+def test_symmetric_families_canonical_form_is_invariant():
+    rng = random.Random(18)
+    for name, c in [*symmetric_families(), *refinement_hard_families()]:
+        canon = c.canonical_form()
+        for _ in range(5):
+            assert shuffled(c, rng).canonical_form() == canon, name
+        assert c.relabel(c.canonical_map()).facets == canon.facets, name
+
+
+def test_symmetric_families_match_brute_force_oracle():
+    rng = random.Random(19)
+    cube = from_facets([face({a, b}) for a in range(8) for b in range(a + 1, 8)
+                        if (a ^ b).bit_count() == 1])
+    wagner = from_facets([*cycles(8).facets, *(face({i, i + 4}) for i in range(4))])
+    ind8 = independence_complex(cycle_graph(8))
+    cross4 = cross_polytope_boundary(4)
+    pairs = [
+        (cycles(6), cycles(3, 3)),
+        (cycles(8), cycles(4, 4)),
+        (cube, wagner),
+        (band_complex(2, 8), circulant(8, (0, 1, 3))),
+        (band_complex(2, 7), independence_complex(cycle_graph(7))),
+        (independence_complex(cycle_graph(6)), cross_polytope_boundary(3)),
+        (skeleton(1, 4), cross_polytope_boundary(2)),
+        (cycles(3, 5), cycles(8)),
+        (cycles(3, 5), shuffled(cycles(3, 5), rng)),
+        tuple(from_facets(facets) for facets in TIED_TRIANGLE_SYSTEMS),
+        (ind8, shuffled(ind8, rng)),
+        (cross4, shuffled(cross4, rng)),
+        (band_complex(2, 6), shuffled(band_complex(2, 6), rng)),
+        (skeleton(2, 6), shuffled(skeleton(2, 6), rng)),
+    ]
+    verdicts = []
+    for a, b in pairs:
+        expected = brute_isomorphic(a, b)
+        assert a.is_isomorphic(b) == expected, (a, b)
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+# Canonical forms computed by exhaustive enumeration over the refined colour
+# classes, before the search tree existed; on at most six vertices the tree is
+# a single leaf and must reproduce them exactly.
+PINNED_FORMS = [
+    CanonicalForm(1, (1,)),
+    CanonicalForm(1, (1,)),
+    CanonicalForm(2, (3,)),
+    CanonicalForm(6, (3, 37, 50, 56)),
+    CanonicalForm(2, (3,)),
+    CanonicalForm(4, (15,)),
+    CanonicalForm(1, (1,)),
+    CanonicalForm(5, (5, 10, 28)),
+    CanonicalForm(2, (3,)),
+    CanonicalForm(5, (7, 30)),
+    CanonicalForm(2, (1, 2)),
+    CanonicalForm(4, (15,)),
+    CanonicalForm(1, (1,)),
+    CanonicalForm(5, (29, 30)),
+    CanonicalForm(1, (1,)),
+    CanonicalForm(2, (3,)),
+    CanonicalForm(2, (1, 2)),
+    CanonicalForm(4, (15,)),
+    CanonicalForm(3, (1, 6)),
+    CanonicalForm(2, (3,)),
+]
+
+
+def test_canonical_forms_on_six_vertices_are_pinned(complex_1a, ind_c6, two_k2):
+    assert complex_1a.canonical_form() == CanonicalForm(6, (3, 12, 48, 21, 42))
+    assert ind_c6.canonical_form() == CanonicalForm(6, (3, 12, 48, 21, 42))
+    assert band_complex(2, 5).canonical_form() == CanonicalForm(5, (7, 11, 21, 26, 28))
+    assert two_k2.canonical_form() == CanonicalForm(4, (3, 12))
+    assert [c.canonical_form() for c in corpus(seed=14, count=20, n_max=6)] == PINNED_FORMS
+
+
+def test_clear_all_caches_empties_the_canonical_form_memo():
+    from_facets([{0, 1}, {1, 2}, {2, 7}]).canonical_form()
+    assert complexes._CANON_CACHE
+    cache.clear_all_caches()
+    assert not complexes._CANON_CACHE
 
 
 def test_canonical_cap():

@@ -179,6 +179,26 @@ def test_catalog_entries_are_stable_and_labeled():
         ).canonical_form()
 
 
+# Facet lists of the lettered classes in the 6-vertex catalog.  Letters inside
+# a family follow canonical-form order, so a change of key must not move them.
+LETTERED_CLASSES = {
+    "1b": [[0, 1], [0, 2], [1, 3], [2, 3], [1, 2, 4], [0, 3, 5]],
+    "1c": [[0, 1], [0, 2], [1, 3], [2, 4], [0, 3, 4], [1, 2, 5]],
+    "3a": [[0, 1, 2], [1, 2, 3], [1, 2, 4], [0, 3, 4], [1, 3, 4], [2, 3, 4]],
+    "3b": [[0, 1, 2], [1, 2, 4], [0, 3, 4], [1, 3, 4], [2, 3, 4]],
+    "3c": [[0, 1, 2], [0, 3, 4], [1, 3, 4], [2, 3, 4]],
+    "3d": [[0, 1, 2], [1, 3, 4], [2, 3, 4]],
+    "3e": [[0, 1, 3], [0, 2, 4], [1, 3, 4], [2, 3, 4]],
+}
+
+
+def test_family_letters_are_pinned():
+    minimal = enumerate_obstructions(EnumerationTask(2, SH, "edge_minimal_obstructions", 6))
+    by_label = {e.label: e.complex() for e in build_entries(minimal)}
+    for label, facets in LETTERED_CLASSES.items():
+        assert by_label[label].is_isomorphic(from_facets([set(f) for f in facets])), label
+
+
 def test_catalog_sorted_by_size():
     entries = build_entries(dim2_shellability_obstructions(6))
     keys = [(e.n_vertices, len(e.facets)) for e in entries]

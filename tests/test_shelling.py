@@ -5,6 +5,7 @@ import pytest
 
 from shellability.complexes import face_vertices, from_facets, full_simplex
 from shellability.graphs import cycle_graph, independence_complex
+from shellability import shelling
 from shellability.partition import band_complex
 from shellability.shelling import (
     fast_paths_agree,
@@ -81,6 +82,12 @@ def test_verify_requires_permutation(two_k2):
         verify_shelling(two_k2, two_k2.facets[:1])
     with pytest.raises(ValueError):
         verify_shelling(two_k2, two_k2.facets + two_k2.facets[:1])
+
+
+def test_disagreeing_shelling_criteria_raise(hollow_triangle, monkeypatch):
+    monkeypatch.setattr(shelling, "_definitional_check", lambda ordering: False)
+    with pytest.raises(RuntimeError, match="shelling criteria disagree"):
+        verify_shelling(hollow_triangle, hollow_triangle.facets)
 
 
 def test_verify_agrees_with_oracle_on_random_orderings():
