@@ -31,9 +31,7 @@ from .homology import (
 from .shelling import (
     ShellingCertificate,
     ShellingDecision,
-    fast_paths_agree,
     is_shellable,
-    shellable_by_search,
     verify_shelling,
 )
 from .partition import (
@@ -47,15 +45,9 @@ from .cohen_macaulay import CMReport, CMWitness, is_cohen_macaulay, is_sequentia
 from .properties import IMPLIES, LINK_PRESERVING, PropertyKind, satisfies
 from .obstruction import (
     ObstructionReport,
-    hereditary_via_obstructions,
-    hereditary_via_strong_obstructions,
     is_hereditary,
-    is_obstruction,
-    is_obstruction_via_deletions,
-    is_strong_obstruction,
     minimal_failing_restriction,
     obstruction_report,
-    strong_obstruction_by_definition,
 )
 from .graphs import (
     Graph,

@@ -1,13 +1,18 @@
-"""Bounded memo tables shared by the property deciders.
+"""The package's memo tables, registered so that one call empties them all.
 
-Verdicts are memoized on canonical forms, so isomorphic queries (which the
-restriction/link enumeration produces in bulk) are answered once.  The tables
-are plain dicts with a size cap; when a table overflows, the oldest half of
+Every module-level memo table is made by ``new_cache()``, which registers it,
+and ``clear_all_caches()`` empties every registered table.  The deciders
+memoize on canonical forms through ``complexes.memoized``, so isomorphic
+queries (which the restriction/link enumeration produces in bulk) are
+answered once; that helper lives in ``complexes``, next to the canonical
+labeling, because this module cannot import it without an import cycle.
+
+Every table but the three small enumeration memos (one entry per vertex
+bound) is bounded by ``trim``: when a table overflows, the oldest half of
 its entries is dropped (dict order is insertion order).  Eviction only ever
-costs recomputation, never changes a verdict.
-
-The cap is read from ``SHELLABILITY_CACHE_SIZE`` once at import; set it
-before importing the package to resize.
+costs recomputation, never changes a verdict.  The cap is read from
+``SHELLABILITY_CACHE_SIZE`` once at import; set it before importing the
+package to resize.
 """
 
 from __future__ import annotations

@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import catalog as catalog_mod
 from .cohen_macaulay import is_sequentially_cm
 from .complexes import SimplicialComplex, face_vertices, format_complex, parse_complex
-from .enumeration import EnumerationTask, enumerate_obstructions
+from .enumeration import MAX_OBSTRUCTION_VERTICES, EnumerationTask, enumerate_obstructions
 from .graphs import cycle_graph, independence_complex
 from .obstruction import is_hereditary, obstruction_report
 from .partition import is_partitionable
@@ -32,24 +31,6 @@ from .shelling import is_shellable
 CHECK_SCHEMA = "shellability-check/1"
 
 VARIANTS = ("plain", "hereditary", "obstruction", "strong-obstruction")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: Optional[str] = None
-    property: Optional[PropertyKind] = None
-    variant: str = "plain"
-    mode: str = "obstructions"
-    dimension: Optional[int] = None
-    cycle_length: Optional[int] = None
-    max_vertices: Optional[int] = None
-    workers: int = 1
-    output: Optional[str] = None
-    as_json: bool = False
-    certificate: bool = False
-    summary: bool = False
-    compare: tuple[PropertyKind, ...] = ()
 
 
 def _face_words(mask: int) -> str:
@@ -109,8 +90,9 @@ def _certificate_lines(c: SimplicialComplex, prop: PropertyKind) -> tuple[list[s
     return lines, payload
 
 
-def cmd_check(config: RunConfig) -> int:
-    path = Path(config.input_path)
+def cmd_check(args: argparse.Namespace) -> int:
+    prop = PropertyKind.from_name(args.property)
+    path = Path(args.path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -122,7 +104,6 @@ def cmd_check(config: RunConfig) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
 
-    prop = config.property
     names = {
         PropertyKind.SHELLABLE: ("shellable", "nonshellable"),
         PropertyKind.PARTITIONABLE: ("partitionable", "not partitionable"),
@@ -135,13 +116,13 @@ def cmd_check(config: RunConfig) -> int:
         "n_vertices": c.n_vertices,
         "dim": c.dim,
         "property": prop.value,
-        "variant": config.variant,
+        "variant": args.variant,
     }
 
-    if config.variant == "plain":
+    if args.variant == "plain":
         holds = satisfies(c, prop)
         lines.append(names[prop][0] if holds else names[prop][1])
-    elif config.variant == "hereditary":
+    elif args.variant == "hereditary":
         holds, failing = is_hereditary(c, prop)
         if holds:
             lines.append(f"hereditarily {names[prop][0]}")
@@ -151,11 +132,11 @@ def cmd_check(config: RunConfig) -> int:
             payload["failing_restriction"] = list(face_vertices(failing))
     else:
         report = obstruction_report(c, prop)
-        if config.variant == "obstruction":
+        if args.variant == "obstruction":
             holds = report.is_obstruction
         else:
             holds = report.is_strong
-        kind = "strong obstruction" if config.variant == "strong-obstruction" else "obstruction"
+        kind = "strong obstruction" if args.variant == "strong-obstruction" else "obstruction"
         lines.append(f"{'is' if holds else 'is not'} a {kind} to {prop.value}")
         if report.failing_restriction is not None:
             lines.append(f"  restriction to {_face_words(report.failing_restriction)} also fails")
@@ -165,22 +146,26 @@ def cmd_check(config: RunConfig) -> int:
             payload["failing_link"] = list(face_vertices(report.failing_link))
 
     payload["verdict"] = holds
-    if config.certificate:
+    if args.certificate:
         cert_lines, cert_payload = _certificate_lines(c, prop)
         lines.extend(cert_lines)
         payload.update(cert_payload)
-    _emit(payload, config.as_json, lines)
+    _emit(payload, args.as_json, lines)
     return 0 if holds else 1
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    task = EnumerationTask(
-        dimension=config.dimension,
-        property=config.property,
-        mode=config.mode,
-        max_vertices=config.max_vertices,
-    )
-    found = enumerate_obstructions(task, workers=config.workers)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.edge_minimal and args.strong:
+        raise ValueError("--edge-minimal and --strong are exclusive")
+    _check_workers(args.workers)
+    mode = "obstructions"
+    if args.edge_minimal:
+        mode = "edge_minimal_obstructions"
+    elif args.strong:
+        mode = "strong_obstructions"
+    task = EnumerationTask(args.dim, PropertyKind.from_name(args.property), mode, args.max_vertices)
+    compare = [PropertyKind.from_name(name) for name in args.compare]
+    found = enumerate_obstructions(task, workers=args.workers)
     entries = catalog_mod.build_entries(found)
     doc = catalog_mod.catalog_document(
         entries,
@@ -191,18 +176,18 @@ def cmd_enumerate(config: RunConfig) -> int:
         max_vertices=task.resolved_max_vertices(),
     )
     text = catalog_mod.catalog_json(doc)
-    if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
-        print(f"wrote {len(entries)} classes to {config.output}")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+        print(f"wrote {len(entries)} classes to {args.output}")
     else:
         sys.stdout.write(text)
-    if config.summary:
+    if args.summary:
         for line in catalog_mod.summary_lines(entries):
             print(line)
     classes = {c.canonical_form() for c in found}
-    for other in config.compare:
+    for other in compare:
         other_task = EnumerationTask(task.dimension, other, task.mode, task.max_vertices)
-        others = enumerate_obstructions(other_task, workers=config.workers)
+        others = enumerate_obstructions(other_task, workers=args.workers)
         same = classes == {c.canonical_form() for c in others}
         tag = f"obstructions({task.property.value}) vs obstructions({other.value})"
         print(f"{tag}: {'IDENTICAL' if same else 'DIFFERENT'}")
@@ -211,22 +196,30 @@ def cmd_enumerate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_atlas(config: RunConfig) -> int:
-    paths = catalog_mod.write_atlas(config.output, config.max_vertices or 7, config.workers)
-    print(f"wrote {len(paths)} files under {config.output}")
+def cmd_atlas(args: argparse.Namespace) -> int:
+    if not 1 <= args.max_vertices <= MAX_OBSTRUCTION_VERTICES:
+        raise ValueError(f"--max-vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
+    _check_workers(args.workers)
+    paths = catalog_mod.write_atlas(args.out_dir, args.max_vertices, args.workers)
+    print(f"wrote {len(paths)} files under {args.out_dir}")
     return 0
 
 
-def cmd_indcycle(config: RunConfig) -> int:
-    n = config.cycle_length
+def cmd_indcycle(args: argparse.Namespace) -> int:
+    n = args.n
     c = independence_complex(cycle_graph(n))
     text = format_complex(c)
-    if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
-        print(f"wrote independence complex of the {n}-cycle to {config.output}")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+        print(f"wrote independence complex of the {n}-cycle to {args.output}")
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("--workers must be >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide a property for a facet-list file")
+    p_check.set_defaults(run=cmd_check)
     p_check.add_argument("path")
     p_check.add_argument("--property", required=True,
                          help="shellable | partitionable | scm")
@@ -246,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--certificate", action="store_true")
 
     p_enum = sub.add_parser("enumerate", help="enumerate obstruction classes")
+    p_enum.set_defaults(run=cmd_enumerate)
     p_enum.add_argument("--dim", type=int, required=True, choices=(0, 1, 2))
     p_enum.add_argument("--property", default="shellable")
     p_enum.add_argument("--max-vertices", type=int, default=None)
@@ -258,69 +253,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--workers", type=int, default=1)
 
     p_atlas = sub.add_parser("atlas", help="write the full dimension <= 2 obstruction atlas")
+    p_atlas.set_defaults(run=cmd_atlas)
     p_atlas.add_argument("out_dir")
     p_atlas.add_argument("--max-vertices", type=int, default=7)
     p_atlas.add_argument("--workers", type=int, default=1)
 
     p_ind = sub.add_parser("indcycle", help="print the independence complex of an n-cycle")
+    p_ind.set_defaults(run=cmd_indcycle)
     p_ind.add_argument("n", type=int)
     p_ind.add_argument("--output", default=None)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            config = RunConfig(
-                command="check",
-                input_path=args.path,
-                property=PropertyKind.from_name(args.property),
-                variant=args.variant,
-                as_json=args.as_json,
-                certificate=args.certificate,
-            )
-            return cmd_check(config)
-        if args.command == "enumerate":
-            if args.edge_minimal and args.strong:
-                print("error: --edge-minimal and --strong are exclusive", file=sys.stderr)
-                return 2
-            mode = "obstructions"
-            if args.edge_minimal:
-                mode = "edge_minimal_obstructions"
-            elif args.strong:
-                mode = "strong_obstructions"
-            if args.workers < 1:
-                print("error: --workers must be >= 1", file=sys.stderr)
-                return 2
-            config = RunConfig(
-                command="enumerate",
-                property=PropertyKind.from_name(args.property),
-                mode=mode,
-                dimension=args.dim,
-                max_vertices=args.max_vertices,
-                workers=args.workers,
-                output=args.output,
-                summary=args.summary,
-                compare=tuple(PropertyKind.from_name(name) for name in args.compare),
-            )
-            return cmd_enumerate(config)
-        if args.command == "atlas":
-            config = RunConfig(
-                command="atlas",
-                max_vertices=args.max_vertices,
-                workers=args.workers,
-                output=args.out_dir,
-            )
-            return cmd_atlas(config)
-        if args.command == "indcycle":
-            config = RunConfig(command="indcycle", cycle_length=args.n, output=args.output)
-            return cmd_indcycle(config)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -9,15 +9,14 @@ on failure: a face whose link has a nonvanishing group below top dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import cache
-from .complexes import CANONICAL_VERTEX_CAP, PurityError, SimplicialComplex, from_facets, relabel_face
+from .complexes import PurityError, SimplicialComplex, memoized, relabel_face
 from .homology import HomologyGroup, reduced_homology
 
 _CM_CACHE = cache.new_cache()
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ class CMReport:
     witness: Optional[CMWitness] = None
 
 
-def _find_witness(rep: SimplicialComplex) -> Optional[tuple[int, int, HomologyGroup]]:
+def _find_witness(rep: SimplicialComplex) -> Optional[CMWitness]:
     faces = sorted(rep.faces(), key=lambda m: (m.bit_count(), m))
     if rep.strongly_connected():
         # links of large faces are small; scanning them first keeps the
@@ -45,31 +44,20 @@ def _find_witness(rep: SimplicialComplex) -> Optional[tuple[int, int, HomologyGr
         for k in range(0, link.dim):
             group = reduced_homology(link, k)
             if not group.is_trivial():
-                return tau, k, group
+                return CMWitness(tau, k, group)
     return None
+
+
+def _relabel_witness(w: CMWitness, mapping: dict[int, int]) -> CMWitness:
+    return replace(w, face=relabel_face(w.face, mapping))
 
 
 def is_cohen_macaulay(c: SimplicialComplex) -> CMReport:
     """Reisner-style decision for pure complexes; raises PurityError otherwise."""
     if not c.is_pure():
         raise PurityError("Cohen-Macaulayness is defined for pure complexes")
-    if c.n_vertices > CANONICAL_VERTEX_CAP:
-        found = _find_witness(c)
-        if found is None:
-            return CMReport(True)
-        tau, k, group = found
-        return CMReport(False, CMWitness(tau, k, group))
-    canon = c.canonical_form()
-    hit = _CM_CACHE.get(canon, _MISSING)
-    if hit is _MISSING:
-        hit = _find_witness(from_facets(canon.facets))
-        cache.trim(_CM_CACHE)
-        _CM_CACHE[canon] = hit
-    if hit is None:
-        return CMReport(True)
-    tau, k, group = hit
-    inverse = {new: old for old, new in c.canonical_map().items()}
-    return CMReport(False, CMWitness(relabel_face(tau, inverse), k, group))
+    witness = memoized(_CM_CACHE, c, _find_witness, _relabel_witness)
+    return CMReport(witness is None, witness)
 
 
 def is_sequentially_cm(c: SimplicialComplex) -> CMReport:
@@ -77,6 +65,5 @@ def is_sequentially_cm(c: SimplicialComplex) -> CMReport:
     for i in range(0, c.dim + 1):
         report = is_cohen_macaulay(c.pure_skeleton(i))
         if not report.verdict:
-            w = report.witness
-            return CMReport(False, CMWitness(w.face, w.degree, w.group, skeleton_dim=i))
+            return CMReport(False, replace(report.witness, skeleton_dim=i))
     return CMReport(True)

@@ -641,6 +641,31 @@ def _canonicalize(facets: tuple[int, ...], vertices: int) -> tuple[CanonicalForm
     return result
 
 
+def memoized(table: dict, c: SimplicialComplex, compute, relabel=None, key: tuple = ()):
+    """``compute(c, *key)``, memoized in ``table`` on the isomorphism class of ``c``.
+
+    On a miss, ``compute`` runs on the canonical representative, so what it
+    returns speaks of canonical vertex ids; ``relabel(result, inverse)`` maps
+    a result back to the ids of ``c`` through the inverse canonical map.  A
+    result of None carries no labels and is returned as it is, and so is
+    every result when ``relabel`` is None.  Above ``CANONICAL_VERTEX_CAP``
+    nothing is memoized and ``compute`` runs on ``c`` itself.
+    """
+    if c.n_vertices > CANONICAL_VERTEX_CAP:
+        return compute(c, *key)
+    canon = c.canonical_form()
+    slot = (canon, *key)
+    if slot in table:
+        result = table[slot]
+    else:
+        result = compute(SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1), *key)
+        cache.trim(table)
+        table[slot] = result
+    if result is None or relabel is None:
+        return result
+    return relabel(result, {new: old for old, new in c._canon_map})
+
+
 # ---------------------------------------------------------------------------
 # facet-list text format
 # ---------------------------------------------------------------------------

@@ -334,7 +334,7 @@ class _PairTables:
         self.connected = connected
 
 
-_PAIR_TABLES: dict[int, _PairTables] = {}
+_PAIR_TABLES: dict[int, _PairTables] = cache.new_cache()
 
 
 def _pair_tables(s: int) -> _PairTables:
@@ -460,7 +460,7 @@ def _terminal_core_scan(
     return sorted(cores)
 
 
-_CORES_MEMO: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+_CORES_MEMO: dict[int, dict[int, list[tuple[int, ...]]]] = cache.new_cache()
 
 
 def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 1) -> dict[int, list[tuple[int, ...]]]:
@@ -473,8 +473,12 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
-    if max_vertices in _CORES_MEMO:
-        return _CORES_MEMO[max_vertices]
+    if max_vertices not in _CORES_MEMO:
+        _CORES_MEMO[max_vertices] = _scan_cores(max_vertices, workers)
+    return {s: list(cores) for s, cores in _CORES_MEMO[max_vertices].items()}
+
+
+def _scan_cores(max_vertices: int, workers: int) -> dict[int, list[tuple[int, ...]]]:
     hereditary_by_support: dict[int, list[tuple[int, ...]]] = {3: [((0b111),)]}
     cores_by_support: dict[int, list[tuple[int, ...]]] = {}
     for s in range(4, max_vertices + 1):
@@ -487,7 +491,6 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
             hereditary, cores = _scan_level(hereditary_by_support, s)
             hereditary_by_support[s] = sorted(hereditary)
             cores_by_support[s] = sorted(cores)
-    _CORES_MEMO[max_vertices] = cores_by_support
     return cores_by_support
 
 
@@ -528,7 +531,7 @@ def _non_face_pairs(c: SimplicialComplex) -> list[int]:
     return out
 
 
-_DIM2_MEMO: dict[int, list[SimplicialComplex]] = {}
+_DIM2_MEMO: dict[int, list[SimplicialComplex]] = cache.new_cache()
 
 
 def dim2_shellability_obstructions(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 1) -> list[SimplicialComplex]:

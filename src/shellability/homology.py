@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cache
-from .complexes import CANONICAL_VERTEX_CAP, SimplicialComplex, face_vertices
+from .complexes import SimplicialComplex, face_vertices, memoized
 
 _HOMOLOGY_CACHE = cache.new_cache()
 
@@ -155,19 +155,7 @@ def smith_normal_form(matrix) -> tuple[list[int], int]:
     return divisors, len(divisors)
 
 
-def reduced_homology(c: SimplicialComplex, k: int) -> HomologyGroup:
-    """The k-th reduced homology group of the complex over the integers."""
-    if k < -1:
-        raise ValueError("reduced homology is defined for k >= -1")
-    if k > c.dim:
-        return ZERO_GROUP
-    key = None
-    if c.n_vertices <= CANONICAL_VERTEX_CAP:
-        key = (c.canonical_form(), k)
-        hit = _HOMOLOGY_CACHE.get(key)
-        if hit is not None:
-            return hit
-
+def _homology_group(c: SimplicialComplex, k: int) -> HomologyGroup:
     n_k = len(c.faces_of_dim(k))
     if k == -1:
         rank_k = 0
@@ -176,12 +164,16 @@ def reduced_homology(c: SimplicialComplex, k: int) -> HomologyGroup:
     factors_up, rank_up = smith_normal_form(boundary_matrix(c, k + 1).entries)
     betti = n_k - rank_k - rank_up
     torsion = tuple(d for d in factors_up if d > 1)
-    group = HomologyGroup(betti, torsion)
+    return HomologyGroup(betti, torsion)
 
-    if key is not None:
-        cache.trim(_HOMOLOGY_CACHE)
-        _HOMOLOGY_CACHE[key] = group
-    return group
+
+def reduced_homology(c: SimplicialComplex, k: int) -> HomologyGroup:
+    """The k-th reduced homology group of the complex over the integers."""
+    if k < -1:
+        raise ValueError("reduced homology is defined for k >= -1")
+    if k > c.dim:
+        return ZERO_GROUP
+    return memoized(_HOMOLOGY_CACHE, c, _homology_group, key=(k,))
 
 
 def homology_groups(c: SimplicialComplex) -> dict[int, HomologyGroup]:

@@ -7,9 +7,8 @@ nonempty face satisfy the property, which makes strong obstructions the
 excluded minors under restriction and link jointly.
 
 For link-preserving properties (all three here) the strong-obstruction
-condition collapses to three separate checks; the literal product-form
-definition is also implemented so the collapse can be tested instead of
-assumed.
+condition collapses to three separate checks; the test suite checks the
+collapse against the literal product-form definition instead of assuming it.
 """
 
 from __future__ import annotations
@@ -58,49 +57,6 @@ def obstruction_report(c: SimplicialComplex, prop: PropertyKind) -> ObstructionR
     return ObstructionReport(True, True)
 
 
-def is_obstruction(c: SimplicialComplex, prop: PropertyKind) -> ObstructionReport:
-    return obstruction_report(c, prop)
-
-
-def is_strong_obstruction(c: SimplicialComplex, prop: PropertyKind) -> ObstructionReport:
-    return obstruction_report(c, prop)
-
-
-def is_obstruction_via_deletions(c: SimplicialComplex, prop: PropertyKind) -> bool:
-    """Equivalent formulation by deleting nonempty vertex sets (test support)."""
-    if satisfies(c, prop):
-        return False
-    verts = face_vertices(c.vertices)
-    for drop in range(1, len(verts) + 1):
-        for removed in combinations(verts, drop):
-            u = 0
-            for v in removed:
-                u |= 1 << v
-            if not satisfies(c.deletion(u), prop):
-                return False
-    return True
-
-
-def strong_obstruction_by_definition(c: SimplicialComplex, prop: PropertyKind) -> bool:
-    """The literal product-form definition of a strong obstruction.
-
-    Quantifies jointly over restrictions W and faces tau of the restriction,
-    excepting only the whole complex itself (W = V, tau = empty).  Used to
-    validate the link-preserving simplification in obstruction_report.
-    """
-    if satisfies(c, prop):
-        return False
-    subsets = list(_proper_subsets_desc(c.vertices)) + [c.vertices]
-    for w in subsets:
-        restricted = c.restriction(w)
-        for tau in sorted(restricted.faces(), key=lambda m: (m.bit_count(), m)):
-            if w == c.vertices and tau == 0:
-                continue
-            if not satisfies(restricted.link(tau), prop):
-                return False
-    return True
-
-
 def is_hereditary(c: SimplicialComplex, prop: PropertyKind) -> tuple[bool, Optional[int]]:
     """Whether every restriction (the complex included) satisfies the property."""
     if not satisfies(c, prop):
@@ -109,27 +65,6 @@ def is_hereditary(c: SimplicialComplex, prop: PropertyKind) -> tuple[bool, Optio
         if not satisfies(c.restriction(w), prop):
             return False, w
     return True, None
-
-
-def hereditary_via_obstructions(c: SimplicialComplex, prop: PropertyKind) -> bool:
-    """Characterisation: hereditary iff no restriction is an obstruction (test support)."""
-    for w in list(_proper_subsets_desc(c.vertices)) + [c.vertices]:
-        if obstruction_report(c.restriction(w), prop).is_obstruction:
-            return False
-    return True
-
-
-def hereditary_via_strong_obstructions(c: SimplicialComplex, prop: PropertyKind) -> bool:
-    """Characterisation through links: no link of any restriction is a strong obstruction.
-
-    Valid for link-preserving properties only (all of PropertyKind is).
-    """
-    for w in list(_proper_subsets_desc(c.vertices)) + [c.vertices]:
-        restricted = c.restriction(w)
-        for tau in sorted(restricted.faces(), key=lambda m: (m.bit_count(), m)):
-            if obstruction_report(restricted.link(tau), prop).is_strong:
-                return False
-    return True
 
 
 def minimal_failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> SimplicialComplex:

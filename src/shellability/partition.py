@@ -20,10 +20,10 @@ from typing import Mapping, Optional
 
 from . import cache
 from .complexes import (
-    CANONICAL_VERTEX_CAP,
     CapacityError,
     SimplicialComplex,
     from_facets,
+    memoized,
     relabel_face,
     subsets_of,
 )
@@ -171,6 +171,21 @@ def _exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, i
     return None
 
 
+def _decide_partition(c: SimplicialComplex) -> Optional[tuple[tuple[int, int], ...]]:
+    """The filters, then the exact cover; None when no partition exists."""
+    if c.dim >= 2 and _two_private_facets(c):
+        return None
+    if sum(1 << f.bit_count() for f in c.facets) < c.face_count():
+        return None
+    return _exact_cover_assignment(c)
+
+
+def _relabel_assignment(assignment, mapping: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(
+        (relabel_face(sigma, mapping), relabel_face(tau, mapping)) for sigma, tau in assignment
+    ))
+
+
 def is_partitionable(c: SimplicialComplex) -> PartitionDecision:
     """Exact decision with a re-checkable interval assignment on success."""
     d = c.dim
@@ -187,38 +202,10 @@ def is_partitionable(c: SimplicialComplex) -> PartitionDecision:
             return PartitionDecision(False)
         # fall through to the exact cover for the actual certificate
 
-    if c.n_vertices > CANONICAL_VERTEX_CAP:
-        if d >= 2 and _two_private_facets(c):
-            return PartitionDecision(False)
-        if sum(1 << f.bit_count() for f in c.facets) < c.face_count():
-            return PartitionDecision(False)
-        assignment = _exact_cover_assignment(c)
-        if assignment is None:
-            return PartitionDecision(False)
-        return PartitionDecision(True, PartitionCertificate(assignment))
-
-    canon = c.canonical_form()
-    hit = _PARTITION_CACHE.get(canon)
-    if hit is None:
-        rep = from_facets(canon.facets)
-        if d >= 2 and _two_private_facets(rep):
-            hit = (False, None)
-        elif sum(1 << f.bit_count() for f in rep.facets) < rep.face_count():
-            hit = (False, None)
-        else:
-            assignment = _exact_cover_assignment(rep)
-            hit = (assignment is not None, assignment)
-        cache.trim(_PARTITION_CACHE)
-        _PARTITION_CACHE[canon] = hit
-    verdict, canon_assignment = hit
-    if canon_assignment is None:
-        return PartitionDecision(verdict)
-    inverse = {new: old for old, new in c.canonical_map().items()}
-    pairs = tuple(sorted(
-        (relabel_face(sigma, inverse), relabel_face(tau, inverse))
-        for sigma, tau in canon_assignment
-    ))
-    return PartitionDecision(True, PartitionCertificate(pairs))
+    assignment = memoized(_PARTITION_CACHE, c, _decide_partition, _relabel_assignment)
+    if assignment is None:
+        return PartitionDecision(False)
+    return PartitionDecision(True, PartitionCertificate(assignment))
 
 
 def band_complex(d: int, n: int) -> SimplicialComplex:

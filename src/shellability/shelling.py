@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import cache
-from .complexes import (
-    CANONICAL_VERTEX_CAP,
-    DimensionError,
-    SimplicialComplex,
-    face_vertices,
-    relabel_face,
-    subsets_of,
-)
+from .complexes import SimplicialComplex, face_vertices, memoized, relabel_face, subsets_of
 from .homology import reduced_homology
 
 _DECIDE_CACHE = cache.new_cache()
@@ -152,35 +145,21 @@ def _homology_prescreen_nonshellable(c: SimplicialComplex) -> bool:
     return False
 
 
-def _decide_uncached(c: SimplicialComplex) -> tuple[bool, Optional[tuple[int, ...]]]:
+def _decide_uncached(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
     if c.is_pure() and not c.strongly_connected():
-        return False, None
+        return None
     if _homology_prescreen_nonshellable(c):
-        return False, None
-    ordering = _search_ordering(c)
-    return ordering is not None, ordering
+        return None
+    return _search_ordering(c)
 
 
-def _decide_search(c: SimplicialComplex) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Memoized exact decision for complexes the fast paths do not cover.
+def _relabel_ordering(ordering: tuple[int, ...], mapping: dict[int, int]) -> tuple[int, ...]:
+    return tuple(relabel_face(m, mapping) for m in ordering)
 
-    Above the canonical-labeling cap the decision runs uncached; only the
-    enumeration workloads rely on the memo, and those stay within the cap.
-    """
-    if c.n_vertices > CANONICAL_VERTEX_CAP:
-        return _decide_uncached(c)
-    canon = c.canonical_form()
-    hit = _DECIDE_CACHE.get(canon)
-    if hit is None:
-        rep = SimplicialComplex(canon.facets, _union(canon.facets))
-        hit = _decide_uncached(rep)
-        cache.trim(_DECIDE_CACHE)
-        _DECIDE_CACHE[canon] = hit
-    verdict, canon_ordering = hit
-    if canon_ordering is None:
-        return verdict, None
-    inverse = {new: old for old, new in c.canonical_map().items()}
-    return verdict, tuple(relabel_face(m, inverse) for m in canon_ordering)
+
+def _decide_search(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
+    """Memoized exact search for a shelling order; None when there is none."""
+    return memoized(_DECIDE_CACHE, c, _decide_uncached, _relabel_ordering)
 
 
 def _union(masks) -> int:
@@ -236,9 +215,8 @@ def is_shellable(c: SimplicialComplex) -> ShellingDecision:
         return ShellingDecision(True, _certificate(c, ordering))
 
     if d == 2:
-        pure2 = c.pure_skeleton(2)
-        ok2, ordering2 = _decide_search(pure2)
-        if not ok2 or not c.pure_skeleton(1).connected():
+        ordering2 = _decide_search(c.pure_skeleton(2))
+        if ordering2 is None or not c.pure_skeleton(1).connected():
             return ShellingDecision(False)
         # the 2-faces of a 2-complex are exactly its 3-vertex facets
         order_triangles = list(ordering2)
@@ -250,26 +228,8 @@ def is_shellable(c: SimplicialComplex) -> ShellingDecision:
         ordering = order_triangles + tail + sorted(isolated)
         return ShellingDecision(True, _certificate(c, ordering))
 
-    verdict, ordering = _decide_search(c)
-    if not verdict:
-        return ShellingDecision(False)
-    return ShellingDecision(True, _certificate(c, ordering))
-
-
-def shellable_by_search(c: SimplicialComplex) -> ShellingDecision:
-    """Plain backtracking decision with no fast paths, prescreens or caching.
-
-    Exists so the structural shortcuts can be validated against the generic
-    search; prefer is_shellable everywhere else.
-    """
-    ordering = _search_ordering(c)
+    ordering = _decide_search(c)
     if ordering is None:
         return ShellingDecision(False)
     return ShellingDecision(True, _certificate(c, ordering))
 
-
-def fast_paths_agree(c: SimplicialComplex) -> bool:
-    """Compare the dimension <= 2 criteria against the raw search (test support)."""
-    if c.dim > 2:
-        raise DimensionError("fast paths only exist for dimension <= 2")
-    return is_shellable(c).shellable == shellable_by_search(c).shellable

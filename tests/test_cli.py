@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from shellability.cli import main
 from shellability.complexes import format_complex, from_facets, parse_complex
 from shellability.graphs import cycle_graph, independence_complex
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(tmp_path: Path, name: str, c) -> str:
@@ -134,6 +138,24 @@ def test_atlas_deterministic(tmp_path):
     assert main(["atlas", str(b), "--max-vertices", "5"]) == 0
     assert (a / "catalog.json").read_bytes() == (b / "catalog.json").read_bytes()
     assert (a / "summary.txt").read_bytes() == (b / "summary.txt").read_bytes()
+
+
+def test_atlas_matches_the_golden_six_vertex_atlas(tmp_path):
+    assert main(["atlas", str(tmp_path), "--max-vertices", "6"]) == 0
+    for name in ("catalog.json", "summary.txt"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / f"atlas6_{name}").read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-vertices", "0"], "--max-vertices must be 1..7"),
+    (["--max-vertices", "8"], "--max-vertices must be 1..7"),
+    (["--workers", "-2"], "--workers must be >= 1"),
+])
+def test_atlas_rejects_bad_arguments(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "atlas"
+    assert main(["atlas", str(out_dir), *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_indcycle(tmp_path, capsys):

@@ -353,6 +353,36 @@ def test_clear_all_caches_empties_the_canonical_form_memo():
     assert not complexes._CANON_CACHE
 
 
+def test_every_memo_table_is_registered_and_cleared():
+    import importlib
+    import pkgutil
+    import re
+
+    import shellability
+    from shellability.cohen_macaulay import is_sequentially_cm
+    from shellability.enumeration import dim2_shellability_obstructions
+    from shellability.partition import is_partitionable
+
+    modules = [importlib.import_module(f"shellability.{m.name}")
+               for m in pkgutil.iter_modules(shellability.__path__)]
+    tables = {
+        f"{mod.__name__}.{name}": value
+        for mod in modules for name, value in vars(mod).items()
+        if isinstance(value, dict) and re.fullmatch(r"_[A-Z0-9_]*(CACHE|MEMO|TABLES)", name)
+    }
+    assert {"shellability.enumeration._CORES_MEMO", "shellability.enumeration._DIM2_MEMO",
+            "shellability.enumeration._PAIR_TABLES"} <= set(tables)
+    registered = {id(t) for t in cache._REGISTRY}
+    assert [name for name, t in tables.items() if id(t) not in registered] == []
+
+    dim2_shellability_obstructions(5)
+    band = from_facets([{k % 5, (k + 1) % 5, (k + 2) % 5} for k in range(5)])
+    is_partitionable(band)
+    is_sequentially_cm(band)
+    cache.clear_all_caches()
+    assert {name: len(t) for name, t in tables.items() if t} == {}
+
+
 def test_canonical_cap():
     with pytest.raises(CapacityError):
         from_facets([face(range(10))]).canonical_form()

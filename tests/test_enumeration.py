@@ -84,6 +84,13 @@ def test_triangle_cores_by_support():
     assert any(r.is_isomorphic(from_facets([{0, 1, 2}, {3, 4, 5}])) for r in reps6)
 
 
+def test_triangle_cores_hands_out_a_copy():
+    first = triangle_cores(5)
+    first[5].append(((0b111),))
+    first[6] = []
+    assert {s: len(v) for s, v in triangle_cores(5).items()} == {4: 0, 5: 7}
+
+
 def test_dim0_and_dim1_obstructions(two_k2):
     assert enumerate_obstructions(EnumerationTask(0, SH)) == []
     found = enumerate_obstructions(EnumerationTask(1, SH))

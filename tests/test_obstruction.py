@@ -2,19 +2,17 @@ import pytest
 
 from shellability.complexes import from_facets, full_simplex
 from shellability.graphs import cycle_graph, independence_complex
-from shellability.obstruction import (
-    hereditary_via_obstructions,
-    hereditary_via_strong_obstructions,
-    is_hereditary,
-    is_obstruction_via_deletions,
-    minimal_failing_restriction,
-    obstruction_report,
-    strong_obstruction_by_definition,
-)
+from shellability.obstruction import is_hereditary, minimal_failing_restriction, obstruction_report
 from shellability.partition import band_complex
 from shellability.properties import IMPLIES, PropertyKind, satisfies
 
 from conftest import corpus
+from oracles import (
+    hereditary_via_obstructions,
+    hereditary_via_strong_obstructions,
+    is_obstruction_via_deletions,
+    strong_obstruction_by_definition,
+)
 
 SH = PropertyKind.SHELLABLE
 

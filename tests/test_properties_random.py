@@ -10,9 +10,10 @@ from shellability.graphs import flag_round_trip, graph_from_edges, independence_
 from shellability.obstruction import is_hereditary
 from shellability.partition import is_partitionable, verify_partition
 from shellability.properties import PropertyKind, satisfies
-from shellability.shelling import fast_paths_agree, is_shellable, verify_shelling
+from shellability.shelling import is_shellable, verify_shelling
 
 from conftest import corpus
+from oracles import fast_paths_agree
 
 
 def enumerated_classes():

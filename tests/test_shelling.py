@@ -7,14 +7,10 @@ from shellability.complexes import face_vertices, from_facets, full_simplex
 from shellability.graphs import cycle_graph, independence_complex
 from shellability import shelling
 from shellability.partition import band_complex
-from shellability.shelling import (
-    fast_paths_agree,
-    is_shellable,
-    shellable_by_search,
-    verify_shelling,
-)
+from shellability.shelling import is_shellable, verify_shelling
 
 from conftest import corpus
+from oracles import fast_paths_agree, shellable_by_search
 
 
 # --- independent oracle: the raw definition over frozensets -----------------
