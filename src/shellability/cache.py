@@ -7,12 +7,13 @@ queries (which the restriction/link enumeration produces in bulk) are
 answered once; that helper lives in ``complexes``, next to the canonical
 labeling, because this module cannot import it without an import cycle.
 
-Every table but the three small enumeration memos (one entry per vertex
-bound) is bounded by ``trim``: when a table overflows, the oldest half of
-its entries is dropped (dict order is insertion order).  Eviction only ever
-costs recomputation, never changes a verdict.  The cap is read from
-``SHELLABILITY_CACHE_SIZE`` once at import; set it before importing the
-package to resize.
+Every table but the three small enumeration memos is bounded by ``trim``;
+``_CORES_MEMO`` and ``_DIM2_MEMO`` hold one entry per vertex bound, and
+``_PAIR_TABLES`` one per scanned support level.  When a bounded table
+overflows, the oldest half of its entries is dropped (dict order is
+insertion order).  Eviction only ever costs recomputation, never changes a
+verdict.  The cap is read from ``SHELLABILITY_CACHE_SIZE`` once at import;
+set it before importing the package to resize.
 """
 
 from __future__ import annotations

@@ -23,6 +23,14 @@ size: removing the full star of any vertex from a core leaves a triangle set
 all of whose triangle restrictions are shellable, so cores on s vertices are
 rebuilt from such sets on fewer vertices by attaching a new vertex star.
 
+Every level attaches a vertex of minimum triangle degree only.  That is
+complete at every level: deleting the star of any vertex of a hereditarily
+shellable set or of a core leaves the restriction to the other vertices,
+which is hereditarily shellable, so every such set arises from a smaller
+hereditarily shellable set by attaching the star of one of its
+minimum-degree vertices last.  The top level only needs the cores, so it
+also skips candidates that two cheap certificates prove shellable.
+
 The vertex ceiling of seven is Wachs' classical bound for two-dimensional
 minimally nonshellable complexes; the search relies on it only as a stop
 level and reports the top stratum completing without truncation.
@@ -228,73 +236,6 @@ def _hereditary_star_shellable(triangles: tuple[int, ...]) -> bool:
     return verdict
 
 
-def _attachment_scan(
-    xprime: tuple[int, ...], s: int
-) -> Iterable[tuple[int, ...]]:
-    """Attach a new vertex star to a smaller hereditarily shellable triangle set.
-
-    ``xprime`` sits canonically on vertices 0..s'-1; the new vertex is s-1
-    and the vertices s'..s-2 ("extras") must be covered by the attached
-    triangles.  Yields raw candidate triangle sets on exactly s vertices that
-    pass the per-vertex hereditary filter; the caller deduplicates.
-    """
-    s_prime = _support(xprime).bit_count()
-    v_bit = 1 << (s - 1)
-    pairs = [(1 << a) | (1 << b) for a, b in combinations(range(s - 1), 2)]
-    extras = 0
-    for w in range(s_prime, s - 1):
-        extras |= 1 << w
-    n_pairs = len(pairs)
-    for dbits in range(1, 1 << n_pairs):
-        cover = 0
-        chosen = []
-        bits = dbits
-        idx = 0
-        while bits:
-            if bits & 1:
-                cover |= pairs[idx]
-                chosen.append(pairs[idx] | v_bit)
-            bits >>= 1
-            idx += 1
-        if cover & extras != extras:
-            continue
-        candidate = tuple(sorted(xprime + tuple(chosen)))
-        if all(
-            _hereditary_star_shellable(_star_removed(candidate, u))
-            for u in range(s - 1)
-        ):
-            yield candidate
-
-
-def _scan_level(
-    hereditary_by_support: dict[int, list[tuple[int, ...]]], s: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """One support level: returns (new hereditary classes, new cores)."""
-    seen: set[CanonicalForm] = set()
-    hereditary: list[tuple[int, ...]] = []
-    cores: list[tuple[int, ...]] = []
-    sources: list[tuple[int, ...]] = [()]
-    for s_prime in sorted(hereditary_by_support):
-        if 0 < s_prime <= s - 1:
-            sources.extend(hereditary_by_support[s_prime])
-    for xprime in sources:
-        for candidate in _attachment_scan(xprime, s):
-            c = from_facets(candidate)
-            key = c.canonical_form()
-            if key in seen:
-                continue
-            seen.add(key)
-            rep = key.facets
-            if is_shellable(from_facets(rep)).shellable:
-                # shellable + the per-vertex filter already implies hereditary
-                if not _hereditary_star_shellable(rep):
-                    raise RuntimeError("shellable class failed the hereditary star filter")
-                hereditary.append(rep)
-            else:
-                cores.append(rep)
-    return hereditary, cores
-
-
 class _PairTables:
     """Shared per-level tables over the subsets of vertex pairs below the new vertex."""
 
@@ -387,24 +328,29 @@ def _cone_extension_shellable(d: int, face_mask: int, tables: _PairTables) -> bo
     return True
 
 
-def _terminal_core_scan(
-    sources: list[tuple[int, ...]], s: int, workers: int = 1
-) -> list[tuple[int, ...]]:
-    """Find the cores on exactly s vertices; hereditary classes are not emitted.
+def _scan_level(
+    sources: list[tuple[int, ...]], s: int, terminal: bool, workers: int = 1
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """One support level: (hereditary classes, cores) on exactly s vertices, sorted.
 
-    Restricting the attached star to a minimum-degree vertex is complete for
-    cores (every core has one, and removing any vertex star of a core leaves
-    a hereditarily shellable set), and lets two cheap certificates discard
-    provably shellable candidates before the expensive exact checks.
+    Each source sits canonically on vertices 0..s'-1 with s' < s; the new
+    vertex is s-1, and the vertices s'..s-2 ("extras") must be covered by its
+    star.  The new vertex is restricted to one of minimum degree, which is
+    complete: every hereditarily shellable set and every core has such a
+    vertex, and deleting its star leaves a hereditarily shellable set, a
+    relabeling of some source.  At the terminal level only the cores are
+    wanted, so two cheap certificates discard provably shellable candidates
+    first and no hereditary classes are emitted; only that level is sharded
+    across ``workers`` processes.
     """
-    if workers > 1 and len(sources) > 1:
+    if terminal and workers > 1 and len(sources) > 1:
         import multiprocessing
 
         chunks = [sources[i::workers] for i in range(workers) if sources[i::workers]]
         with multiprocessing.Pool(len(chunks)) as pool:
-            partial = pool.starmap(_terminal_core_scan, [(chunk, s) for chunk in chunks])
+            partial = pool.starmap(_scan_level, [(chunk, s, True) for chunk in chunks])
         merged: set[tuple[int, ...]] = set()
-        for part in partial:
+        for _, part in partial:
             merged.update(part)
         # re-deduplicate across chunks by canonical form
         seen: set[CanonicalForm] = set()
@@ -414,7 +360,7 @@ def _terminal_core_scan(
             if key not in seen:
                 seen.add(key)
                 out.append(key.facets)
-        return sorted(out)
+        return [], sorted(out)
     tables = _pair_tables(s)
     pairs = tables.pairs
     n_pairs = tables.n_pairs
@@ -424,6 +370,7 @@ def _terminal_core_scan(
     v_bit = 1 << (s - 1)
 
     seen: set[CanonicalForm] = set()
+    hereditary: list[tuple[int, ...]] = []
     cores: list[tuple[int, ...]] = []
     for xprime in sources:
         s_prime = _support(xprime).bit_count()
@@ -438,10 +385,11 @@ def _terminal_core_scan(
             k = d.bit_count()
             if any(deg[u] + (d & at_vertex[u]).bit_count() < k for u in range(s - 1)):
                 continue  # the new vertex would not have minimum degree
-            if d & ~face_mask == 0 and connected[d]:
-                continue  # shellable: connected star along base faces
-            if _cone_extension_shellable(d, face_mask, tables):
-                continue
+            if terminal:
+                if d & ~face_mask == 0 and connected[d]:
+                    continue  # shellable: connected star along base faces
+                if _cone_extension_shellable(d, face_mask, tables):
+                    continue
             candidate = tuple(sorted(
                 xprime + tuple(pairs[i] | v_bit for i in range(n_pairs) if d >> i & 1)
             ))
@@ -450,14 +398,19 @@ def _terminal_core_scan(
                 for u in range(s - 1)
             ):
                 continue
-            c = from_facets(candidate)
-            key = c.canonical_form()
+            key = from_facets(candidate).canonical_form()
             if key in seen:
                 continue
             seen.add(key)
-            if not is_shellable(from_facets(key.facets)).shellable:
-                cores.append(key.facets)
-    return sorted(cores)
+            rep = key.facets
+            if not is_shellable(from_facets(rep)).shellable:
+                cores.append(rep)
+            elif not terminal:
+                # shellable + the per-vertex filter already implies hereditary
+                if not _hereditary_star_shellable(rep):
+                    raise RuntimeError("shellable class failed the hereditary star filter")
+                hereditary.append(rep)
+    return sorted(hereditary), sorted(cores)
 
 
 _CORES_MEMO: dict[int, dict[int, list[tuple[int, ...]]]] = cache.new_cache()
@@ -468,8 +421,10 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
 
     Returned per support size, each core as its canonical facet tuple.  These
     are exactly the possible pure 2-skeletons of two-dimensional obstructions
-    to shellability.  Levels are scanned by support size; the top level only
-    needs the cores themselves, which admits much stronger pruning.
+    to shellability.  Levels are scanned by support size, each attaching a
+    minimum-degree vertex to the hereditarily shellable sets found below it;
+    the top level, which only needs the cores, also skips candidates that
+    are certified shellable.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
@@ -479,18 +434,13 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
 
 
 def _scan_cores(max_vertices: int, workers: int) -> dict[int, list[tuple[int, ...]]]:
-    hereditary_by_support: dict[int, list[tuple[int, ...]]] = {3: [((0b111),)]}
+    sources: list[tuple[int, ...]] = [(), ((0b111),)]
     cores_by_support: dict[int, list[tuple[int, ...]]] = {}
     for s in range(4, max_vertices + 1):
-        if s == MAX_OBSTRUCTION_VERTICES:
-            sources: list[tuple[int, ...]] = [()]
-            for s_prime in sorted(hereditary_by_support):
-                sources.extend(hereditary_by_support[s_prime])
-            cores_by_support[s] = _terminal_core_scan(sources, s, workers)
-        else:
-            hereditary, cores = _scan_level(hereditary_by_support, s)
-            hereditary_by_support[s] = sorted(hereditary)
-            cores_by_support[s] = sorted(cores)
+        hereditary, cores_by_support[s] = _scan_level(
+            sources, s, s == MAX_OBSTRUCTION_VERTICES, workers
+        )
+        sources = sources + hereditary
     return cores_by_support
 
 

@@ -7,7 +7,14 @@ of the deciders it checks.
 
 from itertools import combinations
 
-from shellability.complexes import DimensionError, SimplicialComplex, face_vertices
+from shellability.complexes import (
+    CanonicalForm,
+    DimensionError,
+    SimplicialComplex,
+    face_vertices,
+    from_facets,
+)
+from shellability.enumeration import _hereditary_star_shellable, _star_removed, _support
 from shellability.obstruction import _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import ShellingDecision, _certificate, _search_ordering, is_shellable
@@ -86,3 +93,72 @@ def hereditary_via_strong_obstructions(c: SimplicialComplex, prop: PropertyKind)
             if obstruction_report(restricted.link(tau), prop).is_strong:
                 return False
     return True
+
+
+def unpruned_attachment_scan(xprime: tuple[int, ...], s: int):
+    """Attach a new vertex star to a smaller hereditarily shellable triangle set.
+
+    ``xprime`` sits canonically on vertices 0..s'-1; the new vertex is s-1
+    and the vertices s'..s-2 ("extras") must be covered by the attached
+    triangles.  Yields raw candidate triangle sets on exactly s vertices that
+    pass the per-vertex hereditary filter; the caller deduplicates.
+    """
+    s_prime = _support(xprime).bit_count()
+    v_bit = 1 << (s - 1)
+    pairs = [(1 << a) | (1 << b) for a, b in combinations(range(s - 1), 2)]
+    extras = 0
+    for w in range(s_prime, s - 1):
+        extras |= 1 << w
+    n_pairs = len(pairs)
+    for dbits in range(1, 1 << n_pairs):
+        cover = 0
+        chosen = []
+        bits = dbits
+        idx = 0
+        while bits:
+            if bits & 1:
+                cover |= pairs[idx]
+                chosen.append(pairs[idx] | v_bit)
+            bits >>= 1
+            idx += 1
+        if cover & extras != extras:
+            continue
+        candidate = tuple(sorted(xprime + tuple(chosen)))
+        if all(
+            _hereditary_star_shellable(_star_removed(candidate, u))
+            for u in range(s - 1)
+        ):
+            yield candidate
+
+
+def unpruned_scan_level(
+    hereditary_by_support: dict[int, list[tuple[int, ...]]], s: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """One support level of the core search, attaching every possible vertex star.
+
+    Returns (new hereditary classes, new cores), unsorted.  The reference for
+    the minimum-degree pruning of ``enumeration._scan_level``.
+    """
+    seen: set[CanonicalForm] = set()
+    hereditary: list[tuple[int, ...]] = []
+    cores: list[tuple[int, ...]] = []
+    sources: list[tuple[int, ...]] = [()]
+    for s_prime in sorted(hereditary_by_support):
+        if 0 < s_prime <= s - 1:
+            sources.extend(hereditary_by_support[s_prime])
+    for xprime in sources:
+        for candidate in unpruned_attachment_scan(xprime, s):
+            c = from_facets(candidate)
+            key = c.canonical_form()
+            if key in seen:
+                continue
+            seen.add(key)
+            rep = key.facets
+            if is_shellable(from_facets(rep)).shellable:
+                # shellable + the per-vertex filter already implies hereditary
+                if not _hereditary_star_shellable(rep):
+                    raise RuntimeError("shellable class failed the hereditary star filter")
+                hereditary.append(rep)
+            else:
+                cores.append(rep)
+    return hereditary, cores

@@ -11,6 +11,7 @@ from shellability.catalog import (
 from shellability.complexes import CapacityError, from_facets
 from shellability.enumeration import (
     EnumerationTask,
+    _scan_level,
     dim2_shellability_obstructions,
     edge_minimal,
     enumerate_complexes,
@@ -22,6 +23,8 @@ from shellability.enumeration import (
 )
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind
+
+from oracles import unpruned_scan_level
 
 SH = PropertyKind.SHELLABLE
 
@@ -213,18 +216,22 @@ def test_catalog_sorted_by_size():
 
 
 def test_terminal_scan_worker_split_matches_single_thread():
-    """Sharding the top-level scan across processes never changes the result."""
-    from shellability.enumeration import _scan_level, _terminal_core_scan
-
+    """The minimum-degree level scan finds every class the unpruned scan finds,
+    and sharding the terminal scan across processes never changes the result."""
     hereditary = {3: [((0b111),)]}
-    for s in (4, 5):
-        h, _ = _scan_level(hereditary, s)
-        hereditary[s] = sorted(h)
-    sources = [()] + [rep for reps in hereditary.values() for rep in reps]
-    single = _terminal_core_scan(sources, 6, workers=1)
-    split = _terminal_core_scan(sources, 6, workers=3)
+    sources = [(), ((0b111),)]
+    for s in (4, 5, 6):
+        plain_hereditary, plain_cores = unpruned_scan_level(hereditary, s)
+        h, cores = _scan_level(sources, s, terminal=False)
+        assert h == sorted(plain_hereditary)
+        assert cores == sorted(plain_cores)
+        assert (len(h), len(cores)) == {4: (3, 0), 5: (22, 7), 6: (811, 2)}[s]
+        if s < 6:
+            hereditary[s] = h
+            sources = sources + h
+    # the terminal behaviour: certificates on, hereditary classes not emitted
+    single = _scan_level(sources, 6, terminal=True, workers=1)
+    split = _scan_level(sources, 6, terminal=True, workers=3)
     assert single == split
-    # the min-degree pruned terminal scan agrees with the unpruned level scan
-    _, plain_cores = _scan_level(hereditary, 6)
-    assert single == sorted(plain_cores)
-    assert len(single) == 2
+    assert single == ([], cores)
+    assert len(single[1]) == 2

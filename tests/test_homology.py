@@ -97,6 +97,18 @@ def test_independence_complex_skeleton_homology():
     assert reduced_homology(ind9.pure_skeleton(3), 1) == HomologyGroup(1)
 
 
+def test_independence_complexes_of_cycles_match_kozlov():
+    """Kozlov (JCTA 1999): Ind(C_n) is S^{k-1} v S^{k-1} for n = 3k, S^{k-1}
+    for n = 3k+1 and S^k for n = 3k+2.  From n = 10 on the complexes lie
+    above the canonical-labeling cap, so homology is computed unmemoized."""
+    for n in range(4, 14):
+        k, r = divmod(n, 3)
+        degree, rank = {0: (k - 1, 2), 1: (k - 1, 1), 2: (k, 1)}[r]
+        c = independence_complex(cycle_graph(n))
+        expected = {d: HomologyGroup(rank if d == degree else 0) for d in range(-1, c.dim + 1)}
+        assert homology_groups(c) == expected, n
+
+
 def test_empty_complex_homology():
     empty = from_facets([])
     assert reduced_homology(empty, -1) == HomologyGroup(1)
