@@ -7,32 +7,24 @@ queries (which the restriction/link enumeration produces in bulk) are
 answered once; that helper lives in ``complexes``, next to the canonical
 labeling, because this module cannot import it without an import cycle.
 
-Every table but the three small enumeration memos is bounded by ``trim``;
-``_CORES_MEMO`` and ``_DIM2_MEMO`` hold one entry per vertex bound, and
-``_PAIR_TABLES`` one per scanned support level.  When a bounded table
-overflows, the oldest half of its entries is dropped (dict order is
+The tables are ``complexes._CANON_CACHE`` (canonical forms by raw facets),
+the four decider memos ``shelling._DECIDE_CACHE``,
+``partition._PARTITION_CACHE``, ``cohen_macaulay._CM_CACHE`` and
+``homology._HOMOLOGY_CACHE``, and the enumeration memos:
+``enumeration._CORES_MEMO`` and ``_PAIR_TABLES`` hold one entry per scanned
+support level, ``_DIM2_MEMO`` one per vertex bound, ``_HSTAR_CANON`` the
+hereditarily shellable classes the scan was given as sources (838 below
+seven vertices), and ``_HSTAR_RAW`` the verdict of each raw star removal
+looked up among them.  The enumeration memos other than ``_HSTAR_RAW`` are
+unbounded; every other table is bounded by ``trim``: when one reaches
+``CACHE_LIMIT`` entries, the oldest half of them is dropped (dict order is
 insertion order).  Eviction only ever costs recomputation, never changes a
-verdict.  The cap is read from ``SHELLABILITY_CACHE_SIZE`` once at import;
-set it before importing the package to resize.
+verdict.  The limit is a constant; no environment variable sets it.
 """
 
 from __future__ import annotations
 
-import os
-
-_DEFAULT_LIMIT = 1_000_000
-
-
-def _limit_from_env() -> int:
-    raw = os.environ.get("SHELLABILITY_CACHE_SIZE", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return _DEFAULT_LIMIT
-    return max(value, 1024) if raw else _DEFAULT_LIMIT
-
-
-CACHE_LIMIT = _limit_from_env()
+CACHE_LIMIT = 1_000_000
 
 _REGISTRY: list[dict] = []
 

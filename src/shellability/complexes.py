@@ -271,9 +271,6 @@ class SimplicialComplex:
             out[e] = "nonboundary" if count >= 2 else "boundary"
         return out
 
-    def nonboundary_edges(self) -> frozenset[int]:
-        return frozenset(e for e, kind in self.edge_classification().items() if kind == "nonboundary")
-
     # -- isomorphism ---------------------------------------------------------
 
     def canonical_form(self) -> CanonicalForm:
@@ -286,9 +283,6 @@ class SimplicialComplex:
         if self._canon is None:
             self.canonical_form()
         return dict(self._canon_map)
-
-    def canonical_copy(self) -> "SimplicialComplex":
-        return from_canonical_form(self.canonical_form())
 
     def is_isomorphic(self, other: "SimplicialComplex") -> bool:
         return self.canonical_form() == other.canonical_form()
@@ -331,10 +325,6 @@ def from_facets(candidates: Iterable[FaceLike]) -> SimplicialComplex:
     for m in kept:
         vertices |= m
     return SimplicialComplex(tuple(kept), vertices)
-
-
-def from_canonical_form(canon: CanonicalForm) -> SimplicialComplex:
-    return from_facets(canon.facets)
 
 
 def relabel_face(mask: int, mapping: dict[int, int]) -> int:

@@ -28,8 +28,10 @@ complete at every level: deleting the star of any vertex of a hereditarily
 shellable set or of a core leaves the restriction to the other vertices,
 which is hereditarily shellable, so every such set arises from a smaller
 hereditarily shellable set by attaching the star of one of its
-minimum-degree vertices last.  The top level only needs the cores, so it
-also skips candidates that two cheap certificates prove shellable.
+minimum-degree vertices last.  So the sets on fewer vertices are all known
+when a level is scanned, and a star removal is looked up among them, not
+decided again.  The top level only needs the cores, so it also skips
+candidates that a cheap cone-extension certificate proves shellable.
 
 The vertex ceiling of seven is Wachs' classical bound for two-dimensional
 minimally nonshellable complexes; the search relies on it only as a stop
@@ -54,10 +56,6 @@ from .properties import PropertyKind, satisfies
 from .shelling import is_shellable
 
 MAX_OBSTRUCTION_VERTICES = 7
-
-_HSTAR_RAW = cache.new_cache()
-_HSTAR_CANON = cache.new_cache()
-
 
 # ---------------------------------------------------------------------------
 # generic isomorph-free generation
@@ -189,53 +187,6 @@ def _star_removed(triangles: tuple[int, ...], v: int) -> tuple[int, ...]:
     return tuple(t for t in triangles if not t & bit)
 
 
-def _triangle_components(triangles: tuple[int, ...]) -> int:
-    comps: list[int] = []
-    for t in triangles:
-        merged = t
-        rest = []
-        for c in comps:
-            if c & merged:
-                merged |= c
-            else:
-                rest.append(c)
-        rest.append(merged)
-        comps = rest
-    return len(comps)
-
-
-def _hereditary_star_shellable(triangles: tuple[int, ...]) -> bool:
-    """Every vertex-subset restriction of the triangle set generates a shellable complex.
-
-    Restrictions here keep whole triangles only (the pure 2-skeleton of a
-    restriction); lower-dimensional leftovers are irrelevant to this check.
-    """
-    if len(triangles) <= 1:
-        return True
-    hit = _HSTAR_RAW.get(triangles)
-    if hit is not None:
-        return hit
-    if _triangle_components(triangles) > 1:
-        verdict = False  # disconnected pure 2-complexes are never shellable
-    else:
-        c = from_facets(triangles)
-        canon = c.canonical_form()
-        verdict = _HSTAR_CANON.get(canon)
-        if verdict is None:
-            if not is_shellable(c).shellable:
-                verdict = False
-            else:
-                verdict = all(
-                    _hereditary_star_shellable(_star_removed(triangles, v))
-                    for v in c.vertex_ids()
-                )
-            cache.trim(_HSTAR_CANON)
-            _HSTAR_CANON[canon] = verdict
-    cache.trim(_HSTAR_RAW)
-    _HSTAR_RAW[triangles] = verdict
-    return verdict
-
-
 class _PairTables:
     """Shared per-level tables over the subsets of vertex pairs below the new vertex."""
 
@@ -295,64 +246,64 @@ def _face_pair_mask(xprime: tuple[int, ...], tables: _PairTables) -> int:
 def _cone_extension_shellable(d: int, face_mask: int, tables: _PairTables) -> bool:
     """Sound shellability test for a shellable base plus one new vertex star.
 
-    Builds (implicitly) a shelling that runs through the base first and then
-    attaches the new vertex's triangles: a triangle over a face pair is
-    addable first or when it shares an endpoint with an earlier pair, one
-    over a non-face pair once both endpoints have been touched.  Activation
-    only ever grows, so the greedy closure placing everything proves the
-    whole complex shellable.  A False only means "not settled this way".
+    Certifies a shelling that runs through the base first and then attaches
+    the new vertex's triangles: a triangle over a face pair is addable first
+    or when it shares an endpoint with an earlier pair, one over a non-face
+    pair once both endpoints have been touched.  A non-face pair touches no
+    new vertex, so every triangle is placed exactly when the face pairs of
+    ``d`` form a connected graph whose vertices cover the non-face pairs.  A
+    False only means "not settled this way".
     """
-    todo = d
-    touched = 0
-    first = True
-    pairs = tables.pairs
-    while todo:
-        progress = False
-        bits = todo
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            i = low.bit_length() - 1
-            pm = pairs[i]
-            if face_mask >> i & 1:
-                ok = first or pm & touched
-            else:
-                ok = not first and pm & touched == pm
-            if ok:
-                todo ^= low
-                touched |= pm
-                first = False
-                progress = True
-        if not progress:
-            return False
-    return True
+    along = d & face_mask
+    return bool(tables.connected[along]) and tables.cover[d ^ along] & ~tables.cover[along] == 0
+
+
+# The source classes given to the core scan (canonical facets), and each raw
+# star removal's verdict; apart, as a rejected raw tuple can be canonical.
+_HSTAR_CANON: dict[tuple[int, ...], bool] = cache.new_cache()
+_HSTAR_RAW: dict[tuple[int, ...], bool] = cache.new_cache()
+
+
+def _known(triangles: tuple[int, ...]) -> bool:
+    """Whether a star removal has at most one triangle or is a source class."""
+    if len(triangles) <= 1:
+        return True
+    verdict = _HSTAR_RAW.get(triangles)
+    if verdict is None:
+        verdict = from_facets(triangles).canonical_form().facets in _HSTAR_CANON
+        cache.trim(_HSTAR_RAW)
+        _HSTAR_RAW[triangles] = verdict
+    return verdict
 
 
 def _scan_level(
-    sources: list[tuple[int, ...]], s: int, terminal: bool, workers: int = 1
+    sources: list[tuple[int, ...]], s: int, terminal: bool, workers: int = 1, share: tuple[int, int] = (0, 1)
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """One support level: (hereditary classes, cores) on exactly s vertices, sorted.
 
-    Each source sits canonically on vertices 0..s'-1 with s' < s; the new
+    The sources are the canonical reps of every hereditarily shellable
+    triangle set on fewer than s vertices, each on vertices 0..s'-1; the new
     vertex is s-1, and the vertices s'..s-2 ("extras") must be covered by its
     star.  The new vertex is restricted to one of minimum degree, which is
     complete: every hereditarily shellable set and every core has such a
-    vertex, and deleting its star leaves a hereditarily shellable set, a
-    relabeling of some source.  At the terminal level only the cores are
-    wanted, so two cheap certificates discard provably shellable candidates
-    first and no hereditary classes are emitted; only that level is sharded
-    across ``workers`` processes.
+    vertex, and deleting its star leaves a relabeling of some source.  As the
+    sources are complete below s, a star removal is hereditarily shellable
+    exactly when it has at most one triangle or its canonical form is a
+    source.  At the terminal level only the cores are wanted, so a
+    cone-extension certificate discards provably shellable candidates first
+    and no hereditary classes are emitted; only that level is sharded across
+    ``workers`` processes, each given every source and a ``share`` to scan.
     """
     if terminal and workers > 1 and len(sources) > 1:
         import multiprocessing
 
-        chunks = [sources[i::workers] for i in range(workers) if sources[i::workers]]
-        with multiprocessing.Pool(len(chunks)) as pool:
-            partial = pool.starmap(_scan_level, [(chunk, s, True) for chunk in chunks])
+        shares = [(i, workers) for i in range(min(workers, len(sources)))]
+        with multiprocessing.Pool(len(shares)) as pool:
+            partial = pool.starmap(_scan_level, [(sources, s, True, 1, sh) for sh in shares])
         merged: set[tuple[int, ...]] = set()
         for _, part in partial:
             merged.update(part)
-        # re-deduplicate across chunks by canonical form
+        # re-deduplicate across shares by canonical form
         seen: set[CanonicalForm] = set()
         out = []
         for rep in sorted(merged):
@@ -361,18 +312,19 @@ def _scan_level(
                 seen.add(key)
                 out.append(key.facets)
         return [], sorted(out)
+    _HSTAR_CANON.update(dict.fromkeys(sources, True))
     tables = _pair_tables(s)
     pairs = tables.pairs
     n_pairs = tables.n_pairs
     cover = tables.cover
-    connected = tables.connected
     at_vertex = tables.at_vertex
     v_bit = 1 << (s - 1)
 
     seen: set[CanonicalForm] = set()
     hereditary: list[tuple[int, ...]] = []
     cores: list[tuple[int, ...]] = []
-    for xprime in sources:
+    first, step = share
+    for xprime in sources[first::step]:
         s_prime = _support(xprime).bit_count()
         extras = 0
         for w in range(s_prime, s - 1):
@@ -385,18 +337,12 @@ def _scan_level(
             k = d.bit_count()
             if any(deg[u] + (d & at_vertex[u]).bit_count() < k for u in range(s - 1)):
                 continue  # the new vertex would not have minimum degree
-            if terminal:
-                if d & ~face_mask == 0 and connected[d]:
-                    continue  # shellable: connected star along base faces
-                if _cone_extension_shellable(d, face_mask, tables):
-                    continue
+            if terminal and _cone_extension_shellable(d, face_mask, tables):
+                continue
             candidate = tuple(sorted(
                 xprime + tuple(pairs[i] | v_bit for i in range(n_pairs) if d >> i & 1)
             ))
-            if not all(
-                _hereditary_star_shellable(_star_removed(candidate, u))
-                for u in range(s - 1)
-            ):
+            if not all(_known(_star_removed(candidate, u)) for u in range(s - 1)):
                 continue
             key = from_facets(candidate).canonical_form()
             if key in seen:
@@ -407,13 +353,13 @@ def _scan_level(
                 cores.append(rep)
             elif not terminal:
                 # shellable + the per-vertex filter already implies hereditary
-                if not _hereditary_star_shellable(rep):
-                    raise RuntimeError("shellable class failed the hereditary star filter")
+                if not all(_known(_star_removed(rep, u)) for u in range(s)):
+                    raise RuntimeError("a star removal of a new class is not a known class")
                 hereditary.append(rep)
     return sorted(hereditary), sorted(cores)
 
 
-_CORES_MEMO: dict[int, dict[int, list[tuple[int, ...]]]] = cache.new_cache()
+_CORES_MEMO: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = cache.new_cache()
 
 
 def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 1) -> dict[int, list[tuple[int, ...]]]:
@@ -424,24 +370,17 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
     to shellability.  Levels are scanned by support size, each attaching a
     minimum-degree vertex to the hereditarily shellable sets found below it;
     the top level, which only needs the cores, also skips candidates that
-    are certified shellable.
+    are certified shellable.  Each level's (hereditary, cores) is memoized
+    once, whatever bound asked for it.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
-    if max_vertices not in _CORES_MEMO:
-        _CORES_MEMO[max_vertices] = _scan_cores(max_vertices, workers)
-    return {s: list(cores) for s, cores in _CORES_MEMO[max_vertices].items()}
-
-
-def _scan_cores(max_vertices: int, workers: int) -> dict[int, list[tuple[int, ...]]]:
     sources: list[tuple[int, ...]] = [(), ((0b111),)]
-    cores_by_support: dict[int, list[tuple[int, ...]]] = {}
     for s in range(4, max_vertices + 1):
-        hereditary, cores_by_support[s] = _scan_level(
-            sources, s, s == MAX_OBSTRUCTION_VERTICES, workers
-        )
-        sources = sources + hereditary
-    return cores_by_support
+        if s not in _CORES_MEMO:
+            _CORES_MEMO[s] = _scan_level(sources, s, s == MAX_OBSTRUCTION_VERTICES, workers)
+        sources = sources + _CORES_MEMO[s][0]
+    return {s: list(_CORES_MEMO[s][1]) for s in range(4, max_vertices + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ shellability for every n except 5, pinning down the witnesses
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
@@ -190,14 +189,11 @@ def independence_cycle_report(n_max: int = 9) -> CycleObstructionReport:
     every n except 5 (where it is a shellable 5-cycle, hereditarily so).
     Even n fail partitionability through the two-private-facets pattern; odd
     n have a band top skeleton with first homology Z.  Only this finite range
-    is checked.  n_max beyond 9 is allowed but the dimension-4 searches get
-    expensive; 10 is the practical ceiling.
+    is checked, up to n_max = 10; the 10-vertex case lies above the
+    canonical-labeling cap and runs through the unmemoized decider paths.
     """
     if n_max > 10:
         raise CapacityError("n_max above 10 is not supported")
-    if n_max == 10:
-        warnings.warn("n_max=10 runs a dimension-4 obstruction search; expect minutes",
-                      stacklevel=2)
     cases = []
     for n in range(4, n_max + 1):
         ind = independence_complex(cycle_graph(n))

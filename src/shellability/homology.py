@@ -47,7 +47,6 @@ class HomologyGroup:
 
 
 ZERO_GROUP = HomologyGroup(0)
-Z_GROUP = HomologyGroup(1)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,7 @@
 
 Shellability implies both partitionability and sequential Cohen-Macaulayness;
 that implication order is recorded here as data because the obstruction
-machinery and several test suites quantify over it.  All three properties are
-link-preserving (links of complexes with the property again have it), which
-the strong-obstruction simplification relies on.
+machinery and several test suites quantify over it.
 """
 
 from __future__ import annotations
@@ -44,8 +42,6 @@ IMPLIES: dict[PropertyKind, frozenset[PropertyKind]] = {
     PropertyKind.PARTITIONABLE: frozenset(),
     PropertyKind.SEQUENTIALLY_CM: frozenset(),
 }
-
-LINK_PRESERVING: frozenset[PropertyKind] = frozenset(PropertyKind)
 
 
 def satisfies(c: SimplicialComplex, prop: PropertyKind) -> bool:

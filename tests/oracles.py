@@ -7,6 +7,7 @@ of the deciders it checks.
 
 from itertools import combinations
 
+from shellability import cache
 from shellability.complexes import (
     CanonicalForm,
     DimensionError,
@@ -14,7 +15,7 @@ from shellability.complexes import (
     face_vertices,
     from_facets,
 )
-from shellability.enumeration import _hereditary_star_shellable, _star_removed, _support
+from shellability.enumeration import _star_removed, _support
 from shellability.obstruction import _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import ShellingDecision, _certificate, _search_ordering, is_shellable
@@ -92,6 +93,93 @@ def hereditary_via_strong_obstructions(c: SimplicialComplex, prop: PropertyKind)
         for tau in sorted(restricted.faces(), key=lambda m: (m.bit_count(), m)):
             if obstruction_report(restricted.link(tau), prop).is_strong:
                 return False
+    return True
+
+
+_HSTAR_RAW = cache.new_cache()
+_HSTAR_CANON = cache.new_cache()
+
+
+def _triangle_components(triangles: tuple[int, ...]) -> int:
+    comps: list[int] = []
+    for t in triangles:
+        merged = t
+        rest = []
+        for c in comps:
+            if c & merged:
+                merged |= c
+            else:
+                rest.append(c)
+        rest.append(merged)
+        comps = rest
+    return len(comps)
+
+
+def _hereditary_star_shellable(triangles: tuple[int, ...]) -> bool:
+    """Every vertex-subset restriction of the triangle set generates a shellable complex.
+
+    Restrictions here keep whole triangles only (the pure 2-skeleton of a
+    restriction); lower-dimensional leftovers are irrelevant to this check.
+    """
+    if len(triangles) <= 1:
+        return True
+    hit = _HSTAR_RAW.get(triangles)
+    if hit is not None:
+        return hit
+    if _triangle_components(triangles) > 1:
+        verdict = False  # disconnected pure 2-complexes are never shellable
+    else:
+        c = from_facets(triangles)
+        canon = c.canonical_form()
+        verdict = _HSTAR_CANON.get(canon)
+        if verdict is None:
+            if not is_shellable(c).shellable:
+                verdict = False
+            else:
+                verdict = all(
+                    _hereditary_star_shellable(_star_removed(triangles, v))
+                    for v in c.vertex_ids()
+                )
+            cache.trim(_HSTAR_CANON)
+            _HSTAR_CANON[canon] = verdict
+    cache.trim(_HSTAR_RAW)
+    _HSTAR_RAW[triangles] = verdict
+    return verdict
+
+
+def greedy_cone_extension_shellable(d: int, face_mask: int, tables) -> bool:
+    """Greedy form of the certificate ``enumeration._cone_extension_shellable``.
+
+    Builds (implicitly) a shelling that runs through the base first and then
+    attaches the new vertex's triangles: a triangle over a face pair is
+    addable first or when it shares an endpoint with an earlier pair, one
+    over a non-face pair once both endpoints have been touched.  Activation
+    only ever grows, so the greedy closure placing everything proves the
+    whole complex shellable.  A False only means "not settled this way".
+    """
+    todo = d
+    touched = 0
+    first = True
+    pairs = tables.pairs
+    while todo:
+        progress = False
+        bits = todo
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            i = low.bit_length() - 1
+            pm = pairs[i]
+            if face_mask >> i & 1:
+                ok = first or pm & touched
+            else:
+                ok = not first and pm & touched == pm
+            if ok:
+                todo ^= low
+                touched |= pm
+                first = False
+                progress = True
+        if not progress:
+            return False
     return True
 
 

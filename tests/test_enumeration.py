@@ -2,6 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from shellability import cache, enumeration
 from shellability.catalog import (
     build_entries,
     catalog_document,
@@ -11,6 +12,9 @@ from shellability.catalog import (
 from shellability.complexes import CapacityError, from_facets
 from shellability.enumeration import (
     EnumerationTask,
+    _cone_extension_shellable,
+    _face_pair_mask,
+    _pair_tables,
     _scan_level,
     dim2_shellability_obstructions,
     edge_minimal,
@@ -24,7 +28,7 @@ from shellability.enumeration import (
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind
 
-from oracles import unpruned_scan_level
+from oracles import _triangle_components, greedy_cone_extension_shellable, unpruned_scan_level
 
 SH = PropertyKind.SHELLABLE
 
@@ -226,12 +230,67 @@ def test_terminal_scan_worker_split_matches_single_thread():
         assert h == sorted(plain_hereditary)
         assert cores == sorted(plain_cores)
         assert (len(h), len(cores)) == {4: (3, 0), 5: (22, 7), 6: (811, 2)}[s]
+        if s >= 5:
+            # the terminal behaviour: certificate on, hereditary classes not
+            # emitted; at s = 5 a worker that looked its star removals up in
+            # its own share of the sources only would lose cores, so the
+            # workers start from empty memo tables, not the parent's
+            single = _scan_level(sources, s, terminal=True, workers=1)
+            cache.clear_all_caches()
+            split = _scan_level(sources, s, terminal=True, workers=3)
+            assert single == split
+            assert single == ([], cores)
         if s < 6:
             hereditary[s] = h
             sources = sources + h
-    # the terminal behaviour: certificates on, hereditary classes not emitted
-    single = _scan_level(sources, 6, terminal=True, workers=1)
-    split = _scan_level(sources, 6, terminal=True, workers=3)
-    assert single == split
-    assert single == ([], cores)
     assert len(single[1]) == 2
+
+
+def test_each_core_level_is_scanned_once(monkeypatch):
+    monkeypatch.setattr(enumeration, "_CORES_MEMO", {})
+    monkeypatch.setattr(enumeration, "_DIM2_MEMO", {})
+    levels = []
+    scan = enumeration._scan_level
+
+    def logged(sources, s, *args):
+        levels.append(s)
+        return scan(sources, s, *args)
+
+    monkeypatch.setattr(enumeration, "_scan_level", logged)
+    triangle_cores(6)
+    assert {s: len(v) for s, v in triangle_cores(5).items()} == {4: 0, 5: 7}
+    dim2_shellability_obstructions(5)
+    assert levels == [4, 5, 6]
+
+
+def _nonzero_submasks(mask: int):
+    d = mask
+    while d:
+        yield d
+        d = (d - 1) & mask
+
+
+def test_cone_extension_certificate_matches_the_greedy_closure():
+    """The closed-form certificate of the terminal scan places exactly what the
+    greedy shelling closure places, on every real source's face pairs, and it
+    accepts every new vertex star whose pairs are faces of the base and form a
+    connected graph."""
+    sources = [(), ((0b111),)]
+    for s in (4, 5, 6, 7):
+        if s >= 6:
+            tables = _pair_tables(s)
+            connected = 0
+            for face_mask in {_face_pair_mask(x, tables) for x in sources}:
+                # every d at s = 6; at s = 7 the 2^15 choices of d per base
+                # are too many, so only the stars along base faces
+                every = (1 << tables.n_pairs) - 1
+                for d in _nonzero_submasks(every if s == 6 else face_mask):
+                    certified = _cone_extension_shellable(d, face_mask, tables)
+                    assert certified == greedy_cone_extension_shellable(d, face_mask, tables)
+                    star = [p for i, p in enumerate(tables.pairs) if d >> i & 1]
+                    if d & ~face_mask == 0 and _triangle_components(star) == 1:
+                        connected += 1
+                        assert certified
+            assert connected > {6: 1000, 7: 30000}[s]
+        if s < 7:
+            sources = sources + _scan_level(sources, s, terminal=False)[0]

@@ -108,11 +108,9 @@ def test_cycle_report_guards():
         independence_cycle_report(11)
 
 
-@pytest.mark.slow
 def test_cycle_report_n10_above_canonical_cap():
-    """The warned 10-cycle case runs through the uncached decider paths."""
-    with pytest.warns(UserWarning):
-        report = independence_cycle_report(10)
+    """The 10-cycle case runs through the uncached decider paths."""
+    report = independence_cycle_report(10)
     assert report.ok
     top = [case for case in report.cases if case.n == 10][0]
     assert top.dim == 4 and top.is_obstruction and top.is_strong
