@@ -30,8 +30,13 @@ which is hereditarily shellable, so every such set arises from a smaller
 hereditarily shellable set by attaching the star of one of its
 minimum-degree vertices last.  So the sets on fewer vertices are all known
 when a level is scanned, and a star removal is looked up among them, not
-decided again.  The top level only needs the cores, so it also skips
-candidates that a cheap cone-extension certificate proves shellable.
+decided again.  Whether an attached star gives the new vertex minimum degree
+depends only on the base's vertex degrees and the star's deficit vector, so
+each level groups the stars by deficit vector once and reads the admissible
+ones per degree vector.  A cheap cone-extension certificate proves many
+candidates shellable, as every base is: below the top level a class it
+certifies is hereditary without a shelling search, and the top level, which
+only needs the cores, skips certified candidates outright.
 
 The vertex ceiling of seven is Wachs' classical bound for two-dimensional
 minimally nonshellable complexes; the search relies on it only as a stop
@@ -41,7 +46,8 @@ level and reports the top stratum completing without truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import le
 from typing import Iterable, Optional
 
 from . import cache
@@ -253,6 +259,10 @@ def _cone_extension_shellable(d: int, face_mask: int, tables: _PairTables) -> bo
     new vertex, so every triangle is placed exactly when the face pairs of
     ``d`` form a connected graph whose vertices cover the non-face pairs.  A
     False only means "not settled this way".
+
+    The core scan applies it at every level, where each base is a source and
+    so shellable: it classifies a certified class as shellable below the top
+    level and skips certified candidates at the top level.
     """
     along = d & face_mask
     return bool(tables.connected[along]) and tables.cover[d ^ along] & ~tables.cover[along] == 0
@@ -276,6 +286,36 @@ def _known(triangles: tuple[int, ...]) -> bool:
     return verdict
 
 
+def _deficit_groups(tables: _PairTables) -> dict[tuple[int, ...], list[int]]:
+    """Every nonempty link d of the new vertex, grouped by its deficit vector.
+
+    The deficit at old vertex u is |d| - |d & at_vertex[u]|: the number of
+    base triangles u needs for the new vertex, of degree |d|, to have
+    minimum degree.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for d in range(1, 1 << tables.n_pairs):
+        k = d.bit_count()
+        deficit = tuple(k - (d & m).bit_count() for m in tables.at_vertex)
+        groups.setdefault(deficit, []).append(d)
+    return groups
+
+
+def _admissible_links(
+    groups: dict[tuple[int, ...], list[int]], deg: tuple[int, ...], extras: int, tables: _PairTables
+) -> list[int]:
+    """The links d over a base of vertex degrees ``deg`` whose star covers the
+    ``extras`` and gives the new vertex minimum degree."""
+    cover = tables.cover
+    return [
+        d
+        for deficit, ds in groups.items()
+        if all(map(le, deficit, deg))
+        for d in ds
+        if cover[d] & extras == extras
+    ]
+
+
 def _scan_level(
     sources: list[tuple[int, ...]], s: int, terminal: bool, workers: int = 1, share: tuple[int, int] = (0, 1)
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -286,13 +326,19 @@ def _scan_level(
     vertex is s-1, and the vertices s'..s-2 ("extras") must be covered by its
     star.  The new vertex is restricted to one of minimum degree, which is
     complete: every hereditarily shellable set and every core has such a
-    vertex, and deleting its star leaves a relabeling of some source.  As the
+    vertex, and deleting its star leaves a relabeling of some source.  The
+    links that pass both tests depend only on the source's degree vector and
+    extras, so they are read once per such key from a table of the links
+    grouped by deficit vector, with the sources scanned in key order.  As the
     sources are complete below s, a star removal is hereditarily shellable
     exactly when it has at most one triangle or its canonical form is a
-    source.  At the terminal level only the cores are wanted, so a
-    cone-extension certificate discards provably shellable candidates first
-    and no hereditary classes are emitted; only that level is sharded across
-    ``workers`` processes, each given every source and a ``share`` to scan.
+    source.  Every source is shellable, so a cone-extension certificate
+    proves a candidate shellable at any level: at the terminal level, where
+    only the cores are wanted, certified candidates are skipped and no
+    hereditary classes are emitted; below it, a new class whose first
+    candidate is certified is hereditary without a shelling search.  Only the
+    terminal level is sharded across ``workers`` processes, each given every
+    source and a ``share`` to scan.
     """
     if terminal and workers > 1 and len(sources) > 1:
         import multiprocessing
@@ -316,46 +362,43 @@ def _scan_level(
     tables = _pair_tables(s)
     pairs = tables.pairs
     n_pairs = tables.n_pairs
-    cover = tables.cover
-    at_vertex = tables.at_vertex
+    old_vertices = (1 << (s - 1)) - 1
     v_bit = 1 << (s - 1)
+    groups = _deficit_groups(tables)
 
     seen: set[CanonicalForm] = set()
     hereditary: list[tuple[int, ...]] = []
     cores: list[tuple[int, ...]] = []
     first, step = share
-    for xprime in sources[first::step]:
-        s_prime = _support(xprime).bit_count()
-        extras = 0
-        for w in range(s_prime, s - 1):
-            extras |= 1 << w
-        face_mask = _face_pair_mask(xprime, tables)
-        deg = [sum(1 for t in xprime if t >> u & 1) for u in range(s - 1)]
-        for d in range(1, 1 << n_pairs):
-            if cover[d] & extras != extras:
-                continue
-            k = d.bit_count()
-            if any(deg[u] + (d & at_vertex[u]).bit_count() < k for u in range(s - 1)):
-                continue  # the new vertex would not have minimum degree
-            if terminal and _cone_extension_shellable(d, face_mask, tables):
-                continue
-            candidate = tuple(sorted(
-                xprime + tuple(pairs[i] | v_bit for i in range(n_pairs) if d >> i & 1)
-            ))
-            if not all(_known(_star_removed(candidate, u)) for u in range(s - 1)):
-                continue
-            key = from_facets(candidate).canonical_form()
-            if key in seen:
-                continue
-            seen.add(key)
-            rep = key.facets
-            if not is_shellable(from_facets(rep)).shellable:
-                cores.append(rep)
-            elif not terminal:
-                # shellable + the per-vertex filter already implies hereditary
-                if not all(_known(_star_removed(rep, u)) for u in range(s)):
-                    raise RuntimeError("a star removal of a new class is not a known class")
-                hereditary.append(rep)
+    keyed = sorted(
+        (tuple(sum(t >> u & 1 for t in xprime) for u in range(s - 1)), old_vertices & ~_support(xprime), xprime)
+        for xprime in sources[first::step]
+    )
+    for (deg, extras), group in groupby(keyed, key=lambda item: item[:2]):
+        links = _admissible_links(groups, deg, extras, tables)
+        for _, _, xprime in group:
+            face_mask = _face_pair_mask(xprime, tables)
+            for d in links:
+                certified = _cone_extension_shellable(d, face_mask, tables)
+                if terminal and certified:
+                    continue
+                candidate = tuple(sorted(
+                    xprime + tuple(pairs[i] | v_bit for i in range(n_pairs) if d >> i & 1)
+                ))
+                if not all(_known(_star_removed(candidate, u)) for u in range(s - 1)):
+                    continue
+                key = from_facets(candidate).canonical_form()
+                if key in seen:
+                    continue
+                seen.add(key)
+                rep = key.facets
+                if not certified and not is_shellable(from_facets(rep)).shellable:
+                    cores.append(rep)
+                elif not terminal:
+                    # shellable + the per-vertex filter already implies hereditary
+                    if not all(_known(_star_removed(rep, u)) for u in range(s)):
+                        raise RuntimeError("a star removal of a new class is not a known class")
+                    hereditary.append(rep)
     return sorted(hereditary), sorted(cores)
 
 
@@ -368,10 +411,13 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
     Returned per support size, each core as its canonical facet tuple.  These
     are exactly the possible pure 2-skeletons of two-dimensional obstructions
     to shellability.  Levels are scanned by support size, each attaching a
-    minimum-degree vertex to the hereditarily shellable sets found below it;
-    the top level, which only needs the cores, also skips candidates that
-    are certified shellable.  Each level's (hereditary, cores) is memoized
-    once, whatever bound asked for it.
+    minimum-degree vertex to the hereditarily shellable sets found below it,
+    with the admissible stars read from a per-level deficit table.  A
+    cone-extension certificate settles shellability at every level: below
+    the top level it classifies the classes it certifies, leaving the
+    shelling search only the cores up to six vertices, and the top level,
+    which only needs the cores, skips certified candidates.  Each level's (hereditary, cores) is
+    memoized once, whatever bound asked for it.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")

@@ -12,7 +12,9 @@ from shellability.catalog import (
 from shellability.complexes import CapacityError, from_facets
 from shellability.enumeration import (
     EnumerationTask,
+    _admissible_links,
     _cone_extension_shellable,
+    _deficit_groups,
     _face_pair_mask,
     _pair_tables,
     _scan_level,
@@ -246,6 +248,64 @@ def test_terminal_scan_worker_split_matches_single_thread():
     assert len(single[1]) == 2
 
 
+def _level_sources(s: int) -> list[tuple[int, ...]]:
+    """The sources of level s: every hereditarily shellable class below it."""
+    triangle_cores(s - 1)
+    sources = [(), ((0b111),)]
+    for level in range(4, s):
+        sources = sources + enumeration._CORES_MEMO[level][0]
+    return sources
+
+
+def test_deficit_table_gives_the_minimum_degree_links():
+    """Per (degree vector, extras) key of a level's real sources, the links read
+    from the deficit table are exactly those the per-link cover and
+    minimum-degree tests accept."""
+    for s in (5, 6, 7):
+        tables = _pair_tables(s)
+        groups = _deficit_groups(tables)
+        every = range(1, 1 << tables.n_pairs)
+        keys = set()
+        for x in _level_sources(s):
+            deg = tuple(sum(1 for t in x if t >> u & 1) for u in range(s - 1))
+            keys.add((deg, ((1 << (s - 1)) - 1) & ~enumeration._support(x)))
+        assert len(keys) == {5: 5, 6: 26, 7: 329}[s]
+        # the per-link tests, each evaluated once per (vertex, degree) or
+        # extras value that the keys use, then intersected per key
+        covering, not_below = {}, {}
+        for deg, extras in keys:
+            if extras not in covering:
+                covering[extras] = {d for d in every if tables.cover[d] & extras == extras}
+            for u in range(s - 1):
+                if (u, deg[u]) not in not_below:
+                    not_below[u, deg[u]] = {
+                        d for d in every if deg[u] + (d & tables.at_vertex[u]).bit_count() >= d.bit_count()
+                    }
+        for deg, extras in keys:
+            expected = covering[extras].intersection(*(not_below[u, deg[u]] for u in range(s - 1)))
+            links = _admissible_links(groups, deg, extras, tables)
+            assert len(links) == len(expected) and set(links) == expected
+
+
+def test_scan_decides_shellability_once_per_core(monkeypatch):
+    """Below the top level the cone-extension certificate settles every
+    hereditary class, so the shelling search runs on the cores only."""
+    calls = []
+    decide = enumeration.is_shellable
+
+    def counted(c):
+        calls.append(c)
+        return decide(c)
+
+    monkeypatch.setattr(enumeration, "is_shellable", counted)
+    sources = [(), ((0b111),)]
+    for s in (4, 5, 6):
+        calls.clear()
+        h, cores = _scan_level(sources, s, terminal=False)
+        assert len(calls) == len(cores) == {4: 0, 5: 7, 6: 2}[s]
+        sources = sources + h
+
+
 def test_each_core_level_is_scanned_once(monkeypatch):
     monkeypatch.setattr(enumeration, "_CORES_MEMO", {})
     monkeypatch.setattr(enumeration, "_DIM2_MEMO", {})
@@ -271,7 +331,7 @@ def _nonzero_submasks(mask: int):
 
 
 def test_cone_extension_certificate_matches_the_greedy_closure():
-    """The closed-form certificate of the terminal scan places exactly what the
+    """The closed-form certificate of the core scan places exactly what the
     greedy shelling closure places, on every real source's face pairs, and it
     accepts every new vertex star whose pairs are faces of the base and form a
     connected graph."""
