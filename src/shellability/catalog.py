@@ -23,7 +23,7 @@ count, canonical form) and the JSON layout is fixed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -60,19 +60,7 @@ class CatalogEntry:
         return from_facets([set(f) for f in self.facets])
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "label": self.label,
-            "n_vertices": self.n_vertices,
-            "dim": self.dim,
-            "facets": [list(f) for f in self.facets],
-            "shellable": self.shellable,
-            "partitionable": self.partitionable,
-            "sequentially_cm": self.sequentially_cm,
-            "obstruction": dict(self.obstruction),
-            "strong_obstruction": dict(self.strong_obstruction),
-            "edge_minimal": self.edge_minimal,
-        }
+        return asdict(self)
 
 
 def triangle_core(c: SimplicialComplex) -> SimplicialComplex:
@@ -118,23 +106,10 @@ def _assign_labels(complexes: list[SimplicialComplex]) -> dict[SimplicialComplex
     ref_1a = _reference_1a().canonical_form()
     letters = "abcdefghij"
     for t, members in by_type.items():
-        members.sort(key=lambda c: c.canonical_form())
-        if t == 2:
-            for c in members:
-                labels[c] = "2" if len(members) == 1 else f"2{letters[members.index(c)]}"
-        elif t == 4:
-            for c in members:
-                labels[c] = f"4{letters[c.n_vertices - 5]}"
-        elif t == 1:
-            pinned = [c for c in members if c.canonical_form() == ref_1a]
-            rest = [c for c in members if c.canonical_form() != ref_1a]
-            for c in pinned:
-                labels[c] = "1a"
-            for i, c in enumerate(rest):
-                labels[c] = f"1{letters[i + len(pinned)]}"
-        else:
-            for i, c in enumerate(members):
-                labels[c] = f"{t}{letters[i]}"
+        # 1a first, then canonical-form order, which puts fewer vertices first
+        members.sort(key=lambda c: (c.canonical_form() != ref_1a, c.canonical_form()))
+        for i, c in enumerate(members):
+            labels[c] = "2" if t == 2 and len(members) == 1 else f"{t}{letters[i]}"
     return labels
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -220,6 +221,9 @@ def cmd_indcycle(args: argparse.Namespace) -> int:
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError("--workers must be >= 1")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise ValueError(f"--workers must be <= {cpus}, the number of CPUs")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import cache
-from .complexes import PurityError, SimplicialComplex, memoized, relabel_face
+from .complexes import PurityError, SimplicialComplex, all_faces, memoized, relabel_face
 from .homology import HomologyGroup, reduced_homology
 
 _CM_CACHE = cache.new_cache()
@@ -34,7 +34,7 @@ class CMReport:
 
 
 def _find_witness(rep: SimplicialComplex) -> Optional[CMWitness]:
-    faces = sorted(rep.faces(), key=lambda m: (m.bit_count(), m))
+    faces = all_faces(rep)
     if rep.strongly_connected():
         # links of large faces are small; scanning them first keeps the
         # homology cache hot and fails fast on deep defects

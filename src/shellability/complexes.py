@@ -82,8 +82,31 @@ def face_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def face_dim(mask: int) -> int:
-    return mask.bit_count() - 1
+def union(masks: Iterable[int]) -> int:
+    """The vertices covered by the masks (``0`` when there are none)."""
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def components(masks: Iterable[int]) -> list[int]:
+    """Vertex sets of the classes of masks linked by shared vertices.
+
+    Each mask joins every class it meets; ``0`` forms a class of its own, so
+    the masks ``(0,)`` give one class and no masks give none.
+    """
+    comps: list[int] = []
+    for merged in masks:
+        rest = []
+        for comp in comps:
+            if comp & merged:
+                merged |= comp
+            else:
+                rest.append(comp)
+        rest.append(merged)
+        comps = rest
+    return comps
 
 
 def subsets_of(mask: int) -> Iterator[int]:
@@ -217,24 +240,12 @@ class SimplicialComplex:
     # -- connectivity ------------------------------------------------------
 
     def connected(self) -> bool:
-        """Connectivity of the 1-skeleton ({∅} and single vertices count as connected)."""
-        if self.vertices == 0:
-            return True
-        adjacency = {v: 1 << v for v in face_vertices(self.vertices)}
-        for e in self.faces_of_dim(1):
-            a, b = face_vertices(e)
-            adjacency[a] |= e
-            adjacency[b] |= e
-        start = self.vertices & -self.vertices
-        reached = start
-        frontier = start
-        while frontier:
-            grown = 0
-            for v in face_vertices(frontier):
-                grown |= adjacency[v]
-            frontier = grown & ~reached
-            reached |= grown
-        return reached == self.vertices
+        """Connectivity of the 1-skeleton ({∅} and single vertices count as connected).
+
+        Two facets share a vertex exactly when they are joined in the
+        1-skeleton, so this counts the facet classes linked by shared vertices.
+        """
+        return len(components(self.facets)) == 1
 
     def strongly_connected(self) -> bool:
         """Facet connectivity through codimension-one intersections (pure input only)."""
@@ -321,10 +332,7 @@ def from_facets(candidates: Iterable[FaceLike]) -> SimplicialComplex:
     if not kept:
         kept = [0]
     kept.sort(key=_facet_sort_key)
-    vertices = 0
-    for m in kept:
-        vertices |= m
-    return SimplicialComplex(tuple(kept), vertices)
+    return SimplicialComplex(tuple(kept), union(kept))
 
 
 def relabel_face(mask: int, mapping: dict[int, int]) -> int:

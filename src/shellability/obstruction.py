@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .complexes import SimplicialComplex, face_vertices
+from .complexes import SimplicialComplex, all_faces, face_vertices
 from .properties import PropertyKind, satisfies
 
 
@@ -40,16 +40,24 @@ def _proper_subsets_desc(vertex_mask: int):
             yield w
 
 
+def _failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> Optional[int]:
+    """The first proper restriction, largest first, that fails the property."""
+    for w in _proper_subsets_desc(c.vertices):
+        if not satisfies(c.restriction(w), prop):
+            return w
+    return None
+
+
 def obstruction_report(c: SimplicialComplex, prop: PropertyKind) -> ObstructionReport:
     """Full obstruction/strong-obstruction report for one complex."""
     if satisfies(c, prop):
         return ObstructionReport(False, False)
-    for w in _proper_subsets_desc(c.vertices):
-        if not satisfies(c.restriction(w), prop):
-            return ObstructionReport(False, False, failing_restriction=w)
+    w = _failing_restriction(c, prop)
+    if w is not None:
+        return ObstructionReport(False, False, failing_restriction=w)
     # an obstruction; strong iff every link of a nonempty face satisfies the
     # property (sufficient because the property is link-preserving)
-    for tau in sorted(c.faces(), key=lambda m: (m.bit_count(), m)):
+    for tau in all_faces(c):
         if tau == 0:
             continue
         if not satisfies(c.link(tau), prop):
@@ -61,10 +69,8 @@ def is_hereditary(c: SimplicialComplex, prop: PropertyKind) -> tuple[bool, Optio
     """Whether every restriction (the complex included) satisfies the property."""
     if not satisfies(c, prop):
         return False, c.vertices
-    for w in _proper_subsets_desc(c.vertices):
-        if not satisfies(c.restriction(w), prop):
-            return False, w
-    return True, None
+    w = _failing_restriction(c, prop)
+    return w is None, w
 
 
 def minimal_failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> SimplicialComplex:

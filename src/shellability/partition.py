@@ -22,6 +22,7 @@ from . import cache
 from .complexes import (
     CapacityError,
     SimplicialComplex,
+    components,
     from_facets,
     memoized,
     relabel_face,
@@ -93,33 +94,10 @@ def _two_private_facets(c: SimplicialComplex) -> bool:
 def _tree_components_of_edge_part(c: SimplicialComplex) -> int:
     """Number of connected components of the edge-generated part that are trees."""
     edges = c.faces_of_dim(1)
-    if not edges:
-        return 0
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edges:
-        lo = e & -e
-        a = lo.bit_length() - 1
-        b = (e ^ lo).bit_length() - 1
-        for v in (a, b):
-            parent.setdefault(v, v)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comp_vertices: dict[int, int] = {}
-    comp_edges: dict[int, int] = {}
-    for v in parent:
-        comp_vertices[find(v)] = comp_vertices.get(find(v), 0) + 1
-    for e in edges:
-        r = find((e & -e).bit_length() - 1)
-        comp_edges[r] = comp_edges.get(r, 0) + 1
-    return sum(1 for r, nv in comp_vertices.items() if comp_edges.get(r, 0) == nv - 1)
+    return sum(
+        1 for comp in components(edges)
+        if sum(1 for e in edges if e & comp) == comp.bit_count() - 1
+    )
 
 
 def _exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, int], ...]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import cache
-from .complexes import SimplicialComplex, face_vertices, memoized, relabel_face, subsets_of
+from .complexes import SimplicialComplex, face_vertices, memoized, relabel_face, subsets_of, union
 from .homology import reduced_homology
 
 _DECIDE_CACHE = cache.new_cache()
@@ -162,13 +162,6 @@ def _decide_search(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
     return memoized(_DECIDE_CACHE, c, _decide_uncached, _relabel_ordering)
 
 
-def _union(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
-
-
 def _attach_order(seen: int, edge_facets: list[int]) -> Optional[list[int]]:
     """Order edge facets so each one touches the part already seen."""
     remaining = sorted(edge_facets)
@@ -221,7 +214,7 @@ def is_shellable(c: SimplicialComplex) -> ShellingDecision:
         # the 2-faces of a 2-complex are exactly its 3-vertex facets
         order_triangles = list(ordering2)
         edge_facets = [f for f in c.facets if f.bit_count() == 2]
-        tail = _attach_order(_union(order_triangles), edge_facets)
+        tail = _attach_order(union(order_triangles), edge_facets)
         if tail is None:
             raise RuntimeError("edge facets detached despite connected 1-skeleton")
         isolated = [f for f in c.facets if f.bit_count() == 1]

@@ -14,8 +14,9 @@ from shellability.complexes import (
     SimplicialComplex,
     face_vertices,
     from_facets,
+    union,
 )
-from shellability.enumeration import _star_removed, _support
+from shellability.enumeration import _star_removed
 from shellability.obstruction import _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import ShellingDecision, _certificate, _search_ordering, is_shellable
@@ -191,7 +192,7 @@ def unpruned_attachment_scan(xprime: tuple[int, ...], s: int):
     triangles.  Yields raw candidate triangle sets on exactly s vertices that
     pass the per-vertex hereditary filter; the caller deduplicates.
     """
-    s_prime = _support(xprime).bit_count()
+    s_prime = union(xprime).bit_count()
     v_bit = 1 << (s - 1)
     pairs = [(1 << a) | (1 << b) for a, b in combinations(range(s - 1), 2)]
     extras = 0

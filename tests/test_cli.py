@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,23 @@ def test_atlas_rejects_bad_arguments(tmp_path, capsys, argv, message):
     assert main(["atlas", str(out_dir), *argv]) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["atlas", "atlas"], ["enumerate", "--dim", "2", "--output", "out.json"]])
+def test_workers_above_the_cpu_count_are_rejected(tmp_path, capsys, monkeypatch, command):
+    """The bound is checked before any work: no file is written and no
+    process pool is asked for."""
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.chdir(tmp_path)
+    too_many = (os.cpu_count() or 1) + 1
+    assert main([*command, "--workers", str(too_many)]) == 2
+    assert "--workers must be <=" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_indcycle(tmp_path, capsys):

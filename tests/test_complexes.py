@@ -12,6 +12,7 @@ from shellability.complexes import (
     InvalidFaceError,
     PurityError,
     all_faces,
+    components,
     face,
     face_vertices,
     format_complex,
@@ -19,6 +20,7 @@ from shellability.complexes import (
     full_simplex,
     parse_complex,
     two_disjoint_edges,
+    union,
 )
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
@@ -155,6 +157,30 @@ def test_connectivity(two_k2, delta5):
     assert from_facets([]).connected()
     with pytest.raises(PurityError):
         from_facets(masks({0, 1, 2}, {3, 4})).strongly_connected()
+
+
+def test_components_and_union():
+    assert components([]) == [] and union([]) == 0
+    assert components([0]) == [0]
+    assert sorted(components(masks({0, 1}, {2, 3}, {1, 4}))) == masks({2, 3}, {0, 1, 4})
+    # a later mask merges two classes found apart
+    assert components(masks({0, 1}, {2, 3}, {1, 2})) == masks({0, 1, 2, 3})
+    assert union(masks({0, 1}, {1, 5})) == face({0, 1, 5})
+
+
+def test_connected_matches_a_breadth_first_search():
+    for c in corpus(11, 150):
+        adjacent = {v: {v} for v in c.vertex_ids()}
+        for e in c.faces_of_dim(1):
+            a, b = face_vertices(e)
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+        reached = set(list(adjacent)[:1])
+        frontier = list(reached)
+        while frontier:
+            frontier = [w for v in frontier for w in adjacent[v] if w not in reached]
+            reached.update(frontier)
+        assert c.connected() == (len(reached) == len(adjacent)), c
 
 
 def test_vertex_cap():

@@ -9,7 +9,7 @@ from shellability.catalog import (
     catalog_json,
     core_type,
 )
-from shellability.complexes import CapacityError, from_facets
+from shellability.complexes import CapacityError, from_facets, union
 from shellability.enumeration import (
     EnumerationTask,
     _admissible_links,
@@ -268,7 +268,7 @@ def test_deficit_table_gives_the_minimum_degree_links():
         keys = set()
         for x in _level_sources(s):
             deg = tuple(sum(1 for t in x if t >> u & 1) for u in range(s - 1))
-            keys.add((deg, ((1 << (s - 1)) - 1) & ~enumeration._support(x)))
+            keys.add((deg, ((1 << (s - 1)) - 1) & ~union(x)))
         assert len(keys) == {5: 5, 6: 26, 7: 329}[s]
         # the per-link tests, each evaluated once per (vertex, degree) or
         # extras value that the keys use, then intersected per key

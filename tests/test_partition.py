@@ -1,10 +1,11 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from shellability.complexes import face, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import (
+    _tree_components_of_edge_part,
     band_complex,
     is_partitionable,
     verify_partition,
@@ -144,3 +145,40 @@ def test_band_pattern_examples():
     ind7 = independence_complex(cycle_graph(7))
     assert not is_partitionable(ind7).partitionable
     assert ind7.pure_skeleton(2).is_isomorphic(band_complex(2, 7))
+
+
+def _bfs_tree_components(edges: list[tuple[int, int]]) -> int:
+    """Components of the graph's edge part that are trees, by breadth-first search."""
+    adjacent: dict[int, set[int]] = {}
+    for a, b in edges:
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    seen: set[int] = set()
+    trees = 0
+    for start in adjacent:
+        if start in seen:
+            continue
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            frontier = [w for v in frontier for w in adjacent[v] if w not in reached]
+            reached.update(frontier)
+        seen |= reached
+        degree_sum = sum(len(adjacent[v]) for v in reached)
+        trees += degree_sum // 2 == len(reached) - 1
+    return trees
+
+
+def test_tree_components_match_a_breadth_first_count():
+    """Every graph on at most five vertices, with its uncovered vertices kept
+    as isolated 0-facets, which belong to no component of the edge part."""
+    checked = 0
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
+            covered = {v for e in edges for v in e}
+            c = from_facets([set(e) for e in edges] + [{v} for v in range(n) if v not in covered])
+            assert _tree_components_of_edge_part(c) == _bfs_tree_components(edges), edges
+            checked += 1
+    assert checked == 1 + 2 + 8 + 64 + 1024
