@@ -33,10 +33,15 @@ when a level is scanned, and a star removal is looked up among them, not
 decided again.  Whether an attached star gives the new vertex minimum degree
 depends only on the base's vertex degrees and the star's deficit vector, so
 each level groups the stars by deficit vector once and reads the admissible
-ones per degree vector.  A cheap cone-extension certificate proves many
-candidates shellable, as every base is: below the top level a class it
-certifies is hereditary without a shelling search, and the top level, which
-only needs the cores, skips certified candidates outright.
+ones per degree vector.  Only one star from each orbit of the base's
+automorphism group is attached, the orbit half of McKay's canonical
+augmentation: an automorphism of the base fixes its degrees, its uncovered
+vertices and its face pairs, so it maps a star to one that passes the same
+tests and gives an isomorphic candidate, and skipping the rest of the orbit
+loses no class.  A cheap cone-extension certificate proves many candidates
+shellable, as every base is: below the top level a class it certifies is
+hereditary without a shelling search, and the top level, which only needs
+the cores, skips certified candidates outright.
 
 The vertex ceiling of seven is Wachs' classical bound for two-dimensional
 minimally nonshellable complexes; the search relies on it only as a stop
@@ -46,7 +51,7 @@ level and reports the top stratum completing without truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations, groupby, permutations, product
 from operator import le
 from typing import Iterable, Optional
 
@@ -56,6 +61,7 @@ from .complexes import (
     CapacityError,
     SimplicialComplex,
     components,
+    face_vertices,
     from_facets,
     union,
 )
@@ -195,7 +201,8 @@ class _PairTables:
     """Shared per-level tables over the subsets of vertex pairs below the new vertex."""
 
     def __init__(self, s: int):
-        self.pairs = [(1 << a) | (1 << b) for a, b in combinations(range(s - 1), 2)]
+        self.ends = list(combinations(range(s - 1), 2))
+        self.pairs = [(1 << a) | (1 << b) for a, b in self.ends]
         n = len(self.pairs)
         self.n_pairs = n
         self.at_vertex = [
@@ -299,6 +306,27 @@ def _admissible_links(
     ]
 
 
+def _automorphisms(xprime: tuple[int, ...], deg: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The permutations of the old vertices 0..len(deg)-1 that map the
+    triangle set onto itself, each as the tuple of vertex images.
+
+    An automorphism keeps every vertex degree, so only the permutations
+    inside the equal-degree cells of ``deg`` are tried.
+    """
+    cells = [[u for u, k in enumerate(deg) if k == level] for level in sorted(set(deg))]
+    triangles = set(xprime)
+    corners = [face_vertices(t) for t in xprime]
+    out = []
+    for images in product(*(permutations(cell) for cell in cells)):
+        perm = [0] * len(deg)
+        for cell, image in zip(cells, images):
+            for u, w in zip(cell, image):
+                perm[u] = w
+        if all((1 << perm[a]) | (1 << perm[b]) | (1 << perm[c]) in triangles for a, b, c in corners):
+            out.append(tuple(perm))
+    return out
+
+
 def _scan_level(
     sources: list[tuple[int, ...]], s: int, terminal: bool, workers: int = 1, share: tuple[int, int] = (0, 1)
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -312,16 +340,25 @@ def _scan_level(
     vertex, and deleting its star leaves a relabeling of some source.  The
     links that pass both tests depend only on the source's degree vector and
     extras, so they are read once per such key from a table of the links
-    grouped by deficit vector, with the sources scanned in key order.  As the
-    sources are complete below s, a star removal is hereditarily shellable
-    exactly when it has at most one triangle or its canonical form is a
-    source.  Every source is shellable, so a cone-extension certificate
-    proves a candidate shellable at any level: at the terminal level, where
-    only the cores are wanted, certified candidates are skipped and no
-    hereditary classes are emitted; below it, a new class whose first
-    candidate is certified is hereditary without a shelling search.  Only the
-    terminal level is sharded across ``workers`` processes, each given every
-    source and a ``share`` to scan.
+    grouped by deficit vector, with the sources scanned in key order.  Of the
+    links of one source, only the first of each orbit of the source's
+    automorphisms (permutations of the old vertices that map its triangles
+    onto themselves) is attached.  That is complete: an automorphism fixes
+    the degree vector, the extras and the face pairs, so the links of an
+    orbit are all admissible, all certified or none, and give isomorphic
+    candidates with isomorphic star removals.  The first candidate of a
+    class in the full scan order is the first link of its orbit, so the
+    class is still found, and certified or not, from the same candidate.
+    An image of an admissible link that is not admissible means a wrong
+    automorphism and raises.  As the sources are complete below s, a star
+    removal is hereditarily shellable exactly when it has at most one
+    triangle or its canonical form is a source.  Every source is shellable,
+    so a cone-extension certificate proves a candidate shellable at any
+    level: at the terminal level, where only the cores are wanted, certified
+    candidates are skipped and no hereditary classes are emitted; below it,
+    a new class whose first candidate is certified is hereditary without a
+    shelling search.  Only the terminal level is sharded across ``workers``
+    processes, each given every source and a ``share`` to scan.
     """
     if terminal and workers > 1 and len(sources) > 1:
         import multiprocessing
@@ -347,11 +384,38 @@ def _scan_level(
         (tuple(sum(t >> u & 1 for t in xprime) for u in range(s - 1)), old_vertices & ~union(xprime), xprime)
         for xprime in sources[first::step]
     )
+    image_tables: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     for (deg, extras), group in groupby(keyed, key=lambda item: item[:2]):
         links = _admissible_links(groups, deg, extras, tables)
+        admissible = set(links)
         for _, _, xprime in group:
             face_mask = _face_pair_mask(xprime, tables)
+            # each automorphism as two byte tables of its action on link masks
+            # (the at most 15 pairs below a seventh vertex fit in two bytes)
+            images = []
+            for g in _automorphisms(xprime, deg) if len(links) > 1 else ():
+                if g not in image_tables:
+                    bits = [1 << pairs.index((1 << g[a]) | (1 << g[b])) for a, b in tables.ends]
+                    bits += [0] * (16 - n_pairs)
+                    lo, hi = [0] * 256, [0] * 256
+                    for x in range(1, 256):
+                        low = x & -x
+                        i = low.bit_length() - 1
+                        lo[x] = lo[x ^ low] | bits[i]
+                        hi[x] = hi[x ^ low] | bits[8 + i]
+                    image_tables[g] = lo, hi
+                images.append(image_tables[g])
+            scanned: set[int] = set()
             for d in links:
+                if len(images) > 1:
+                    if d in scanned:
+                        continue
+                    orbit = {lo[d & 255] | hi[d >> 8] for lo, hi in images}
+                    if not orbit <= admissible:
+                        raise RuntimeError(
+                            "an automorphism of a source maps an admissible link to one that is not"
+                        )
+                    scanned |= orbit
                 certified = _cone_extension_shellable(d, face_mask, tables)
                 if terminal and certified:
                     continue
@@ -385,12 +449,14 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
     are exactly the possible pure 2-skeletons of two-dimensional obstructions
     to shellability.  Levels are scanned by support size, each attaching a
     minimum-degree vertex to the hereditarily shellable sets found below it,
-    with the admissible stars read from a per-level deficit table.  A
-    cone-extension certificate settles shellability at every level: below
-    the top level it classifies the classes it certifies, leaving the
-    shelling search only the cores up to six vertices, and the top level,
-    which only needs the cores, skips certified candidates.  Each level's (hereditary, cores) is
-    memoized once, whatever bound asked for it.
+    with the admissible stars read from a per-level deficit table and one
+    star attached per orbit of the base's automorphisms (the others give
+    isomorphic candidates).  A cone-extension certificate settles
+    shellability at every level: below the top level it classifies the
+    classes it certifies, leaving the shelling search only the cores up to
+    six vertices, and the top level, which only needs the cores, skips
+    certified candidates.  Each level's (hereditary, cores) is memoized
+    once, whatever bound asked for it.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
@@ -427,6 +493,8 @@ class EnumerationTask:
             raise CapacityError("obstruction enumeration covers dimensions 0..2")
         if self.mode not in ("obstructions", "strong_obstructions", "edge_minimal_obstructions"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "edge_minimal_obstructions" and self.dimension != 2:
+            raise ValueError("edge-minimality is a 2-dimensional notion")
 
 
 _DIM2_MEMO: dict[int, list[SimplicialComplex]] = cache.new_cache()
@@ -520,8 +588,6 @@ def enumerate_obstructions(task: EnumerationTask, workers: int = 1) -> list[Simp
     if task.mode == "strong_obstructions":
         return [c for c in base if obstruction_report(c, task.property).is_strong]
     if task.mode == "edge_minimal_obstructions":
-        if task.dimension != 2:
-            raise ValueError("edge-minimality is a 2-dimensional notion")
         return [c for c in base if edge_minimal(c)]
     return base
 

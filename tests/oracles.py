@@ -5,7 +5,7 @@ characterisation directly, without the fast paths, prescreens or memo tables
 of the deciders it checks.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from shellability import cache
 from shellability.complexes import (
@@ -146,6 +146,18 @@ def _hereditary_star_shellable(triangles: tuple[int, ...]) -> bool:
     cache.trim(_HSTAR_RAW)
     _HSTAR_RAW[triangles] = verdict
     return verdict
+
+
+def brute_force_automorphisms(triangles: tuple[int, ...], m: int) -> set[tuple[int, ...]]:
+    """Every permutation of the vertices 0..m-1, as its tuple of images, that
+    maps the triangle set onto itself; all m! permutations are tried."""
+    target = sorted(triangles)
+    out = set()
+    for perm in permutations(range(m)):
+        image = sorted(sum(1 << perm[v] for v in face_vertices(t)) for t in triangles)
+        if image == target:
+            out.add(perm)
+    return out
 
 
 def greedy_cone_extension_shellable(d: int, face_mask: int, tables) -> bool:

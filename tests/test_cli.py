@@ -118,6 +118,21 @@ def test_enumerate_edge_minimal_six_vertices(tmp_path, capsys):
     assert labels == ["1a", "1b", "1c", "2", "3a", "3b", "3c", "3d", "3e", "4a", "4b"]
 
 
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_enumerate_edge_minimal_outside_dimension_two_is_rejected(tmp_path, capsys, monkeypatch, dim):
+    """The mode is refused before any enumeration runs."""
+    from shellability import enumeration
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("an enumeration ran")
+
+    monkeypatch.setattr(enumeration, "generic_obstructions", no_enumeration)
+    out = tmp_path / "cat.json"
+    assert main(["enumerate", "--dim", dim, "--edge-minimal", "--output", str(out)]) == 2
+    assert "edge-minimality is a 2-dimensional notion" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_atlas_round_trip(tmp_path, capsys):
     out_dir = tmp_path / "atlas"
     code = main(["atlas", str(out_dir), "--max-vertices", "5"])

@@ -13,6 +13,7 @@ from shellability.complexes import CapacityError, from_facets, union
 from shellability.enumeration import (
     EnumerationTask,
     _admissible_links,
+    _automorphisms,
     _cone_extension_shellable,
     _deficit_groups,
     _face_pair_mask,
@@ -30,7 +31,12 @@ from shellability.enumeration import (
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind
 
-from oracles import _triangle_components, greedy_cone_extension_shellable, unpruned_scan_level
+from oracles import (
+    _triangle_components,
+    brute_force_automorphisms,
+    greedy_cone_extension_shellable,
+    unpruned_scan_level,
+)
 
 SH = PropertyKind.SHELLABLE
 
@@ -168,6 +174,13 @@ def test_edge_addition_closure_small():
     assert report.augmentations_checked > 60
 
 
+def test_edge_minimal_mode_needs_dimension_two():
+    for dim in (0, 1):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            EnumerationTask(dim, SH, "edge_minimal_obstructions")
+    assert EnumerationTask(2, SH, "edge_minimal_obstructions").dimension == 2
+
+
 def test_strong_mode_and_minimal_mode():
     strong = enumerate_obstructions(EnumerationTask(2, SH, "strong_obstructions", 6))
     minimal = enumerate_obstructions(EnumerationTask(2, SH, "edge_minimal_obstructions", 6))
@@ -303,6 +316,88 @@ def test_scan_decides_shellability_once_per_core(monkeypatch):
         calls.clear()
         h, cores = _scan_level(sources, s, terminal=False)
         assert len(calls) == len(cores) == {4: 0, 5: 7, 6: 2}[s]
+        sources = sources + h
+
+
+def _degrees_and_extras(x: tuple[int, ...], s: int) -> tuple[tuple[int, ...], int]:
+    deg = tuple(sum(1 for t in x if t >> u & 1) for u in range(s - 1))
+    return deg, ((1 << (s - 1)) - 1) & ~union(x)
+
+
+def _link_image(d: int, perm: tuple[int, ...], tables) -> int:
+    """The link mask d with every pair {a, b} replaced by {perm[a], perm[b]}."""
+    out = 0
+    for i, (a, b) in enumerate(tables.ends):
+        if d >> i & 1:
+            out |= 1 << tables.pairs.index((1 << perm[a]) | (1 << perm[b]))
+    return out
+
+
+def _scanned_links(monkeypatch, sources, s, terminal, share=(0, 1)):
+    """Run one level scan and record, per source, the links it examined."""
+    scanned = {}
+    face_pair_mask = enumeration._face_pair_mask
+    certify = enumeration._cone_extension_shellable
+
+    def entering(xprime, tables):
+        scanned[xprime] = []
+        return face_pair_mask(xprime, tables)
+
+    def examined(d, face_mask, tables):
+        scanned[next(reversed(scanned))].append(d)
+        return certify(d, face_mask, tables)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_face_pair_mask", entering)
+        patch.setattr(enumeration, "_cone_extension_shellable", examined)
+        _scan_level(sources, s, terminal, 1, share)
+    return scanned
+
+
+def test_source_automorphisms_match_brute_force(monkeypatch):
+    """The scan's automorphism helper finds exactly the permutations that map a
+    source's triangles onto themselves, and the links the scan examines are
+    one per orbit of those automorphisms, whose orbits cover every admissible
+    link."""
+    for s in (5, 6, 7):
+        sources = _level_sources(s)
+        tables = _pair_tables(s)
+        groups = _deficit_groups(tables)
+        if s < 7:
+            scanned = _scanned_links(monkeypatch, sources, s, terminal=False)
+        else:
+            # the terminal scan of all 838 sources, and the 720 permutations
+            # the oracle tries on each, would slow the suite; a fixed slice
+            assert len(sources) == 838
+            scanned = _scanned_links(monkeypatch, sources, s, terminal=True, share=(3, 20))
+            assert len(scanned) == 42
+        for x in (sources if s < 7 else scanned):
+            deg, extras = _degrees_and_extras(x, s)
+            auts = brute_force_automorphisms(x, s - 1)
+            assert sorted(_automorphisms(x, deg)) == sorted(auts)
+            links = set(_admissible_links(groups, deg, extras, tables))
+            reps = scanned.get(x, [])
+            orbits = [{_link_image(d, g, tables) for g in auts} for d in reps]
+            assert set().union(*orbits) == links
+            assert sum(map(len, orbits)) == len(links)  # one link per orbit
+
+
+def test_scan_attaches_one_link_per_source_orbit(monkeypatch):
+    """The scan examines {7, 127, 9188} links at s = 4, 5, 6 without the
+    orbit pruning; with it, one per automorphism orbit of each source."""
+    calls = []
+    certify = enumeration._cone_extension_shellable
+
+    def counted(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(enumeration, "_cone_extension_shellable", counted)
+    sources = [(), ((0b111),)]
+    for s in (4, 5, 6):
+        calls.clear()
+        h, _ = _scan_level(sources, s, terminal=False)
+        assert len(calls) == {4: 3, 5: 32, 6: 2615}[s]
         sources = sources + h
 
 
