@@ -5,9 +5,11 @@ A complex is partitionable when its faces split into disjoint intervals
 search (items: every face plus one slot per facet; rows: the candidate
 intervals), preceded by cheap filters:
 
-* dimension <= 1 is decided structurally (0-dimensional complexes always
-  partition; a 1-dimensional complex partitions iff at most one connected
-  component of its edge part is a tree),
+* dimension 0 is decided structurally (every 0-dimensional complex
+  partitions); in dimension 1 only the negative answer is structural (a
+  1-dimensional complex partitions iff at most one connected component of its
+  edge part is a tree), and a positive one still runs the exact cover to get
+  its certificate,
 * two facets of dimension >= 1 whose codimension-one subfaces are all
   private force tau = empty twice, which is impossible,
 * the interval sizes must be able to reach the face count at all.
@@ -50,7 +52,10 @@ class PartitionDecision:
 
 def verify_partition(c: SimplicialComplex, assignment) -> bool:
     """True iff the facet -> bottom assignment tiles the face set exactly."""
-    pairs = dict(assignment.items() if isinstance(assignment, Mapping) else assignment)
+    listed = list(assignment.items() if isinstance(assignment, Mapping) else assignment)
+    pairs = dict(listed)
+    if len(pairs) != len(listed):
+        raise ValueError("assignment names a facet more than once")
     facets = set(c.facets)
     if set(pairs) != facets:
         raise ValueError("assignment keys must be exactly the facets")
@@ -101,7 +106,19 @@ def _tree_components_of_edge_part(c: SimplicialComplex) -> int:
 
 
 def _exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, int], ...]]:
-    """Deterministic fewest-candidates-first exact cover over interval rows."""
+    """Deterministic fewest-candidates-first exact cover over interval rows.
+
+    Items are the faces plus one slot ("s", idx) per facet; the rows of facet
+    sigma are its intervals [tau, sigma], keyed (sigma, tau).  ``items`` maps
+    each open item to the rows still compatible with the partial solution.
+    The search is Knuth's Algorithm X (D. E. Knuth, "Dancing Links",
+    arXiv cs/0011047): it branches on the open item with the fewest rows
+    (ties broken by the item), tries those rows in sorted order, and on
+    choosing a row closes the items it covers.  The rows that conflict with
+    the choice are exactly the rows in the buckets just closed, so only those
+    are taken out of the buckets still open, and each removal is recorded so
+    that backtracking puts it back.
+    """
     face_items = {("f", m) for m in c.faces()}
     items: dict[object, set] = {it: set() for it in face_items}
     for idx in range(len(c.facets)):
@@ -127,14 +144,14 @@ def _exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, i
         if not items[item]:
             return False
         for row_key in sorted(items[item]):
-            touched = rows[row_key]
-            saved = {it: items.pop(it) for it in touched}
+            saved = {it: items.pop(it) for it in rows[row_key]}
             pruned: list[tuple[object, tuple[int, int]]] = []
-            for it, bucket in items.items():
-                dead = [other for other in bucket if any(it2 in saved for it2 in rows[other])]
-                for other in dead:
-                    bucket.remove(other)
-                    pruned.append((it, other))
+            for other in set().union(*saved.values()):
+                for it in rows[other]:
+                    bucket = items.get(it)
+                    if bucket is not None:
+                        bucket.remove(other)
+                        pruned.append((it, other))
             solution.append(row_key)
             if solve():
                 return True

@@ -44,7 +44,12 @@ def ind_c6() -> SimplicialComplex:
     return independence_complex(cycle_graph(6))
 
 
-def corpus(seed: int, count: int, n_max: int = 6, dim_cap: int = 3) -> list[SimplicialComplex]:
+def corpus(
+    seed: int, count: int, n_max: int = 6, dim_cap: int = 3, max_facets: int = 7
+) -> list[SimplicialComplex]:
     """Deterministic random complex corpus shared across property suites."""
     rng = random.Random(seed)
-    return [random_complex(rng, n_max=n_max, dim_cap=dim_cap) for _ in range(count)]
+    return [
+        random_complex(rng, n_max=n_max, max_facets=max_facets, dim_cap=dim_cap)
+        for _ in range(count)
+    ]

@@ -6,6 +6,7 @@ of the deciders it checks.
 """
 
 from itertools import combinations, permutations
+from typing import Optional
 
 from shellability import cache
 from shellability.complexes import (
@@ -14,6 +15,7 @@ from shellability.complexes import (
     SimplicialComplex,
     face_vertices,
     from_facets,
+    subsets_of,
     union,
 )
 from shellability.enumeration import _star_removed
@@ -263,3 +265,58 @@ def unpruned_scan_level(
             else:
                 cores.append(rep)
     return hereditary, cores
+
+
+def naive_exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, int], ...]]:
+    """Deterministic fewest-candidates-first exact cover over interval rows.
+
+    The reference for ``partition._exact_cover_assignment``: the same item
+    choice and row order, but choosing a row tests every row of every open
+    item for a shared item, instead of removing only the rows in the buckets
+    it closes.
+    """
+    face_items = {("f", m) for m in c.faces()}
+    items: dict[object, set] = {it: set() for it in face_items}
+    for idx in range(len(c.facets)):
+        items[("s", idx)] = set()
+    rows: dict[tuple[int, int], list] = {}
+    for idx, sigma in enumerate(c.facets):
+        for tau in subsets_of(sigma):
+            covered = [("s", idx)]
+            lower = sigma & ~tau
+            for extra in subsets_of(lower):
+                covered.append(("f", tau | extra))
+            key = (sigma, tau)
+            rows[key] = covered
+            for it in covered:
+                items[it].add(key)
+
+    solution: list[tuple[int, int]] = []
+
+    def solve() -> bool:
+        if not items:
+            return True
+        item = min(items, key=lambda it: (len(items[it]), it))
+        if not items[item]:
+            return False
+        for row_key in sorted(items[item]):
+            touched = rows[row_key]
+            saved = {it: items.pop(it) for it in touched}
+            pruned: list[tuple[object, tuple[int, int]]] = []
+            for it, bucket in items.items():
+                dead = [other for other in bucket if any(it2 in saved for it2 in rows[other])]
+                for other in dead:
+                    bucket.remove(other)
+                    pruned.append((it, other))
+            solution.append(row_key)
+            if solve():
+                return True
+            solution.pop()
+            for it, other in pruned:
+                items[it].add(other)
+            items.update(saved)
+        return False
+
+    if solve():
+        return tuple(sorted(solution))
+    return None

@@ -5,7 +5,9 @@ import pytest
 from shellability.complexes import face, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import (
+    _exact_cover_assignment,
     _tree_components_of_edge_part,
+    _two_private_facets,
     band_complex,
     is_partitionable,
     verify_partition,
@@ -13,6 +15,7 @@ from shellability.partition import (
 from shellability.shelling import is_shellable
 
 from conftest import corpus
+from oracles import naive_exact_cover_assignment
 
 
 # --- independent oracle: try every facet -> bottom assignment ----------------
@@ -71,6 +74,15 @@ def test_verify_partition_argument_errors(two_k2):
         verify_partition(two_k2, {two_k2.facets[0]: 0, two_k2.facets[1]: face({0})})
 
 
+def test_verify_partition_rejects_a_facet_named_twice(hollow_triangle):
+    valid = [(3, 0), (5, 4), (6, 6)]
+    assert verify_partition(hollow_triangle, valid)
+    with pytest.raises(ValueError):
+        verify_partition(hollow_triangle, [(3, 3)] + valid)
+    with pytest.raises(ValueError):
+        verify_partition(hollow_triangle, valid + [(3, 0)])
+
+
 def test_two_disjoint_edges_not_partitionable(two_k2):
     assert not is_partitionable(two_k2).partitionable
     assert not oracle_partitionable(two_k2)
@@ -104,13 +116,48 @@ def test_certificates_verify_on_corpus():
 
 
 def test_against_brute_force_assignments():
-    checked = 0
-    for c in corpus(seed=42, count=90, n_max=5):
-        if len(c.facets) > 4:
+    """Every complex with at most 2^12 facet -> bottom assignments, plus the
+    ones on at most four facets whatever their count."""
+    checked = many_facets = 0
+    inputs = corpus(seed=42, count=90, n_max=5) + corpus(
+        seed=46, count=300, n_max=8, dim_cap=2, max_facets=10
+    )
+    for c in inputs:
+        if len(c.facets) > 4 and sum(f.bit_count() for f in c.facets) > 12:
             continue
         checked += 1
+        many_facets += len(c.facets) >= 5
         assert is_partitionable(c).partitionable == oracle_partitionable(c)
-    assert checked >= 40
+    assert checked >= 380
+    assert many_facets >= 15
+
+
+def _passes_prefilters(c) -> bool:
+    """The two filters ``partition._decide_partition`` runs before the exact cover."""
+    if c.dim >= 2 and _two_private_facets(c):
+        return False
+    return sum(1 << f.bit_count() for f in c.facets) >= c.face_count()
+
+
+def test_exact_cover_matches_the_naive_search():
+    """The exact cover against the search that tests every open row for a
+    shared item, on complexes with up to twelve candidate facets."""
+    checked = negatives = 0
+    inputs = corpus(seed=47, count=300, n_max=8, max_facets=12) + corpus(
+        seed=48, count=300, n_max=9, max_facets=12
+    )
+    for c in inputs:
+        if not _passes_prefilters(c):
+            continue
+        checked += 1
+        got = _exact_cover_assignment(c)
+        assert got == naive_exact_cover_assignment(c), c.facets
+        if got is None:
+            negatives += 1
+        else:
+            assert verify_partition(c, got)
+    assert checked >= 521
+    assert negatives >= 44
 
 
 def test_shellable_implies_partitionable_on_corpus():
