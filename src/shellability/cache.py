@@ -10,7 +10,9 @@ labeling, because this module cannot import it without an import cycle.
 The tables are ``complexes._CANON_CACHE`` (canonical forms by raw facets),
 the four decider memos ``shelling._DECIDE_CACHE``,
 ``partition._PARTITION_CACHE``, ``cohen_macaulay._CM_CACHE`` and
-``homology._HOMOLOGY_CACHE``, and the enumeration memos:
+``homology._HOMOLOGY_CACHE``, ``obstruction._HEREDITARY_CACHE`` (whether
+every restriction of a class satisfies a property, keyed by class and
+property), and the enumeration memos:
 ``enumeration._CORES_MEMO`` and ``_PAIR_TABLES`` hold one entry per scanned
 support level, ``_DIM2_MEMO`` one per vertex bound, ``_HSTAR_CANON`` the
 hereditarily shellable classes the scan was given as sources (838 below

@@ -189,8 +189,10 @@ def independence_cycle_report(n_max: int = 9) -> CycleObstructionReport:
     every n except 5 (where it is a shellable 5-cycle, hereditarily so).
     Even n fail partitionability through the two-private-facets pattern; odd
     n have a band top skeleton with first homology Z.  Only this finite range
-    is checked, up to n_max = 10; the 10-vertex case lies above the
-    canonical-labeling cap and runs through the unmemoized decider paths.
+    is checked, up to n_max = 10.  The 10-vertex complex itself lies above
+    the canonical-labeling cap and is decided unmemoized, but its vertex
+    deletions are not, so its restrictions are decided through the memo of
+    hereditary verdicts, one isomorphism class at a time.
     """
     if n_max > 10:
         raise CapacityError("n_max above 10 is not supported")

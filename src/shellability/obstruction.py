@@ -9,6 +9,18 @@ excluded minors under restriction and link jointly.
 For link-preserving properties (all three here) the strong-obstruction
 condition collapses to three separate checks; the test suite checks the
 collapse against the literal product-form definition instead of assuming it.
+
+Whether every proper restriction satisfies a property is decided by
+recursion over isomorphism classes rather than over the 2^n - 1 proper
+vertex subsets: ``_hereditary(c)`` holds when ``c`` satisfies the property
+and so does, hereditarily, every vertex deletion ``c - v``.  This is exact:
+every proper restriction lies inside some ``c - v``, a restriction of a
+restriction is a restriction, and isomorphic complexes have isomorphic
+restrictions, so the verdict memoized on a canonical form holds for every
+labeling of it.  Each class is decided once per property, however many
+complexes and labelings reach it.  When some restriction fails, the
+largest-first subset scan still names the failing one, so the reported
+restriction does not depend on the memo.
 """
 
 from __future__ import annotations
@@ -17,8 +29,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .complexes import SimplicialComplex, all_faces, face_vertices
+from . import cache
+from .complexes import CANONICAL_VERTEX_CAP, SimplicialComplex, all_faces, face_vertices, memoized
 from .properties import PropertyKind, satisfies
+
+_HEREDITARY_CACHE = cache.new_cache()
 
 
 @dataclass(frozen=True)
@@ -40,8 +55,30 @@ def _proper_subsets_desc(vertex_mask: int):
             yield w
 
 
+def _hereditary(c: SimplicialComplex, prop: PropertyKind) -> bool:
+    """Whether every restriction of the complex, itself included, satisfies the property."""
+    return memoized(_HEREDITARY_CACHE, c, _decide_hereditary, key=(prop,))
+
+
+def _decide_hereditary(c: SimplicialComplex, prop: PropertyKind) -> bool:
+    return satisfies(c, prop) and _deletions_hereditary(c, prop)
+
+
+def _deletions_hereditary(c: SimplicialComplex, prop: PropertyKind) -> bool:
+    return all(_hereditary(c.deletion(1 << v), prop) for v in face_vertices(c.vertices))
+
+
 def _failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> Optional[int]:
-    """The first proper restriction, largest first, that fails the property."""
+    """The first proper restriction, largest first, that fails the property.
+
+    Up to one vertex above the labeling cap, every vertex deletion is
+    memoized, so the class recursion answers first and the subset scan runs
+    only to name a restriction that is known to fail.  Above that the
+    recursion would be unmemoized, n (n-1) ... steps instead of 2^n, so the
+    plain scan runs alone.
+    """
+    if c.n_vertices <= CANONICAL_VERTEX_CAP + 1 and _deletions_hereditary(c, prop):
+        return None
     for w in _proper_subsets_desc(c.vertices):
         if not satisfies(c.restriction(w), prop):
             return w

@@ -2,8 +2,8 @@
 
 A complex is partitionable when its faces split into disjoint intervals
 [tau_sigma, sigma], one for each facet sigma.  The decision is an exact-cover
-search (items: every face plus one slot per facet; rows: the candidate
-intervals), preceded by cheap filters:
+search (items: every face; rows: the candidate intervals), preceded by cheap
+filters:
 
 * dimension 0 is decided structurally (every 0-dimensional complex
   partitions); in dimension 1 only the negative answer is structural (a
@@ -108,9 +108,12 @@ def _tree_components_of_edge_part(c: SimplicialComplex) -> int:
 def _exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, int], ...]]:
     """Deterministic fewest-candidates-first exact cover over interval rows.
 
-    Items are the faces plus one slot ("s", idx) per facet; the rows of facet
-    sigma are its intervals [tau, sigma], keyed (sigma, tau).  ``items`` maps
-    each open item to the rows still compatible with the partial solution.
+    Items are the faces; the rows of facet sigma are its intervals
+    [tau, sigma], keyed (sigma, tau).  No item per facet is needed: the only
+    intervals that contain a facet are its own, since no other facet contains
+    it, and each of them does.  So covering the face sigma exactly once
+    chooses exactly one interval of sigma.  ``items`` maps each open item to
+    the rows still compatible with the partial solution.
     The search is Knuth's Algorithm X (D. E. Knuth, "Dancing Links",
     arXiv cs/0011047): it branches on the open item with the fewest rows
     (ties broken by the item), tries those rows in sorted order, and on
@@ -119,17 +122,11 @@ def _exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, i
     are taken out of the buckets still open, and each removal is recorded so
     that backtracking puts it back.
     """
-    face_items = {("f", m) for m in c.faces()}
-    items: dict[object, set] = {it: set() for it in face_items}
-    for idx in range(len(c.facets)):
-        items[("s", idx)] = set()
+    items: dict[int, set] = {m: set() for m in c.faces()}
     rows: dict[tuple[int, int], list] = {}
-    for idx, sigma in enumerate(c.facets):
+    for sigma in c.facets:
         for tau in subsets_of(sigma):
-            covered = [("s", idx)]
-            lower = sigma & ~tau
-            for extra in subsets_of(lower):
-                covered.append(("f", tau | extra))
+            covered = [tau | extra for extra in subsets_of(sigma & ~tau)]
             key = (sigma, tau)
             rows[key] = covered
             for it in covered:
@@ -145,7 +142,7 @@ def _exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, i
             return False
         for row_key in sorted(items[item]):
             saved = {it: items.pop(it) for it in rows[row_key]}
-            pruned: list[tuple[object, tuple[int, int]]] = []
+            pruned: list[tuple[int, tuple[int, int]]] = []
             for other in set().union(*saved.values()):
                 for it in rows[other]:
                     bucket = items.get(it)

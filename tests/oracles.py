@@ -13,13 +13,14 @@ from shellability.complexes import (
     CanonicalForm,
     DimensionError,
     SimplicialComplex,
+    all_faces,
     face_vertices,
     from_facets,
     subsets_of,
     union,
 )
 from shellability.enumeration import _star_removed
-from shellability.obstruction import _proper_subsets_desc, obstruction_report
+from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import ShellingDecision, _certificate, _search_ordering, is_shellable
 
@@ -56,6 +57,42 @@ def is_obstruction_via_deletions(c: SimplicialComplex, prop: PropertyKind) -> bo
             if not satisfies(c.deletion(u), prop):
                 return False
     return True
+
+
+def _naive_failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> Optional[int]:
+    """The first proper restriction, largest first, that fails the property."""
+    for w in _proper_subsets_desc(c.vertices):
+        if not satisfies(c.restriction(w), prop):
+            return w
+    return None
+
+
+def naive_obstruction_report(c: SimplicialComplex, prop: PropertyKind) -> ObstructionReport:
+    """The reference for ``obstruction.obstruction_report``.
+
+    Decides every one of the 2^n - 1 proper restrictions under its own
+    labels, largest first, with no recursion over isomorphism classes and no
+    memo of hereditary verdicts.
+    """
+    if satisfies(c, prop):
+        return ObstructionReport(False, False)
+    w = _naive_failing_restriction(c, prop)
+    if w is not None:
+        return ObstructionReport(False, False, failing_restriction=w)
+    for tau in all_faces(c):
+        if tau == 0:
+            continue
+        if not satisfies(c.link(tau), prop):
+            return ObstructionReport(True, False, failing_link=tau)
+    return ObstructionReport(True, True)
+
+
+def naive_is_hereditary(c: SimplicialComplex, prop: PropertyKind) -> tuple[bool, Optional[int]]:
+    """The reference for ``obstruction.is_hereditary``, by the same subset scan."""
+    if not satisfies(c, prop):
+        return False, c.vertices
+    w = _naive_failing_restriction(c, prop)
+    return w is None, w
 
 
 def strong_obstruction_by_definition(c: SimplicialComplex, prop: PropertyKind) -> bool:
@@ -273,7 +310,8 @@ def naive_exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[i
     The reference for ``partition._exact_cover_assignment``: the same item
     choice and row order, but choosing a row tests every row of every open
     item for a shared item, instead of removing only the rows in the buckets
-    it closes.
+    it closes.  It also keeps an item ("s", idx) per facet, which always has
+    the same rows as the facet's own face item and sorts after it.
     """
     face_items = {("f", m) for m in c.faces()}
     items: dict[object, set] = {it: set() for it in face_items}

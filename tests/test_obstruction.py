@@ -1,6 +1,11 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from shellability.complexes import from_facets, full_simplex
+from shellability import cache, obstruction
+from shellability.complexes import face_vertices, from_facets, full_simplex, random_complex
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.obstruction import is_hereditary, minimal_failing_restriction, obstruction_report
 from shellability.partition import band_complex
@@ -11,6 +16,8 @@ from oracles import (
     hereditary_via_obstructions,
     hereditary_via_strong_obstructions,
     is_obstruction_via_deletions,
+    naive_is_hereditary,
+    naive_obstruction_report,
     strong_obstruction_by_definition,
 )
 
@@ -136,3 +143,70 @@ def test_obstruction_reports_on_bands():
         band = band_complex(2, n)
         for prop in PropertyKind:
             assert obstruction_report(band, prop).is_obstruction
+
+
+def _with_two_apexes(rng: random.Random, base):
+    """The base plus two to five facets, each a face of the base coned off by
+    one or both of two new vertices.  Restricted to the base's vertices it is
+    the base again."""
+    a, b = 1 << base.n_vertices, 1 << (base.n_vertices + 1)
+    faces = sorted(base.faces())
+    extra = [rng.choice((a, b, a | b)) | rng.choice(faces) for _ in range(rng.randint(2, 5))]
+    return from_facets(list(base.facets) + extra)
+
+
+def _is_deep(c, prop) -> bool:
+    """Every vertex deletion satisfies the property, but some restriction at
+    least two vertices smaller fails it, so one level of deletions misses it."""
+    deletions = [c.deletion(1 << v) for v in face_vertices(c.vertices)]
+    return (all(satisfies(d, prop) for d in deletions)
+            and not all(naive_is_hereditary(d, prop)[0] for d in deletions))
+
+
+def test_class_recursion_matches_the_subset_scan(complex_1a):
+    """Reports and hereditary verdicts against the plain subset scan, on the
+    golden atlas classes, Ind(C_n), multi-facet random complexes, and
+    obstructions with two apexes added, at least 20 of which are deep."""
+    golden = json.loads((Path(__file__).parent / "golden" / "atlas6_catalog.json").read_text())
+    inputs = [from_facets(entry["facets"]) for entry in golden["entries"]]
+    inputs += [independence_complex(cycle_graph(n)) for n in range(4, 10)]
+    rng = random.Random(66)
+    drawn = []
+    while len(drawn) < 120:
+        c = random_complex(rng, n_max=8, max_facets=10)
+        if len(c.facets) >= 3:  # most small draws are a single simplex
+            drawn.append(c)
+    bases = [from_facets([{0, 1}, {2, 3}]), complex_1a, independence_complex(cycle_graph(6))]
+    apexed = [from_facets([{0, 1}, {2, 3}, {0, 4, 5}, {3, 4, 5}])]
+    apexed += [_with_two_apexes(rng, bases[k % 3]) for k in range(240)]
+    assert all(_is_deep(apexed[0], prop) for prop in PropertyKind)
+    for c in inputs + drawn + apexed:
+        for prop in PropertyKind:
+            assert obstruction_report(c, prop) == naive_obstruction_report(c, prop)
+            assert is_hereditary(c, prop) == naive_is_hereditary(c, prop)
+    deep = sum(_is_deep(c, prop) for c in apexed for prop in PropertyKind)
+    assert deep >= 20
+
+
+def test_restrictions_above_the_labeling_cap_are_scanned_once_each(monkeypatch):
+    """Above one vertex past the labeling cap the deletions would not be
+    memoized, so the class recursion is skipped: at most one decision per
+    vertex subset.  Fourteen vertices leave four unmemoized levels, where a
+    recursion would make some 30,000 decisions; at twelve it would make fewer
+    than 2^12 and go unseen."""
+    calls = 0
+
+    def counted(c, prop):
+        nonlocal calls
+        calls += 1
+        return True
+
+    monkeypatch.setattr(obstruction, "satisfies", counted)
+    c = from_facets([{k, k + 1, (3 * k + 5) % 14} for k in range(13)])
+    assert c.n_vertices == 14
+    cache.clear_all_caches()
+    try:
+        assert obstruction._failing_restriction(c, SH) is None
+    finally:
+        cache.clear_all_caches()
+    assert calls <= 2 ** 14
