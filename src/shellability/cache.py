@@ -15,10 +15,10 @@ every restriction of a class satisfies a property, keyed by class and
 property), and the enumeration memos:
 ``enumeration._CORES_MEMO`` and ``_PAIR_TABLES`` hold one entry per scanned
 support level, ``_DIM2_MEMO`` one per vertex bound, ``_HSTAR_CANON`` the
-hereditarily shellable classes the scan was given as sources (838 below
-seven vertices), and ``_HSTAR_RAW`` the verdict of each raw star removal
-looked up among them.  The enumeration memos other than ``_HSTAR_RAW`` are
-unbounded; every other table is bounded by ``trim``: when one reaches
+lower cores the scan was given (the 9 below seven vertices), grouped by a
+cheap invariant, and ``_HSTAR_RAW`` whether each raw star removal has no
+restriction isomorphic to one of them.  The enumeration memos other than
+``_HSTAR_RAW`` are unbounded; every other table is bounded by ``trim``: when one reaches
 ``CACHE_LIMIT`` entries, the oldest half of them is dropped (dict order is
 insertion order).  Eviction only ever costs recomputation, never changes a
 verdict.  The limit is a constant; no environment variable sets it.

@@ -28,9 +28,13 @@ complete at every level: deleting the star of any vertex of a hereditarily
 shellable set or of a core leaves the restriction to the other vertices,
 which is hereditarily shellable, so every such set arises from a smaller
 hereditarily shellable set by attaching the star of one of its
-minimum-degree vertices last.  So the sets on fewer vertices are all known
-when a level is scanned, and a star removal is looked up among them, not
-decided again.  Whether an attached star gives the new vertex minimum degree
+minimum-degree vertices last.  A star removal is not decided again either:
+a minimal nonshellable restriction of a triangle set has full support, so it
+is a core, and a set is hereditarily shellable exactly when none of its
+restrictions to k vertices is isomorphic to a core on k vertices.  A star
+removal lies on fewer vertices than the level, so only the cores already
+found below it are tested (7 on five vertices and 2 on six below the top
+level), each restriction first against their invariants.  Whether an attached star gives the new vertex minimum degree
 depends only on the base's vertex degrees and the star's deficit vector, so
 each level groups the stars by deficit vector once and reads the admissible
 ones per degree vector.  Only one star from each orbit of the base's
@@ -258,19 +262,65 @@ def _cone_extension_shellable(d: int, face_mask: int, tables: _PairTables) -> bo
     return bool(tables.connected[along]) and tables.cover[d ^ along] & ~tables.cover[along] == 0
 
 
-# The source classes given to the core scan (canonical facets), and each raw
-# star removal's verdict; apart, as a rejected raw tuple can be canonical.
-_HSTAR_CANON: dict[tuple[int, ...], bool] = cache.new_cache()
+# The cores below the levels scanned so far (canonical facets), by prefilter
+# invariant, and each raw star removal's verdict against them.  A verdict
+# holds whenever every core on at most as many vertices as the removal has
+# was registered, so a scan given fewer cores must start from cleared tables.
+_HSTAR_CANON: dict[tuple, set[tuple[int, ...]]] = cache.new_cache()
 _HSTAR_RAW: dict[tuple[int, ...], bool] = cache.new_cache()
 
 
-def _known(triangles: tuple[int, ...]) -> bool:
-    """Whether a star removal has at most one triangle or is a source class."""
+def _invariant(triangles: tuple[int, ...]) -> tuple:
+    """(triangle count, sorted vertex degrees, sorted edge multiplicities),
+    equal on isomorphic triangle sets."""
+    degrees: dict[int, int] = {}
+    edges: dict[int, int] = {}
+    for t in triangles:
+        for v in face_vertices(t):
+            degrees[v] = degrees.get(v, 0) + 1
+            e = t ^ (1 << v)
+            edges[e] = edges.get(e, 0) + 1
+    return len(triangles), tuple(sorted(degrees.values())), tuple(sorted(edges.values()))
+
+
+def _register_cores(cores: list[tuple[int, ...]]) -> set[int]:
+    """Add the cores to ``_HSTAR_CANON``; returns their support sizes."""
+    for core in cores:
+        _HSTAR_CANON.setdefault(_invariant(core), set()).add(core)
+    return {union(core).bit_count() for core in cores}
+
+
+def _contains_core(triangles: tuple[int, ...], sizes: set[int]) -> bool:
+    """Whether some restriction of the triangle set to k vertices, for k in
+    ``sizes``, is isomorphic to a registered core on k vertices.
+
+    Only a restriction whose invariant matches a core's gets a canonical
+    form.
+    """
+    vertices = face_vertices(union(triangles))
+    for k in sizes:
+        if k > len(vertices):
+            continue
+        for dropped in combinations(vertices, len(vertices) - k):
+            outside = sum(1 << v for v in dropped)
+            part = tuple(t for t in triangles if not t & outside)
+            cores = _HSTAR_CANON.get(_invariant(part))
+            if cores and from_facets(part).canonical_form().facets in cores:
+                return True
+    return False
+
+
+def _known(triangles: tuple[int, ...], sizes: set[int]) -> bool:
+    """Whether a triangle set is hereditarily shellable: it has at most one
+    triangle, or no restriction of it is isomorphic to a registered core.
+    Every core on at most as many vertices as the set has must be registered
+    and its size in ``sizes``, as a minimal nonshellable restriction is such
+    a core."""
     if len(triangles) <= 1:
         return True
     verdict = _HSTAR_RAW.get(triangles)
     if verdict is None:
-        verdict = from_facets(triangles).canonical_form().facets in _HSTAR_CANON
+        verdict = not _contains_core(triangles, sizes)
         cache.trim(_HSTAR_RAW)
         _HSTAR_RAW[triangles] = verdict
     return verdict
@@ -328,7 +378,12 @@ def _automorphisms(xprime: tuple[int, ...], deg: tuple[int, ...]) -> list[tuple[
 
 
 def _scan_level(
-    sources: list[tuple[int, ...]], s: int, terminal: bool, workers: int = 1, share: tuple[int, int] = (0, 1)
+    sources: list[tuple[int, ...]],
+    s: int,
+    lower: list[tuple[int, ...]],
+    terminal: bool,
+    workers: int = 1,
+    share: tuple[int, int] = (0, 1),
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """One support level: (hereditary classes, cores) on exactly s vertices, sorted.
 
@@ -350,25 +405,27 @@ def _scan_level(
     class in the full scan order is the first link of its orbit, so the
     class is still found, and certified or not, from the same candidate.
     An image of an admissible link that is not admissible means a wrong
-    automorphism and raises.  As the sources are complete below s, a star
-    removal is hereditarily shellable exactly when it has at most one
-    triangle or its canonical form is a source.  Every source is shellable,
+    automorphism and raises.  ``lower`` holds every core below s: a star
+    removal, on at most s - 1 vertices, is hereditarily shellable exactly
+    when no restriction of it is isomorphic to one of them (``_known``).
+    With a core missing, classes can be lost.  Every source is shellable,
     so a cone-extension certificate proves a candidate shellable at any
     level: at the terminal level, where only the cores are wanted, certified
     candidates are skipped and no hereditary classes are emitted; below it,
     a new class whose first candidate is certified is hereditary without a
     shelling search.  Only the terminal level is sharded across ``workers``
-    processes, each given every source and a ``share`` to scan.
+    processes, each given every source, the lower cores and a ``share`` to
+    scan.
     """
     if terminal and workers > 1 and len(sources) > 1:
         import multiprocessing
 
         shares = [(i, workers) for i in range(min(workers, len(sources)))]
         with multiprocessing.Pool(len(shares)) as pool:
-            parts = pool.starmap(_scan_level, [(sources, s, True, 1, sh) for sh in shares])
+            parts = pool.starmap(_scan_level, [(sources, s, lower, True, 1, sh) for sh in shares])
         # every share returns canonical reps, so equal classes are equal tuples
         return [], sorted(set().union(*(cores for _, cores in parts)))
-    _HSTAR_CANON.update(dict.fromkeys(sources, True))
+    sizes = _register_cores(lower)
     tables = _pair_tables(s)
     pairs = tables.pairs
     n_pairs = tables.n_pairs
@@ -422,7 +479,7 @@ def _scan_level(
                 candidate = tuple(sorted(
                     xprime + tuple(pairs[i] | v_bit for i in range(n_pairs) if d >> i & 1)
                 ))
-                if not all(_known(_star_removed(candidate, u)) for u in range(s - 1)):
+                if not all(_known(_star_removed(candidate, u), sizes) for u in range(s - 1)):
                     continue
                 key = from_facets(candidate).canonical_form()
                 if key in seen:
@@ -433,8 +490,8 @@ def _scan_level(
                     cores.append(rep)
                 elif not terminal:
                     # shellable + the per-vertex filter already implies hereditary
-                    if not all(_known(_star_removed(rep, u)) for u in range(s)):
-                        raise RuntimeError("a star removal of a new class is not a known class")
+                    if not all(_known(_star_removed(rep, u), sizes) for u in range(s)):
+                        raise RuntimeError("a star removal of a new class is not hereditarily shellable")
                     hereditary.append(rep)
     return sorted(hereditary), sorted(cores)
 
@@ -451,7 +508,9 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
     minimum-degree vertex to the hereditarily shellable sets found below it,
     with the admissible stars read from a per-level deficit table and one
     star attached per orbit of the base's automorphisms (the others give
-    isomorphic candidates).  A cone-extension certificate settles
+    isomorphic candidates).  A candidate is kept when each star removal is
+    hereditarily shellable, that is, when no restriction of it is isomorphic
+    to a core found at a lower level.  A cone-extension certificate settles
     shellability at every level: below the top level it classifies the
     classes it certifies, leaving the shelling search only the cores up to
     six vertices, and the top level, which only needs the cores, skips
@@ -461,10 +520,13 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
     sources: list[tuple[int, ...]] = [(), ((0b111),)]
+    lower: list[tuple[int, ...]] = []
     for s in range(4, max_vertices + 1):
         if s not in _CORES_MEMO:
-            _CORES_MEMO[s] = _scan_level(sources, s, s == MAX_OBSTRUCTION_VERTICES, workers)
-        sources = sources + _CORES_MEMO[s][0]
+            _CORES_MEMO[s] = _scan_level(sources, s, lower, s == MAX_OBSTRUCTION_VERTICES, workers)
+        hereditary, cores = _CORES_MEMO[s]
+        sources = sources + hereditary
+        lower = lower + cores
     return {s: list(_CORES_MEMO[s][1]) for s in range(4, max_vertices + 1)}
 
 

@@ -45,11 +45,28 @@ def ind_c6() -> SimplicialComplex:
 
 
 def corpus(
-    seed: int, count: int, n_max: int = 6, dim_cap: int = 3, max_facets: int = 7
+    seed: int, count: int, n_max: int = 6, dim_cap: int = 3, max_facets: int = 7, multi_facet: bool = False
 ) -> list[SimplicialComplex]:
-    """Deterministic random complex corpus shared across property suites."""
+    """Deterministic random complex corpus shared across property suites.
+
+    The plain draw (``random_complex``) is mostly single simplices: a face
+    drawn on all n <= dim_cap + 1 vertices absorbs every other one.  With
+    ``multi_facet`` every complex has at least two facets: on n >= 3
+    vertices, its faces miss at least one vertex and differ in size by at
+    most one, and a draw left with one facet is drawn again.
+    """
     rng = random.Random(seed)
-    return [
-        random_complex(rng, n_max=n_max, max_facets=max_facets, dim_cap=dim_cap)
-        for _ in range(count)
-    ]
+    if not multi_facet:
+        return [
+            random_complex(rng, n_max=n_max, max_facets=max_facets, dim_cap=dim_cap)
+            for _ in range(count)
+        ]
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, n_max)
+        top = rng.randint(2, min(n - 1, dim_cap + 1))
+        k = rng.randint(2, max_facets)
+        c = from_facets([rng.sample(range(n), rng.randint(top - 1, top)) for _ in range(k)])
+        if len(c.facets) >= 2:
+            out.append(c)
+    return out

@@ -187,6 +187,30 @@ def _hereditary_star_shellable(triangles: tuple[int, ...]) -> bool:
     return verdict
 
 
+# The core scan's hereditary test before it searched star removals for lower
+# cores: a star removal was looked up among the scan's sources, every
+# hereditarily shellable class below the level.
+_SOURCE_CANON = cache.new_cache()
+_SOURCE_RAW = cache.new_cache()
+
+
+def register_sources(sources: list[tuple[int, ...]]) -> None:
+    """Make the canonical triangle sets known to ``source_lookup_known``."""
+    _SOURCE_CANON.update(dict.fromkeys(sources, True))
+
+
+def source_lookup_known(triangles: tuple[int, ...]) -> bool:
+    """Whether a star removal has at most one triangle or is a source class."""
+    if len(triangles) <= 1:
+        return True
+    verdict = _SOURCE_RAW.get(triangles)
+    if verdict is None:
+        verdict = from_facets(triangles).canonical_form().facets in _SOURCE_CANON
+        cache.trim(_SOURCE_RAW)
+        _SOURCE_RAW[triangles] = verdict
+    return verdict
+
+
 def brute_force_automorphisms(triangles: tuple[int, ...], m: int) -> set[tuple[int, ...]]:
     """Every permutation of the vertices 0..m-1, as its tuple of images, that
     maps the triangle set onto itself; all m! permutations are tried."""

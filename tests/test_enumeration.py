@@ -35,6 +35,8 @@ from oracles import (
     _triangle_components,
     brute_force_automorphisms,
     greedy_cone_extension_shellable,
+    register_sources,
+    source_lookup_known,
     unpruned_scan_level,
 )
 
@@ -239,25 +241,27 @@ def test_terminal_scan_worker_split_matches_single_thread():
     and sharding the terminal scan across processes never changes the result."""
     hereditary = {3: [((0b111),)]}
     sources = [(), ((0b111),)]
+    lower = []
     for s in (4, 5, 6):
         plain_hereditary, plain_cores = unpruned_scan_level(hereditary, s)
-        h, cores = _scan_level(sources, s, terminal=False)
+        h, cores = _scan_level(sources, s, lower, terminal=False)
         assert h == sorted(plain_hereditary)
         assert cores == sorted(plain_cores)
         assert (len(h), len(cores)) == {4: (3, 0), 5: (22, 7), 6: (811, 2)}[s]
         if s >= 5:
             # the terminal behaviour: certificate on, hereditary classes not
-            # emitted; at s = 5 a worker that looked its star removals up in
-            # its own share of the sources only would lose cores, so the
-            # workers start from empty memo tables, not the parent's
-            single = _scan_level(sources, s, terminal=True, workers=1)
+            # emitted; the workers start from empty memo tables, not the
+            # parent's, so each must test star removals against the lower
+            # cores it is passed
+            single = _scan_level(sources, s, lower, terminal=True, workers=1)
             cache.clear_all_caches()
-            split = _scan_level(sources, s, terminal=True, workers=3)
+            split = _scan_level(sources, s, lower, terminal=True, workers=3)
             assert single == split
             assert single == ([], cores)
         if s < 6:
             hereditary[s] = h
             sources = sources + h
+            lower = lower + cores
     assert len(single[1]) == 2
 
 
@@ -268,6 +272,11 @@ def _level_sources(s: int) -> list[tuple[int, ...]]:
     for level in range(4, s):
         sources = sources + enumeration._CORES_MEMO[level][0]
     return sources
+
+
+def _lower_cores(s: int) -> list[tuple[int, ...]]:
+    """The lower cores of level s: every core below it."""
+    return [core for cores in triangle_cores(s - 1).values() for core in cores]
 
 
 def test_deficit_table_gives_the_minimum_degree_links():
@@ -312,11 +321,13 @@ def test_scan_decides_shellability_once_per_core(monkeypatch):
 
     monkeypatch.setattr(enumeration, "is_shellable", counted)
     sources = [(), ((0b111),)]
+    lower = []
     for s in (4, 5, 6):
         calls.clear()
-        h, cores = _scan_level(sources, s, terminal=False)
+        h, cores = _scan_level(sources, s, lower, terminal=False)
         assert len(calls) == len(cores) == {4: 0, 5: 7, 6: 2}[s]
         sources = sources + h
+        lower = lower + cores
 
 
 def _degrees_and_extras(x: tuple[int, ...], s: int) -> tuple[tuple[int, ...], int]:
@@ -350,7 +361,7 @@ def _scanned_links(monkeypatch, sources, s, terminal, share=(0, 1)):
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_face_pair_mask", entering)
         patch.setattr(enumeration, "_cone_extension_shellable", examined)
-        _scan_level(sources, s, terminal, 1, share)
+        _scan_level(sources, s, _lower_cores(s), terminal, 1, share)
     return scanned
 
 
@@ -382,6 +393,61 @@ def test_source_automorphisms_match_brute_force(monkeypatch):
             assert sum(map(len, orbits)) == len(links)  # one link per orbit
 
 
+def test_core_free_test_matches_the_source_lookup(monkeypatch):
+    """The scan's hereditary test, a search for restrictions isomorphic to a
+    lower core, agrees with looking each star removal up among every
+    hereditarily shellable class below the level: on every removal the s = 5
+    and 6 scans test and on a fixed share of the s = 7 scan, where some are
+    rejected for being a 6-vertex core, which no 5-vertex core reveals."""
+    cache.clear_all_caches()  # every verdict below comes from this test's scans
+    known = enumeration._known
+    for s, terminal, share in ((5, False, (0, 1)), (6, False, (0, 1)), (7, True, (3, 20))):
+        sources, lower = _level_sources(s), _lower_cores(s)
+        verdicts = {}
+
+        def recorded(triangles, sizes):
+            verdicts[triangles] = known(triangles, sizes)
+            return verdicts[triangles]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_known", recorded)
+            _scan_level(sources, s, lower, terminal, 1, share)
+        register_sources(sources)
+        for triangles, verdict in verdicts.items():
+            assert verdict == source_lookup_known(triangles), triangles
+        rejected = [t for t, verdict in verdicts.items() if not verdict]
+        six_cores = set(lower) - set(triangle_cores(5)[5])
+        by_six = [t for t in rejected if from_facets(t).canonical_form().facets in six_cores]
+        counts = (len(verdicts), len(rejected), len(by_six))
+        assert counts == {5: (53, 0, 0), 6: (2368, 237, 0), 7: (9823, 5622, 2)}[s]
+
+
+def test_scan_rejects_a_permutation_that_is_not_an_automorphism(monkeypatch):
+    """A wrong automorphism, which maps an admissible link of a source to one
+    that is not, stops the scan instead of skipping links."""
+    def reversal(xprime, deg):
+        return [tuple(range(len(deg))), tuple(reversed(range(len(deg))))]
+
+    monkeypatch.setattr(enumeration, "_automorphisms", reversal)
+    with pytest.raises(RuntimeError, match="an automorphism of a source maps an admissible link"):
+        _scan_level(_level_sources(5), 5, _lower_cores(5), terminal=False)
+
+
+def test_scan_rechecks_the_star_removals_of_a_new_class(monkeypatch):
+    """Below the top level every star removal of a new class, the last one
+    included, must be hereditarily shellable; here the last one is made a
+    5-vertex core, and the scan stops."""
+    lower = _lower_cores(6)
+    removed = enumeration._star_removed
+
+    def last_is_a_core(triangles, v):
+        return lower[0] if v == 5 else removed(triangles, v)
+
+    monkeypatch.setattr(enumeration, "_star_removed", last_is_a_core)
+    with pytest.raises(RuntimeError, match="a star removal of a new class is not hereditarily shellable"):
+        _scan_level(_level_sources(6), 6, lower, terminal=False)
+
+
 def test_scan_attaches_one_link_per_source_orbit(monkeypatch):
     """The scan examines {7, 127, 9188} links at s = 4, 5, 6 without the
     orbit pruning; with it, one per automorphism orbit of each source."""
@@ -394,11 +460,13 @@ def test_scan_attaches_one_link_per_source_orbit(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_cone_extension_shellable", counted)
     sources = [(), ((0b111),)]
+    lower = []
     for s in (4, 5, 6):
         calls.clear()
-        h, _ = _scan_level(sources, s, terminal=False)
+        h, cores = _scan_level(sources, s, lower, terminal=False)
         assert len(calls) == {4: 3, 5: 32, 6: 2615}[s]
         sources = sources + h
+        lower = lower + cores
 
 
 def test_each_core_level_is_scanned_once(monkeypatch):
@@ -448,4 +516,4 @@ def test_cone_extension_certificate_matches_the_greedy_closure():
                         assert certified
             assert connected > {6: 1000, 7: 30000}[s]
         if s < 7:
-            sources = sources + _scan_level(sources, s, terminal=False)[0]
+            sources = sources + _scan_level(sources, s, _lower_cores(s), terminal=False)[0]

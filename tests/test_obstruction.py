@@ -70,12 +70,12 @@ def test_failing_restriction_is_reported(two_k2):
 
 
 def test_restriction_and_deletion_formulations_agree():
-    for c in corpus(seed=61, count=50, n_max=5):
+    for c in corpus(seed=61, count=50, n_max=5) + corpus(seed=66, count=50, n_max=5, multi_facet=True):
         assert obstruction_report(c, SH).is_obstruction == is_obstruction_via_deletions(c, SH)
 
 
 def test_strong_definition_equivalence():
-    for c in corpus(seed=62, count=35, n_max=5):
+    for c in corpus(seed=62, count=35, n_max=5) + corpus(seed=67, count=35, n_max=5, multi_facet=True):
         for prop in PropertyKind:
             assert obstruction_report(c, prop).is_strong == strong_obstruction_by_definition(c, prop)
 
@@ -89,7 +89,7 @@ def test_hereditary_examples(simplex3, two_k2):
 
 
 def test_hereditary_characterisations_agree():
-    for c in corpus(seed=63, count=30, n_max=5):
+    for c in corpus(seed=63, count=30, n_max=5) + corpus(seed=68, count=30, n_max=5, multi_facet=True):
         for prop in PropertyKind:
             direct = is_hereditary(c, prop)[0]
             assert direct == hereditary_via_obstructions(c, prop)

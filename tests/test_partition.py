@@ -115,20 +115,31 @@ def test_certificates_verify_on_corpus():
     assert positives >= 40
 
 
-def test_against_brute_force_assignments():
+def _agree_with_brute_force_assignments(inputs) -> tuple[int, int]:
     """Every complex with at most 2^12 facet -> bottom assignments, plus the
-    ones on at most four facets whatever their count."""
+    ones on at most four facets whatever their count; returns how many were
+    checked and how many of those have five facets or more."""
     checked = many_facets = 0
-    inputs = corpus(seed=42, count=90, n_max=5) + corpus(
-        seed=46, count=300, n_max=8, dim_cap=2, max_facets=10
-    )
     for c in inputs:
         if len(c.facets) > 4 and sum(f.bit_count() for f in c.facets) > 12:
             continue
         checked += 1
         many_facets += len(c.facets) >= 5
         assert is_partitionable(c).partitionable == oracle_partitionable(c)
+    return checked, many_facets
+
+
+def test_against_brute_force_assignments():
+    checked, many_facets = _agree_with_brute_force_assignments(
+        corpus(seed=42, count=90, n_max=5) + corpus(seed=46, count=300, n_max=8, dim_cap=2, max_facets=10)
+    )
     assert checked >= 380
+    assert many_facets >= 15
+    # the multi-facet draw: no single simplices
+    checked, many_facets = _agree_with_brute_force_assignments(
+        corpus(seed=49, count=150, n_max=7, dim_cap=2, max_facets=12, multi_facet=True)
+    )
+    assert checked >= 120
     assert many_facets >= 15
 
 

@@ -152,6 +152,14 @@ def test_against_brute_force_orderings():
             disagreements += 1
     assert checked >= 40
     assert disagreements == 0
+    # the multi-facet draw, where a nonshellable input is no rarity
+    verdicts = []
+    for c in corpus(seed=37, count=80, n_max=6, multi_facet=True):
+        if len(c.facets) > 6:
+            continue
+        verdicts.append(is_shellable(c).shellable)
+        assert verdicts[-1] == oracle_shellable(c)
+    assert len(verdicts) >= 75 and len(verdicts) - sum(verdicts) >= 9
 
 
 def test_fast_paths_agree_on_low_dimensions():
@@ -180,7 +188,7 @@ def test_skeleton_and_link_closure_for_shellable_corpus():
 
 def test_nonincreasing_restriction_never_changes_verdict():
     """Searching all orderings agrees with the dimension-ordered search."""
-    for c in corpus(seed=36, count=40, n_max=5):
+    for c in corpus(seed=36, count=40, n_max=5) + corpus(seed=38, count=40, n_max=6, multi_facet=True):
         if len(c.facets) > 6:
             continue
         assert shellable_by_search(c).shellable == oracle_shellable(c)
