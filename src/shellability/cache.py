@@ -2,17 +2,20 @@
 
 Every module-level memo table is made by ``new_cache()``, which registers it,
 and ``clear_all_caches()`` empties every registered table.  The deciders
-memoize on canonical forms through ``complexes.memoized``, so isomorphic
-queries (which the restriction/link enumeration produces in bulk) are
-answered once; that helper lives in ``complexes``, next to the canonical
-labeling, because this module cannot import it without an import cycle.
+other than homology memoize on canonical forms through
+``complexes.memoized``, so isomorphic queries (which the restriction/link
+enumeration produces in bulk) are answered once; that helper lives in
+``complexes``, next to the canonical labeling, because this module cannot
+import it without an import cycle.
 
 The tables are ``complexes._CANON_CACHE`` (canonical forms by raw facets),
-the four decider memos ``shelling._DECIDE_CACHE``,
-``partition._PARTITION_CACHE``, ``cohen_macaulay._CM_CACHE`` and
-``homology._HOMOLOGY_CACHE``, ``obstruction._HEREDITARY_CACHE`` (whether
-every restriction of a class satisfies a property, keyed by class and
-property), and the enumeration memos:
+the three decider memos ``shelling._DECIDE_CACHE``,
+``partition._PARTITION_CACHE`` and ``cohen_macaulay._CM_CACHE``,
+``homology._HOMOLOGY_CACHE`` (reduced homology groups keyed by raw facets
+and degree, so homology never canonicalizes),
+``obstruction._HEREDITARY_CACHE`` (whether every restriction of a class
+satisfies a property, keyed by class and property), and the enumeration
+memos:
 ``enumeration._CORES_MEMO`` and ``_PAIR_TABLES`` hold one entry per scanned
 support level, ``_DIM2_MEMO`` one per vertex bound, ``_HSTAR_CANON`` the
 lower cores the scan was given (the 9 below seven vertices), grouped by a

@@ -382,3 +382,86 @@ def naive_exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[i
     if solve():
         return tuple(sorted(solution))
     return None
+
+
+def dense_smith_normal_form(matrix) -> tuple[list[int], int]:
+    """Invariant factors d1 | d2 | ... | dr of an integer matrix, plus its rank.
+
+    The reference for ``homology.smith_normal_form``: the dense reduction it
+    used before unit pivots, kept verbatim.
+
+    Accepts any rectangular sequence of int rows (a BoundaryMatrix's entries
+    included).  Pure row/column reduction with a least-magnitude pivot rule;
+    the divisibility chain is enforced before each pivot is frozen.
+    """
+    m = [list(map(int, row)) for row in matrix]
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    if any(len(row) != n_cols for row in m):
+        raise ValueError("ragged matrix")
+
+    divisors: list[int] = []
+    t = 0
+    while t < n_rows and t < n_cols:
+        best = None
+        best_abs = 0
+        for i in range(t, n_rows):
+            row = m[i]
+            for j in range(t, n_cols):
+                v = row[j]
+                if v and (best is None or -best_abs < v < best_abs):
+                    best = (i, j)
+                    best_abs = abs(v)
+        if best is None:
+            break
+        bi, bj = best
+        m[t], m[bi] = m[bi], m[t]
+        if bj != t:
+            for row in m:
+                row[t], row[bj] = row[bj], row[t]
+
+        while True:
+            for i in range(n_rows):
+                if i != t and m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    if q:
+                        mi, mt = m[i], m[t]
+                        for j in range(t, n_cols):
+                            mi[j] -= q * mt[j]
+            pending = next((i for i in range(n_rows) if i != t and m[i][t]), None)
+            if pending is not None:
+                m[t], m[pending] = m[pending], m[t]
+                continue
+
+            for j in range(t + 1, n_cols):
+                if m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    if q:
+                        for i in range(t, n_rows):
+                            m[i][j] -= q * m[i][t]
+            pending = next((j for j in range(t + 1, n_cols) if m[t][j]), None)
+            if pending is not None:
+                for i in range(t, n_rows):
+                    m[i][t], m[i][pending] = m[i][pending], m[i][t]
+                continue
+
+            offender = None
+            pivot = m[t][t]
+            for i in range(t + 1, n_rows):
+                row = m[i]
+                for j in range(t + 1, n_cols):
+                    if row[j] % pivot:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            mo, mt = m[offender], m[t]
+            for j in range(t, n_cols):
+                mt[j] += mo[j]
+
+        divisors.append(abs(m[t][t]))
+        t += 1
+
+    return divisors, len(divisors)

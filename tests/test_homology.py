@@ -5,6 +5,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from shellability import cache, complexes
+from shellability.cohen_macaulay import is_sequentially_cm
 from shellability.complexes import from_facets, full_simplex
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.homology import (
@@ -15,9 +17,15 @@ from shellability.homology import (
     reduced_homology,
     smith_normal_form,
 )
-from shellability.partition import band_complex
+from shellability.partition import band_complex, is_partitionable, verify_partition
+from shellability.shelling import is_shellable
 
 from conftest import corpus
+from oracles import dense_smith_normal_form
+
+# The 6-vertex real projective plane, whose first homology is C2.
+RP2_FACETS = [{0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 5, 1},
+              {1, 2, 4}, {2, 3, 5}, {3, 4, 1}, {4, 5, 2}, {5, 1, 3}]
 
 
 def matmul(a, b):
@@ -49,6 +57,11 @@ def test_snf_torsion_classics():
     assert (factors, rank) == ([1, 6], 2)
 
 
+def _sympy_factors(m):
+    sm = sympy_snf(sympy.Matrix(m))
+    return sorted(abs(sm[i, i]) for i in range(min(len(m), len(m[0]))) if sm[i, i] != 0)
+
+
 def test_snf_against_rational_rank_and_sympy():
     rng = random.Random(21)
     for _ in range(60):
@@ -60,9 +73,59 @@ def test_snf_against_rational_rank_and_sympy():
         if factors:
             entries = [abs(x) for row in m for x in row if x]
             assert factors[0] == gcd(*entries) if len(entries) > 1 else entries[0]
-        sm = sympy_snf(sympy.Matrix(m))
-        sym_factors = sorted(abs(sm[i, i]) for i in range(min(rows, cols)) if sm[i, i] != 0)
-        assert sym_factors == sorted(factors)
+        assert _sympy_factors(m) == sorted(factors)
+
+
+def _snf_matching_oracles(m):
+    """``smith_normal_form(m)``, checked against the dense oracle and, on at
+    most 64 cells, against sympy."""
+    got = smith_normal_form(m)
+    assert got == dense_smith_normal_form(m), m
+    if m and m[0] and len(m) * len(m[0]) <= 64:
+        assert got[0] == _sympy_factors(m), m
+    return got
+
+
+def test_snf_matches_oracles_on_boundary_matrices():
+    inputs = corpus(seed=73, count=60, n_max=7, multi_facet=True)
+    inputs += [independence_complex(cycle_graph(n)) for n in range(3, 10)]
+    for c in inputs:
+        for k in range(0, c.dim + 2):
+            _snf_matching_oracles(boundary_matrix(c, k).entries)
+
+
+def test_snf_matches_oracles_on_random_matrices():
+    rng = random.Random(74)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        _snf_matching_oracles([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_snf_reduces_the_block_without_units_after_the_unit_pivots():
+    """A ±1 boundary block next to a block with no unit entry, rows and
+    columns shuffled: the dense reduction must finish what the unit pivots
+    leave.  Half the cases couple the blocks by even entries below the
+    boundary block."""
+    rng = random.Random(75)
+    no_unit = ([[2, 4], [6, 8]], [[2]], [[3, 0], [0, 6]], [[4, 6], [6, 9]], [[2, 0, 4], [0, 2, 6]])
+    sources = [c for c in corpus(seed=76, count=12, n_max=5, multi_facet=True) if c.dim >= 1]
+    for c in sources:
+        unit = [list(r) for r in boundary_matrix(c, 1).entries]
+        width = len(unit[0])
+        for block in no_unit:
+            for coupled in (False, True):
+                m = [r + [0] * len(block[0]) for r in unit]
+                m += [[rng.choice((-2, 0, 2)) if coupled else 0 for _ in range(width)] + list(r)
+                      for r in block]
+                rng.shuffle(m)
+                order = list(range(len(m[0])))
+                rng.shuffle(order)
+                m = [[r[j] for j in order] for r in m]
+                factors, _ = _snf_matching_oracles(m)
+                if not coupled:
+                    block_factors, _ = dense_smith_normal_form(block)
+                    assert factors[0] == 1
+                    assert [d for d in factors if d > 1] == [d for d in block_factors if d > 1]
 
 
 def test_boundary_squares_to_zero_on_corpus():
@@ -100,13 +163,48 @@ def test_independence_complex_skeleton_homology():
 def test_independence_complexes_of_cycles_match_kozlov():
     """Kozlov (JCTA 1999): Ind(C_n) is S^{k-1} v S^{k-1} for n = 3k, S^{k-1}
     for n = 3k+1 and S^k for n = 3k+2.  From n = 10 on the complexes lie
-    above the canonical-labeling cap, so homology is computed unmemoized."""
+    above the canonical-labeling cap; homology memoizes on raw facets, so they
+    take the same path as the smaller ones."""
     for n in range(4, 14):
         k, r = divmod(n, 3)
         degree, rank = {0: (k - 1, 2), 1: (k - 1, 1), 2: (k, 1)}[r]
         c = independence_complex(cycle_graph(n))
         expected = {d: HomologyGroup(rank if d == degree else 0) for d in range(-1, c.dim + 1)}
         assert homology_groups(c) == expected, n
+
+
+def test_projective_plane_torsion_end_to_end():
+    rp2 = from_facets(RP2_FACETS)
+    assert homology_groups(rp2) == {
+        -1: HomologyGroup(0), 0: HomologyGroup(0), 1: HomologyGroup(0, (2,)), 2: HomologyGroup(0)
+    }
+    report = is_sequentially_cm(rp2)
+    assert report.verdict is False
+    w = report.witness
+    assert (w.skeleton_dim, w.face, w.degree, str(w.group)) == (2, 0, 1, "C2")
+    assert not is_shellable(rp2).shellable
+    decision = is_partitionable(rp2)
+    assert decision.partitionable
+    assert verify_partition(rp2, decision.certificate.assignment)
+
+
+def test_homology_is_label_independent():
+    rng = random.Random(77)
+    for c in corpus(seed=78, count=40, n_max=7, multi_facet=True):
+        cache.clear_all_caches()
+        expected = homology_groups(c)
+        for _ in range(3):
+            ids = c.vertex_ids()
+            relabelled = c.relabel(dict(zip(ids, rng.sample(range(12), len(ids)))))
+            cache.clear_all_caches()
+            assert homology_groups(relabelled) == expected, c
+
+
+def test_homology_does_not_canonicalize():
+    cache.clear_all_caches()
+    c = from_facets(RP2_FACETS)
+    homology_groups(c)
+    assert not complexes._CANON_CACHE
 
 
 def test_empty_complex_homology():
