@@ -86,6 +86,8 @@ def _certificate_lines(c: SimplicialComplex, prop: PropertyKind) -> tuple[list[s
                 f"witness: pure {w.skeleton_dim}-skeleton, link of {_face_words(w.face)} "
                 f"has reduced H_{w.degree} = {w.group}"
             )
+        elif is_shellable(c).shellable:
+            lines.append("sequentially Cohen-Macaulay; the complex is shellable, which implies it")
         else:
             lines.append("sequentially Cohen-Macaulay; every pure skeleton passes the homology checks")
     return lines, payload

@@ -5,6 +5,14 @@ is the complex itself) has reduced homology concentrated in its top
 dimension.  A general complex is sequentially Cohen-Macaulay when all of its
 pure skeletons are Cohen-Macaulay.  Both deciders return an explicit witness
 on failure: a face whose link has a nonvanishing group below top dimension.
+
+A shellable complex is sequentially Cohen-Macaulay: each of its pure
+skeletons is shellable (Björner & Wachs, "Shellable nonpure complexes and
+posets I", 1996), and a pure shellable complex is Cohen-Macaulay.  So
+``is_sequentially_cm`` asks ``is_shellable`` first and answers yes without
+homology when there is a shelling; only the other complexes go through the
+pure-skeleton link scan, ``_pure_skeletons_cm``, which finds every witness.
+``is_cohen_macaulay`` always scans.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from typing import Optional
 from . import cache
 from .complexes import PurityError, SimplicialComplex, all_faces, memoized, relabel_face
 from .homology import HomologyGroup, reduced_homology
+from .shelling import is_shellable
 
 _CM_CACHE = cache.new_cache()
 
@@ -60,10 +69,17 @@ def is_cohen_macaulay(c: SimplicialComplex) -> CMReport:
     return CMReport(witness is None, witness)
 
 
-def is_sequentially_cm(c: SimplicialComplex) -> CMReport:
-    """True iff every pure skeleton is Cohen-Macaulay ({∅} holds vacuously)."""
+def _pure_skeletons_cm(c: SimplicialComplex) -> CMReport:
+    """The link scan of every pure skeleton, lowest first; no shelling consulted."""
     for i in range(0, c.dim + 1):
         report = is_cohen_macaulay(c.pure_skeleton(i))
         if not report.verdict:
             return CMReport(False, replace(report.witness, skeleton_dim=i))
     return CMReport(True)
+
+
+def is_sequentially_cm(c: SimplicialComplex) -> CMReport:
+    """True iff every pure skeleton is Cohen-Macaulay ({∅} holds vacuously)."""
+    if is_shellable(c).shellable:
+        return CMReport(True)
+    return _pure_skeletons_cm(c)

@@ -630,10 +630,14 @@ def enumerate_obstructions(task: EnumerationTask, workers: int = 1) -> list[Simp
     For partitionability and sequential Cohen-Macaulayness in dimension two,
     the list starts from the shellability obstructions: shellability implies
     both properties, so once every shellability obstruction is verified to be
-    an obstruction to the weaker property too (checked directly here, never
-    assumed), a minimal-failing-restriction argument shows the sets must
-    coincide: any obstruction set difference would produce an obstruction to
-    shellability satisfying the weaker property.
+    an obstruction to the weaker property too (checked here, not assumed), a
+    minimal-failing-restriction argument shows the sets must coincide: any
+    obstruction set difference would produce an obstruction to shellability
+    satisfying the weaker property.  In that check, each proper restriction
+    satisfies the weaker property by a verified shelling and the
+    implication, since the deciders ask for a shelling first; that the
+    obstruction itself fails it has no shelling to lean on, so the exact
+    cover or the skeleton scan decides it directly.
     """
     n_max = task.resolved_max_vertices()
     if task.dimension <= 1:

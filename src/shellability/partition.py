@@ -1,15 +1,18 @@
 """Partitionability: tiling the face set by intervals, one per facet.
 
 A complex is partitionable when its faces split into disjoint intervals
-[tau_sigma, sigma], one for each facet sigma.  The decision is an exact-cover
+[tau_sigma, sigma], one for each facet sigma.  A shelling gives one: its
+restriction intervals [R(F_i), F_i] partition the faces (Björner & Wachs,
+"Shellable nonpure complexes and posets I", 1996).  So the decision asks
+``is_shellable`` first and, when there is a shelling, returns its intervals
+sorted by facet, checked by ``verify_partition``.  This covers every complex
+of dimension 0, which is always shellable.  Otherwise it runs an exact-cover
 search (items: every face; rows: the candidate intervals), preceded by cheap
 filters:
 
-* dimension 0 is decided structurally (every 0-dimensional complex
-  partitions); in dimension 1 only the negative answer is structural (a
-  1-dimensional complex partitions iff at most one connected component of its
-  edge part is a tree), and a positive one still runs the exact cover to get
-  its certificate,
+* a 1-dimensional complex partitions iff at most one connected component of
+  its edge part is a tree, so the negative answer is structural, and a
+  positive one still runs the exact cover to get its certificate,
 * two facets of dimension >= 1 whose codimension-one subfaces are all
   private force tau = empty twice, which is impossible,
 * the interval sizes must be able to reach the face count at all.
@@ -30,6 +33,7 @@ from .complexes import (
     relabel_face,
     subsets_of,
 )
+from .shelling import is_shellable
 
 _PARTITION_CACHE = cache.new_cache()
 
@@ -180,19 +184,15 @@ def _relabel_assignment(assignment, mapping: dict[int, int]) -> tuple[tuple[int,
 
 def is_partitionable(c: SimplicialComplex) -> PartitionDecision:
     """Exact decision with a re-checkable interval assignment on success."""
-    d = c.dim
-    if d <= 0:
-        assignment = []
-        first = True
-        for sigma in c.facets:
-            assignment.append((sigma, 0 if first else sigma))
-            first = False
-        return PartitionDecision(True, PartitionCertificate(tuple(assignment)))
+    shelling = is_shellable(c).certificate
+    if shelling is not None:
+        assignment = tuple(sorted(zip(shelling.ordering, shelling.restriction_sets)))
+        if not verify_partition(c, assignment):
+            raise RuntimeError("shelling intervals do not partition the faces")
+        return PartitionDecision(True, PartitionCertificate(assignment))
 
-    if d == 1:
-        if _tree_components_of_edge_part(c) > 1:
-            return PartitionDecision(False)
-        # fall through to the exact cover for the actual certificate
+    if c.dim == 1 and _tree_components_of_edge_part(c) > 1:
+        return PartitionDecision(False)
 
     assignment = memoized(_PARTITION_CACHE, c, _decide_partition, _relabel_assignment)
     if assignment is None:

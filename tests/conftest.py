@@ -6,6 +6,18 @@ from shellability.complexes import SimplicialComplex, from_facets, random_comple
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 
+# The 6-vertex real projective plane, whose first homology is C2.
+RP2_FACETS = [{0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 5, 1},
+              {1, 2, 4}, {2, 3, 5}, {3, 4, 1}, {4, 5, 2}, {5, 1, 3}]
+
+# An 8-vertex dunce hat: acyclic and Cohen-Macaulay, but nonshellable.  The
+# last triangle of a shelling of an acyclic 2-complex has an edge in no other
+# triangle, and here every edge lies in two triangles or more.
+DUNCE_HAT_FACETS = [
+    {0, 1, 3}, {0, 1, 6}, {0, 1, 7}, {0, 2, 3}, {0, 2, 4}, {0, 2, 5}, {0, 4, 5}, {0, 6, 7}, {1, 2, 4},
+    {1, 2, 6}, {1, 2, 7}, {1, 3, 4}, {2, 3, 7}, {2, 5, 6}, {3, 4, 7}, {4, 5, 7}, {5, 6, 7},
+]
+
 
 @pytest.fixture
 def simplex3() -> SimplicialComplex:

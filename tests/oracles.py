@@ -22,7 +22,53 @@ from shellability.complexes import (
 from shellability.enumeration import _star_removed
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
-from shellability.shelling import ShellingDecision, _certificate, _search_ordering, is_shellable
+from shellability.shelling import ShellingDecision, _certificate, is_shellable
+
+
+def plain_search_ordering(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
+    """Exact backtracking search for a shelling, nonincreasing dimensions only.
+
+    The reference for ``shelling._search_ordering``: the same search with no
+    record of the facet sets that failed to extend, so it may try every
+    ordering.
+    """
+    facets = sorted(c.facets, key=lambda m: (-m.bit_count(), m))
+    total = len(facets)
+    chosen: list[int] = []
+    covered: set[int] = set()
+    used = [False] * total
+
+    def extend() -> bool:
+        if len(chosen) == total:
+            return True
+        max_size = max(facets[i].bit_count() for i in range(total) if not used[i])
+        candidates = []
+        for i in range(total):
+            if used[i] or facets[i].bit_count() != max_size:
+                continue
+            fct = facets[i]
+            r = 0
+            for v in face_vertices(fct):
+                if fct ^ (1 << v) in covered:
+                    r |= 1 << v
+            if r in covered:
+                continue
+            candidates.append((-r.bit_count(), fct, i))
+        candidates.sort()
+        for _, fct, i in candidates:
+            used[i] = True
+            chosen.append(fct)
+            added = [s for s in subsets_of(fct) if s not in covered]
+            covered.update(added)
+            if extend():
+                return True
+            for s in added:
+                covered.remove(s)
+            chosen.pop()
+            used[i] = False
+        return False
+
+    return tuple(chosen) if extend() else None
 
 
 def shellable_by_search(c: SimplicialComplex) -> ShellingDecision:
@@ -31,7 +77,7 @@ def shellable_by_search(c: SimplicialComplex) -> ShellingDecision:
     Exists so the structural shortcuts can be validated against the generic
     search; prefer is_shellable everywhere else.
     """
-    ordering = _search_ordering(c)
+    ordering = plain_search_ordering(c)
     if ordering is None:
         return ShellingDecision(False)
     return ShellingDecision(True, _certificate(c, ordering))

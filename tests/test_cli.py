@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 
 from shellability.cli import main
-from shellability.complexes import format_complex, from_facets, parse_complex
+from shellability.complexes import face_vertices, format_complex, from_facets, parse_complex
 from shellability.graphs import cycle_graph, independence_complex
+from shellability.shelling import is_shellable
+
+from conftest import DUNCE_HAT_FACETS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,6 +70,33 @@ def test_check_json_output(tmp_path, delta5, capsys):
     assert payload["schema"].startswith("shellability-check/")
     assert payload["verdict"] is False
     assert payload["witness"]["homology"] == "Z"
+
+
+def test_check_scm_certificate_names_its_evidence(tmp_path, simplex3, capsys):
+    """A shelling decides a shellable input; the dunce hat has none, so the
+    skeleton scan decides it."""
+    p = write(tmp_path, "simplex.cplx", simplex3)
+    assert main(["check", p, "--property", "scm", "--certificate"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "sequentially Cohen-Macaulay; the complex is shellable, which implies it"
+    )
+    p = write(tmp_path, "dunce.cplx", from_facets(DUNCE_HAT_FACETS))
+    assert main(["check", p, "--property", "scm", "--certificate"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "sequentially Cohen-Macaulay; every pure skeleton passes the homology checks"
+    )
+
+
+def test_check_partition_certificate_of_a_shellable_input(tmp_path, hollow_triangle, capsys):
+    """The intervals printed are the shelling's [R(F_i), F_i], sorted by facet."""
+    p = write(tmp_path, "triangle.cplx", hollow_triangle)
+    assert main(["check", p, "--property", "partitionable", "--certificate", "--json"]) == 0
+    intervals = json.loads(capsys.readouterr().out)["intervals"]
+    shelling = is_shellable(hollow_triangle).certificate
+    assert intervals == [
+        {"facet": list(face_vertices(sigma)), "bottom": list(face_vertices(tau))}
+        for sigma, tau in sorted(zip(shelling.ordering, shelling.restriction_sets))
+    ]
 
 
 def test_enumerate_dim1(tmp_path, capsys):

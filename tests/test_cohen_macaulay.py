@@ -1,13 +1,18 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from shellability.cohen_macaulay import is_cohen_macaulay, is_sequentially_cm
-from shellability.complexes import PurityError, from_facets, full_simplex
+from shellability.cohen_macaulay import _pure_skeletons_cm, is_cohen_macaulay, is_sequentially_cm
+from shellability.complexes import PurityError, face_vertices, from_facets, full_simplex
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.homology import HomologyGroup, reduced_homology
 from shellability.partition import band_complex
 from shellability.shelling import is_shellable
 
-from conftest import corpus
+from conftest import DUNCE_HAT_FACETS, corpus
+
+GOLDEN_ATLAS = Path(__file__).parent / "golden" / "atlas6_catalog.json"
 
 
 def test_simplex_is_cm(simplex3):
@@ -83,9 +88,43 @@ def test_apex_links_fail(complex_2):
 
 
 def test_shellable_implies_sequentially_cm():
-    for c in corpus(seed=53, count=80):
+    """The implication, checked by the skeleton scan alone: the decider
+    itself answers yes for a shellable complex without scanning."""
+    shellable = 0
+    inputs = corpus(seed=53, count=80) + corpus(seed=57, count=120, n_max=7, multi_facet=True)
+    for c in inputs:
         if is_shellable(c).shellable:
-            assert is_sequentially_cm(c).verdict
+            assert _pure_skeletons_cm(c).verdict, c.facets
+            shellable += 1
+    assert shellable >= 150
+
+
+def test_proper_restrictions_of_the_golden_classes_pass_the_skeleton_scan():
+    """Every proper restriction of an obstruction is shellable, so the skeleton
+    scan must find each of them sequentially Cohen-Macaulay."""
+    checked = 0
+    for entry in json.loads(GOLDEN_ATLAS.read_text())["entries"]:
+        c = from_facets([set(f) for f in entry["facets"]])
+        verts = face_vertices(c.vertices)
+        for bits in range((1 << len(verts)) - 1):
+            r = c.restriction(sum(1 << v for i, v in enumerate(verts) if bits >> i & 1))
+            assert is_shellable(r).shellable
+            assert _pure_skeletons_cm(r).verdict, (entry["id"], r.facets)
+            checked += 1
+    assert checked == 1709
+
+
+def test_sequentially_cm_agrees_with_the_skeleton_scan():
+    """Verdicts and witnesses; the dunce hat is Cohen-Macaulay without a
+    shelling, so the scan alone decides it."""
+    inputs = corpus(seed=58, count=150, n_max=7, multi_facet=True) + [from_facets(DUNCE_HAT_FACETS)]
+    negatives = 0
+    for c in inputs:
+        report = is_sequentially_cm(c)
+        assert report == _pure_skeletons_cm(c), c.facets
+        negatives += not report.verdict
+    assert negatives >= 30
+    assert not is_shellable(inputs[-1]).shellable and is_sequentially_cm(inputs[-1]).verdict
 
 
 def test_link_closure():

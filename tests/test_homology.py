@@ -20,12 +20,8 @@ from shellability.homology import (
 from shellability.partition import band_complex, is_partitionable, verify_partition
 from shellability.shelling import is_shellable
 
-from conftest import corpus
+from conftest import RP2_FACETS, corpus
 from oracles import dense_smith_normal_form
-
-# The 6-vertex real projective plane, whose first homology is C2.
-RP2_FACETS = [{0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 5, 1},
-              {1, 2, 4}, {2, 3, 5}, {3, 4, 1}, {4, 5, 2}, {5, 1, 3}]
 
 
 def matmul(a, b):

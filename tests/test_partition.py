@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
+from shellability import cache, partition
 from shellability.complexes import face, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import (
@@ -12,9 +13,9 @@ from shellability.partition import (
     is_partitionable,
     verify_partition,
 )
-from shellability.shelling import is_shellable
+from shellability.shelling import ShellingCertificate, ShellingDecision, is_shellable
 
-from conftest import corpus
+from conftest import DUNCE_HAT_FACETS, RP2_FACETS, corpus
 from oracles import naive_exact_cover_assignment
 
 
@@ -172,9 +173,61 @@ def test_exact_cover_matches_the_naive_search():
 
 
 def test_shellable_implies_partitionable_on_corpus():
-    for c in corpus(seed=43, count=80):
+    """The implication, checked by the filters and the exact cover alone: the
+    decider itself returns a shellable complex's shelling intervals."""
+    shellable = 0
+    for c in corpus(seed=43, count=80) + corpus(seed=51, count=120, n_max=7, multi_facet=True):
         if is_shellable(c).shellable:
-            assert is_partitionable(c).partitionable
+            assignment = partition._decide_partition(c)
+            assert assignment is not None and verify_partition(c, assignment), c.facets
+            shellable += 1
+    assert shellable >= 150
+
+
+def test_shellable_inputs_get_the_shelling_intervals():
+    """The certificate of a shellable complex is its shelling's restriction
+    intervals [R(F_i), F_i], sorted by facet."""
+    shellable = 0
+    for c in corpus(seed=43, count=80) + corpus(seed=50, count=150, n_max=7, multi_facet=True):
+        shelling = is_shellable(c).certificate
+        if shelling is None:
+            continue
+        assignment = is_partitionable(c).certificate.assignment
+        assert assignment == tuple(sorted(zip(shelling.ordering, shelling.restriction_sets)))
+        assert verify_partition(c, assignment)
+        shellable += 1
+    assert shellable >= 150
+
+
+@pytest.mark.parametrize("facets", [RP2_FACETS, DUNCE_HAT_FACETS], ids=["rp2", "dunce_hat"])
+def test_nonshellable_partitionable_inputs_run_the_exact_cover(monkeypatch, facets):
+    calls = []
+    real = partition._exact_cover_assignment
+
+    def recorded(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(partition, "_exact_cover_assignment", recorded)
+    c = from_facets(facets)
+    cache.clear_all_caches()
+    try:
+        decision = is_partitionable(c)
+    finally:
+        cache.clear_all_caches()
+    assert not is_shellable(c).shellable
+    assert decision.partitionable and verify_partition(c, decision.certificate.assignment)
+    assert len(calls) == 1
+
+
+def test_shelling_intervals_that_do_not_partition_raise(monkeypatch, hollow_triangle):
+    """Pairing the empty restriction set with every facet covers the empty
+    face three times; the decider must not return that as a certificate."""
+    ordering = hollow_triangle.facets
+    wrong = ShellingDecision(True, ShellingCertificate(ordering, (0,) * len(ordering)))
+    monkeypatch.setattr(partition, "is_shellable", lambda c: wrong)
+    with pytest.raises(RuntimeError, match="do not partition"):
+        is_partitionable(hollow_triangle)
 
 
 def test_link_closure_on_corpus():

@@ -3,14 +3,16 @@ from itertools import permutations
 
 import pytest
 
-from shellability.complexes import face_vertices, from_facets, full_simplex
+from shellability import cache
+from shellability.cohen_macaulay import is_sequentially_cm
+from shellability.complexes import SimplicialComplex, face_vertices, from_facets, full_simplex
 from shellability.graphs import cycle_graph, independence_complex
 from shellability import shelling
-from shellability.partition import band_complex
+from shellability.partition import band_complex, is_partitionable, verify_partition
 from shellability.shelling import is_shellable, verify_shelling
 
-from conftest import corpus
-from oracles import fast_paths_agree, shellable_by_search
+from conftest import DUNCE_HAT_FACETS, corpus
+from oracles import fast_paths_agree, plain_search_ordering, shellable_by_search
 
 
 # --- independent oracle: the raw definition over frozensets -----------------
@@ -192,3 +194,97 @@ def test_nonincreasing_restriction_never_changes_verdict():
         if len(c.facets) > 6:
             continue
         assert shellable_by_search(c).shellable == oracle_shellable(c)
+
+
+# --- the record of failed facet sets -----------------------------------------
+
+# Shellable 2-complexes, 20 triangles on 8 vertices, strongly connected and
+# with trivial homology, so the prescreen passes them.  On their canonical
+# representatives the search without the record places 90,000 facets or more
+# (about a second each); the first one, 653,582.
+SLOW_SHELLABLE = [
+    [7, 19, 35, 38, 67, 74, 82, 84, 88, 97, 100, 104, 112, 133, 138, 140, 176, 194, 196, 208],
+    [14, 22, 28, 42, 52, 56, 69, 70, 73, 82, 84, 98, 133, 137, 140, 148, 161, 162, 200, 224],
+    [14, 22, 28, 38, 50, 67, 69, 74, 82, 88, 97, 112, 133, 145, 148, 161, 162, 196, 200, 208],
+    [11, 14, 35, 38, 41, 50, 56, 69, 70, 81, 82, 138, 140, 145, 148, 152, 161, 164, 194, 200],
+]
+
+# ``plain_search_ordering`` of the first one's canonical representative,
+# about nine seconds of search.
+SLOWEST_PLAIN_ORDERING = (
+    13, 14, 74, 82, 88, 98, 140, 152, 146, 194, 196, 69, 193, 145, 224, 161, 164, 168, 176, 52,
+)
+
+
+def _canonical_representative(c) -> SimplicialComplex:
+    """The complex the memoized decider searches: canonical ids 0..n-1."""
+    canon = c.canonical_form()
+    return SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1)
+
+
+def test_memoized_search_matches_the_plain_search():
+    """The record of failed facet sets prunes only prefixes that cannot
+    extend, so the first shelling found is the plain search's."""
+    draws = corpus(seed=39, count=300, n_max=8, max_facets=12, multi_facet=True) + corpus(
+        seed=40, count=600, n_max=8, dim_cap=2, max_facets=14, multi_facet=True
+    )
+    shellable = 0
+    for c in draws:
+        got = shelling._search_ordering(c)
+        assert got == plain_search_ordering(c), c.facets
+        shellable += got is not None
+    assert shellable >= 500 and len(draws) - shellable >= 250
+    for facets in SLOW_SHELLABLE[1:]:
+        rep = _canonical_representative(from_facets(facets))
+        assert shelling._search_ordering(rep) == plain_search_ordering(rep), facets
+    rep = _canonical_representative(from_facets(SLOW_SHELLABLE[0]))
+    assert shelling._search_ordering(rep) == SLOWEST_PLAIN_ORDERING
+
+
+def _placement_budget(monkeypatch, budget: int) -> list[int]:
+    """Count ``subsets_of`` calls in the shelling module, one per facet placed
+    plus one per facet of each verified certificate, and stop past the budget."""
+    placed = [0]
+    real = shelling.subsets_of
+
+    def counted(mask):
+        placed[0] += 1
+        if placed[0] > budget:
+            raise RuntimeError(f"more than {budget} facets placed")
+        return real(mask)
+
+    monkeypatch.setattr(shelling, "subsets_of", counted)
+    return placed
+
+
+def test_failed_facet_sets_are_not_searched_again(monkeypatch):
+    """With the record, deciding the slowest input places 1,069 facets;
+    without it, 653,582.  Each of the three deciders decides it from cold
+    caches within the budget."""
+    c = from_facets(SLOW_SHELLABLE[0])
+    placed = _placement_budget(monkeypatch, 2000)
+    decisions = []
+    try:
+        for decide in (is_shellable, is_partitionable, is_sequentially_cm):
+            cache.clear_all_caches()
+            placed[0] = 0
+            decisions.append(decide(c))
+    finally:
+        cache.clear_all_caches()
+    shellable, partitionable, scm = decisions
+    assert verify_shelling(c, shellable.certificate.ordering)[0]
+    assert verify_partition(c, partitionable.certificate.assignment)
+    assert scm.verdict
+
+
+def test_nonshellable_input_past_the_prescreen_is_searched_once(monkeypatch):
+    """The dunce hat passes the homology prescreen, so only the search can
+    reject it; without the record it places 513,445 facets."""
+    c = from_facets(DUNCE_HAT_FACETS)
+    _placement_budget(monkeypatch, 5000)
+    cache.clear_all_caches()
+    try:
+        assert not shelling._homology_prescreen_nonshellable(c)
+        assert not is_shellable(c).shellable
+    finally:
+        cache.clear_all_caches()
