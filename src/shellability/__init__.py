@@ -42,7 +42,7 @@ from .partition import (
     verify_partition,
 )
 from .cohen_macaulay import CMReport, CMWitness, is_cohen_macaulay, is_sequentially_cm
-from .properties import IMPLIES, PropertyKind, satisfies
+from .properties import PropertyKind, satisfies
 from .obstruction import (
     ObstructionReport,
     is_hereditary,

@@ -175,25 +175,21 @@ def summary_lines(entries: list[CatalogEntry]) -> list[str]:
     return lines
 
 
-def obstruction_atlas_entries(
-    max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 1
-) -> list[CatalogEntry]:
+def obstruction_atlas_entries(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> list[CatalogEntry]:
     """All obstruction classes of dimension <= 2 with full annotations."""
     complexes: list[SimplicialComplex] = []
     for dim in (0, 1, 2):
         task = EnumerationTask(dim, PropertyKind.SHELLABLE, "obstructions",
                                min(max_vertices, EnumerationTask(dim).resolved_max_vertices()))
-        complexes.extend(enumerate_obstructions(task, workers=workers))
+        complexes.extend(enumerate_obstructions(task))
     return build_entries(complexes)
 
 
-def write_atlas(
-    out_dir: str | Path, max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 1
-) -> list[Path]:
+def write_atlas(out_dir: str | Path, max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> list[Path]:
     """Write catalog.json, per-entry facet files and a summary table; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = obstruction_atlas_entries(max_vertices, workers)
+    entries = obstruction_atlas_entries(max_vertices)
     doc = catalog_document(
         entries,
         kind="obstruction-atlas",

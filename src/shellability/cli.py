@@ -6,27 +6,25 @@ obstruction catalog, ``atlas`` emits the full dimension <= 2 obstruction
 atlas, and ``indcycle`` prints the independence complex of a cycle graph.
 
 Exit codes for ``check``: 0 when the queried predicate holds, 1 when it does
-not, 2 on usage or parse errors.  All outputs are deterministic; --workers
-only changes wall-clock time, never bytes.
+not, 2 on usage or parse errors.  All outputs are deterministic: the
+seven-vertex core scan runs one process per available CPU, which changes
+wall-clock time, never bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import catalog as catalog_mod
-from .cohen_macaulay import is_sequentially_cm
 from .complexes import SimplicialComplex, face_vertices, format_complex, parse_complex
 from .enumeration import MAX_OBSTRUCTION_VERTICES, EnumerationTask, enumerate_obstructions
 from .graphs import cycle_graph, independence_complex
 from .obstruction import is_hereditary, obstruction_report
-from .partition import is_partitionable
-from .properties import PropertyKind, satisfies
+from .properties import PropertyKind, decide
 from .shelling import is_shellable
 
 CHECK_SCHEMA = "shellability-check/1"
@@ -46,11 +44,18 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _certificate_lines(c: SimplicialComplex, prop: PropertyKind) -> tuple[list[str], dict]:
+def _property(name: str) -> PropertyKind:
+    try:
+        return PropertyKind(name)
+    except ValueError:
+        raise ValueError(f"unknown property {name!r}") from None
+
+
+def _certificate_lines(c: SimplicialComplex, prop: PropertyKind, decision) -> tuple[list[str], dict]:
+    """The certificate or witness in the decider's answer, as lines and JSON fields."""
     lines: list[str] = []
     payload: dict = {}
     if prop is PropertyKind.SHELLABLE:
-        decision = is_shellable(c)
         if decision.certificate is not None:
             cert = decision.certificate
             payload["shelling_order"] = [list(face_vertices(f)) for f in cert.ordering]
@@ -61,7 +66,6 @@ def _certificate_lines(c: SimplicialComplex, prop: PropertyKind) -> tuple[list[s
         else:
             lines.append("no shelling exists; see the obstruction/hereditary variants for witnesses")
     elif prop is PropertyKind.PARTITIONABLE:
-        decision = is_partitionable(c)
         if decision.certificate is not None:
             payload["intervals"] = [
                 {"facet": list(face_vertices(sigma)), "bottom": list(face_vertices(tau))}
@@ -73,9 +77,8 @@ def _certificate_lines(c: SimplicialComplex, prop: PropertyKind) -> tuple[list[s
         else:
             lines.append("no interval partition exists")
     else:
-        report = is_sequentially_cm(c)
-        if report.witness is not None:
-            w = report.witness
+        if decision.witness is not None:
+            w = decision.witness
             payload["witness"] = {
                 "skeleton_dim": w.skeleton_dim,
                 "face": list(face_vertices(w.face)),
@@ -94,7 +97,7 @@ def _certificate_lines(c: SimplicialComplex, prop: PropertyKind) -> tuple[list[s
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    prop = PropertyKind.from_name(args.property)
+    prop = _property(args.property)
     path = Path(args.path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -122,8 +125,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         "variant": args.variant,
     }
 
+    if args.variant == "plain" or args.certificate:
+        verdict, decision = decide(c, prop)
     if args.variant == "plain":
-        holds = satisfies(c, prop)
+        holds = verdict
         lines.append(names[prop][0] if holds else names[prop][1])
     elif args.variant == "hereditary":
         holds, failing = is_hereditary(c, prop)
@@ -150,7 +155,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     payload["verdict"] = holds
     if args.certificate:
-        cert_lines, cert_payload = _certificate_lines(c, prop)
+        cert_lines, cert_payload = _certificate_lines(c, prop, decision)
         lines.extend(cert_lines)
         payload.update(cert_payload)
     _emit(payload, args.as_json, lines)
@@ -160,15 +165,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.edge_minimal and args.strong:
         raise ValueError("--edge-minimal and --strong are exclusive")
-    _check_workers(args.workers)
     mode = "obstructions"
     if args.edge_minimal:
         mode = "edge_minimal_obstructions"
     elif args.strong:
         mode = "strong_obstructions"
-    task = EnumerationTask(args.dim, PropertyKind.from_name(args.property), mode, args.max_vertices)
-    compare = [PropertyKind.from_name(name) for name in args.compare]
-    found = enumerate_obstructions(task, workers=args.workers)
+    task = EnumerationTask(args.dim, _property(args.property), mode, args.max_vertices)
+    compare = [_property(name) for name in args.compare]
+    found = enumerate_obstructions(task)
     entries = catalog_mod.build_entries(found)
     doc = catalog_mod.catalog_document(
         entries,
@@ -190,7 +194,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     classes = {c.canonical_form() for c in found}
     for other in compare:
         other_task = EnumerationTask(task.dimension, other, task.mode, task.max_vertices)
-        others = enumerate_obstructions(other_task, workers=args.workers)
+        others = enumerate_obstructions(other_task)
         same = classes == {c.canonical_form() for c in others}
         tag = f"obstructions({task.property.value}) vs obstructions({other.value})"
         print(f"{tag}: {'IDENTICAL' if same else 'DIFFERENT'}")
@@ -202,8 +206,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_atlas(args: argparse.Namespace) -> int:
     if not 1 <= args.max_vertices <= MAX_OBSTRUCTION_VERTICES:
         raise ValueError(f"--max-vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
-    _check_workers(args.workers)
-    paths = catalog_mod.write_atlas(args.out_dir, args.max_vertices, args.workers)
+    paths = catalog_mod.write_atlas(args.out_dir, args.max_vertices)
     print(f"wrote {len(paths)} files under {args.out_dir}")
     return 0
 
@@ -218,14 +221,6 @@ def cmd_indcycle(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError("--workers must be >= 1")
-    cpus = os.cpu_count() or 1
-    if workers > cpus:
-        raise ValueError(f"--workers must be <= {cpus}, the number of CPUs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,13 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--summary", action="store_true")
     p_enum.add_argument("--compare", action="append", default=[],
                         help="second property; verifies the obstruction sets coincide")
-    p_enum.add_argument("--workers", type=int, default=1)
 
     p_atlas = sub.add_parser("atlas", help="write the full dimension <= 2 obstruction atlas")
     p_atlas.set_defaults(run=cmd_atlas)
     p_atlas.add_argument("out_dir")
     p_atlas.add_argument("--max-vertices", type=int, default=7)
-    p_atlas.add_argument("--workers", type=int, default=1)
 
     p_ind = sub.add_parser("indcycle", help="print the independence complex of an n-cycle")
     p_ind.set_defaults(run=cmd_indcycle)

@@ -54,6 +54,7 @@ level and reports the top stratum completing without truncation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations, groupby, permutations, product
 from operator import le
@@ -382,8 +383,6 @@ def _scan_level(
     s: int,
     lower: list[tuple[int, ...]],
     terminal: bool,
-    workers: int = 1,
-    share: tuple[int, int] = (0, 1),
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """One support level: (hereditary classes, cores) on exactly s vertices, sorted.
 
@@ -413,18 +412,11 @@ def _scan_level(
     level: at the terminal level, where only the cores are wanted, certified
     candidates are skipped and no hereditary classes are emitted; below it,
     a new class whose first candidate is certified is hereditary without a
-    shelling search.  Only the terminal level is sharded across ``workers``
-    processes, each given every source, the lower cores and a ``share`` to
-    scan.
+    shelling search.  Star removals are tested against ``lower`` alone,
+    never against the sources, so a slice of the sources gives the classes
+    that its candidates reach; ``_scan_terminal`` splits the terminal level
+    that way.
     """
-    if terminal and workers > 1 and len(sources) > 1:
-        import multiprocessing
-
-        shares = [(i, workers) for i in range(min(workers, len(sources)))]
-        with multiprocessing.Pool(len(shares)) as pool:
-            parts = pool.starmap(_scan_level, [(sources, s, lower, True, 1, sh) for sh in shares])
-        # every share returns canonical reps, so equal classes are equal tuples
-        return [], sorted(set().union(*(cores for _, cores in parts)))
     sizes = _register_cores(lower)
     tables = _pair_tables(s)
     pairs = tables.pairs
@@ -436,10 +428,9 @@ def _scan_level(
     seen: set[CanonicalForm] = set()
     hereditary: list[tuple[int, ...]] = []
     cores: list[tuple[int, ...]] = []
-    first, step = share
     keyed = sorted(
         (tuple(sum(t >> u & 1 for t in xprime) for u in range(s - 1)), old_vertices & ~union(xprime), xprime)
-        for xprime in sources[first::step]
+        for xprime in sources
     )
     image_tables: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     for (deg, extras), group in groupby(keyed, key=lambda item: item[:2]):
@@ -496,10 +487,36 @@ def _scan_level(
     return sorted(hereditary), sorted(cores)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _scan_terminal(sources: list[tuple[int, ...]], s: int, lower: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The cores on exactly s vertices, from a terminal ``_scan_level``.
+
+    With more than one CPU and source, the sources are dealt round-robin to
+    one process per CPU, each scanning its slice against the lower cores.
+    Every slice returns canonical reps, so equal classes are equal tuples and
+    the sorted union is the single-process answer.
+    """
+    jobs = min(_cpus(), len(sources))
+    if jobs <= 1:
+        return _scan_level(sources, s, lower, True)[1]
+    import multiprocessing
+
+    with multiprocessing.Pool(jobs) as pool:
+        parts = pool.starmap(_scan_level, [(sources[i::jobs], s, lower, True) for i in range(jobs)])
+    return sorted(set().union(*(cores for _, cores in parts)))
+
+
 _CORES_MEMO: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = cache.new_cache()
 
 
-def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 1) -> dict[int, list[tuple[int, ...]]]:
+def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, list[tuple[int, ...]]]:
     """Nonshellable triangle sets all of whose proper triangle restrictions shell.
 
     Returned per support size, each core as its canonical facet tuple.  These
@@ -514,8 +531,9 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
     shellability at every level: below the top level it classifies the
     classes it certifies, leaving the shelling search only the cores up to
     six vertices, and the top level, which only needs the cores, skips
-    certified candidates.  Each level's (hereditary, cores) is memoized
-    once, whatever bound asked for it.
+    certified candidates; it is scanned by ``_scan_terminal``, one process per
+    CPU, which changes no answer.  Each level's (hereditary, cores) is
+    memoized once, whatever bound asked for it.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
@@ -523,7 +541,10 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 
     lower: list[tuple[int, ...]] = []
     for s in range(4, max_vertices + 1):
         if s not in _CORES_MEMO:
-            _CORES_MEMO[s] = _scan_level(sources, s, lower, s == MAX_OBSTRUCTION_VERTICES, workers)
+            if s == MAX_OBSTRUCTION_VERTICES:
+                _CORES_MEMO[s] = [], _scan_terminal(sources, s, lower)
+            else:
+                _CORES_MEMO[s] = _scan_level(sources, s, lower, False)
         hereditary, cores = _CORES_MEMO[s]
         sources = sources + hereditary
         lower = lower + cores
@@ -562,7 +583,7 @@ class EnumerationTask:
 _DIM2_MEMO: dict[int, list[SimplicialComplex]] = cache.new_cache()
 
 
-def dim2_shellability_obstructions(max_vertices: int = MAX_OBSTRUCTION_VERTICES, workers: int = 1) -> list[SimplicialComplex]:
+def dim2_shellability_obstructions(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> list[SimplicialComplex]:
     """All 2-dimensional obstructions to shellability, one canonical rep per class.
 
     Core search plus edge augmentation: every obstruction's facets are its
@@ -574,7 +595,7 @@ def dim2_shellability_obstructions(max_vertices: int = MAX_OBSTRUCTION_VERTICES,
         return list(_DIM2_MEMO[max_vertices])
     results: dict[CanonicalForm, SimplicialComplex] = {}
     checked: set[CanonicalForm] = set()
-    for s, cores in sorted(triangle_cores(max_vertices, workers).items()):
+    for s, cores in sorted(triangle_cores(max_vertices).items()):
         for core in cores:
             base = from_facets(core)
             pairs = _non_face_pairs(base, base.vertex_ids())
@@ -624,7 +645,7 @@ def generic_obstructions(dim: int, max_vertices: int, prop: PropertyKind) -> lis
     return out
 
 
-def enumerate_obstructions(task: EnumerationTask, workers: int = 1) -> list[SimplicialComplex]:
+def enumerate_obstructions(task: EnumerationTask) -> list[SimplicialComplex]:
     """Complete list of obstruction classes for the task, canonical reps, sorted.
 
     For partitionability and sequential Cohen-Macaulayness in dimension two,
@@ -643,7 +664,7 @@ def enumerate_obstructions(task: EnumerationTask, workers: int = 1) -> list[Simp
     if task.dimension <= 1:
         base = generic_obstructions(task.dimension, n_max, task.property)
     else:
-        base = dim2_shellability_obstructions(n_max, workers)
+        base = dim2_shellability_obstructions(n_max)
         if task.property is not PropertyKind.SHELLABLE:
             for c in base:
                 if not obstruction_report(c, task.property).is_obstruction:

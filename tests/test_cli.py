@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -46,6 +45,40 @@ def test_check_missing_file(capsys):
 def test_check_unknown_property(tmp_path, two_k2, capsys):
     p = write(tmp_path, "c.cplx", two_k2)
     assert main(["check", p, "--property", "frobnitz"]) == 2
+
+
+@pytest.mark.parametrize("name", ["shellability", "Shellable", "partitionability", "sequentially-cm", "sequentially_cm"])
+def test_check_accepts_only_the_listed_property_names(tmp_path, two_k2, capsys, name):
+    p = write(tmp_path, "c.cplx", two_k2)
+    assert main(["check", p, "--property", name]) == 2
+    assert f"unknown property {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prop, plain, certified", [
+    ("shellable", 1, 1), ("partitionable", 1, 1), ("scm", 1, 2),
+])
+def test_check_decides_the_property_once(tmp_path, capsys, monkeypatch, prop, plain, certified):
+    """Above the labeling cap nothing is memoized, so each decision of this
+    nonshellable 10-vertex input is one more shelling search.  The verdict
+    and the certificate come from one decision; a positive SCM certificate
+    asks once more, for a shelling to name as its evidence."""
+    from shellability import shelling
+
+    c = from_facets([f | {8, 9} for f in DUNCE_HAT_FACETS])  # the join with an edge
+    assert c.n_vertices == 10 and not is_shellable(c).shellable
+    p = write(tmp_path, "join.cplx", c)
+    searches = []
+    search = shelling._search_ordering
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(shelling, "_search_ordering", counted)
+    for extra, expected in (([], plain), (["--certificate"], certified)):
+        searches.clear()
+        main(["check", p, "--property", prop, *extra])
+        assert len(searches) == expected, (prop, extra)
 
 
 def test_check_obstruction_variants(tmp_path, two_k2, capsys):
@@ -195,30 +228,12 @@ def test_atlas_matches_the_golden_six_vertex_atlas(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["--max-vertices", "0"], "--max-vertices must be 1..7"),
     (["--max-vertices", "8"], "--max-vertices must be 1..7"),
-    (["--workers", "-2"], "--workers must be >= 1"),
 ])
 def test_atlas_rejects_bad_arguments(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "atlas"
     assert main(["atlas", str(out_dir), *argv]) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("command", [["atlas", "atlas"], ["enumerate", "--dim", "2", "--output", "out.json"]])
-def test_workers_above_the_cpu_count_are_rejected(tmp_path, capsys, monkeypatch, command):
-    """The bound is checked before any work: no file is written and no
-    process pool is asked for."""
-    import multiprocessing
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    monkeypatch.chdir(tmp_path)
-    too_many = (os.cpu_count() or 1) + 1
-    assert main([*command, "--workers", str(too_many)]) == 2
-    assert "--workers must be <=" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_indcycle(tmp_path, capsys):

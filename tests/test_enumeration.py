@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
+import shellability
 from shellability import cache, enumeration
 from shellability.catalog import (
     build_entries,
@@ -19,6 +24,7 @@ from shellability.enumeration import (
     _face_pair_mask,
     _pair_tables,
     _scan_level,
+    _scan_terminal,
     dim2_shellability_obstructions,
     edge_minimal,
     enumerate_complexes,
@@ -236,9 +242,10 @@ def test_catalog_sorted_by_size():
     assert keys == sorted(keys)
 
 
-def test_terminal_scan_worker_split_matches_single_thread():
+def test_terminal_scan_worker_split_matches_single_thread(monkeypatch):
     """The minimum-degree level scan finds every class the unpruned scan finds,
-    and sharding the terminal scan across processes never changes the result."""
+    and splitting the terminal scan across processes never changes the result."""
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
     hereditary = {3: [((0b111),)]}
     sources = [(), ((0b111),)]
     lower = []
@@ -253,10 +260,10 @@ def test_terminal_scan_worker_split_matches_single_thread():
             # emitted; the workers start from empty memo tables, not the
             # parent's, so each must test star removals against the lower
             # cores it is passed
-            single = _scan_level(sources, s, lower, terminal=True, workers=1)
+            single = _scan_level(sources, s, lower, terminal=True)
             cache.clear_all_caches()
-            split = _scan_level(sources, s, lower, terminal=True, workers=3)
-            assert single == split
+            split = _scan_terminal(sources, s, lower)
+            assert single == ([], split)
             assert single == ([], cores)
         if s < 6:
             hereditary[s] = h
@@ -277,6 +284,29 @@ def _level_sources(s: int) -> list[tuple[int, ...]]:
 def _lower_cores(s: int) -> list[tuple[int, ...]]:
     """The lower cores of level s: every core below it."""
     return [core for cores in triangle_cores(s - 1).values() for core in cores]
+
+
+def test_terminal_scan_on_one_cpu_starts_no_pool(monkeypatch):
+    """With one CPU the terminal scan runs in this process."""
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
+    assert _scan_terminal(_level_sources(5), 5, _lower_cores(5)) == triangle_cores(5)[5]
+
+
+def test_importing_the_package_does_not_import_multiprocessing():
+    """The pool's module is imported only when a terminal scan starts one, so
+    a process that never scans seven vertices does not pay for it."""
+    code = ("import sys, shellability, shellability.cli; "
+            "sys.exit(3 if 'multiprocessing' in sys.modules else 0)")
+    src = str(Path(shellability.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_deficit_table_gives_the_minimum_degree_links():
@@ -344,7 +374,7 @@ def _link_image(d: int, perm: tuple[int, ...], tables) -> int:
     return out
 
 
-def _scanned_links(monkeypatch, sources, s, terminal, share=(0, 1)):
+def _scanned_links(monkeypatch, sources, s, terminal):
     """Run one level scan and record, per source, the links it examined."""
     scanned = {}
     face_pair_mask = enumeration._face_pair_mask
@@ -361,7 +391,7 @@ def _scanned_links(monkeypatch, sources, s, terminal, share=(0, 1)):
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_face_pair_mask", entering)
         patch.setattr(enumeration, "_cone_extension_shellable", examined)
-        _scan_level(sources, s, _lower_cores(s), terminal, 1, share)
+        _scan_level(sources, s, _lower_cores(s), terminal)
     return scanned
 
 
@@ -380,7 +410,7 @@ def test_source_automorphisms_match_brute_force(monkeypatch):
             # the terminal scan of all 838 sources, and the 720 permutations
             # the oracle tries on each, would slow the suite; a fixed slice
             assert len(sources) == 838
-            scanned = _scanned_links(monkeypatch, sources, s, terminal=True, share=(3, 20))
+            scanned = _scanned_links(monkeypatch, sources[3::20], s, terminal=True)
             assert len(scanned) == 42
         for x in (sources if s < 7 else scanned):
             deg, extras = _degrees_and_extras(x, s)
@@ -401,7 +431,7 @@ def test_core_free_test_matches_the_source_lookup(monkeypatch):
     rejected for being a 6-vertex core, which no 5-vertex core reveals."""
     cache.clear_all_caches()  # every verdict below comes from this test's scans
     known = enumeration._known
-    for s, terminal, share in ((5, False, (0, 1)), (6, False, (0, 1)), (7, True, (3, 20))):
+    for s, terminal, share in ((5, False, slice(None)), (6, False, slice(None)), (7, True, slice(3, None, 20))):
         sources, lower = _level_sources(s), _lower_cores(s)
         verdicts = {}
 
@@ -411,7 +441,7 @@ def test_core_free_test_matches_the_source_lookup(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(enumeration, "_known", recorded)
-            _scan_level(sources, s, lower, terminal, 1, share)
+            _scan_level(sources[share], s, lower, terminal)
         register_sources(sources)
         for triangles, verdict in verdicts.items():
             assert verdict == source_lookup_known(triangles), triangles
