@@ -16,7 +16,6 @@ from .complexes import (
     from_facets,
     full_simplex,
     parse_complex,
-    random_complex,
     two_disjoint_edges,
 )
 from .homology import (

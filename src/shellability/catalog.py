@@ -94,9 +94,8 @@ def _reference_1a() -> SimplicialComplex:
     return from_facets([{0, 1, 2}, {3, 4, 5}, {0, 3}, {1, 4}, {2, 5}])
 
 
-def _assign_labels(complexes: list[SimplicialComplex]) -> dict[SimplicialComplex, str]:
+def _assign_labels(minimal: list[SimplicialComplex]) -> dict[SimplicialComplex, str]:
     """Short labels for the edge-minimal 2-dimensional classes."""
-    minimal = [c for c in complexes if c.dim == 2 and edge_minimal(c)]
     by_type: dict[int, list[SimplicialComplex]] = {}
     for c in minimal:
         t = core_type(c)
@@ -119,7 +118,8 @@ def build_entries(complexes: list[SimplicialComplex]) -> list[CatalogEntry]:
         complexes,
         key=lambda c: (c.n_vertices, len(c.facets), c.canonical_form()),
     )
-    labels = _assign_labels(ordered)
+    minimal = {c: c.dim >= 1 and edge_minimal(c) for c in ordered}
+    labels = _assign_labels([c for c in ordered if c.dim == 2 and minimal[c]])
     for c in ordered:
         if c.dim == 1 and c.is_isomorphic(from_facets([{0, 1}, {2, 3}])):
             labels[c] = "2K2"
@@ -140,7 +140,7 @@ def build_entries(complexes: list[SimplicialComplex]) -> list[CatalogEntry]:
             sequentially_cm=satisfies(c, PropertyKind.SEQUENTIALLY_CM),
             obstruction={name: reports[prop].is_obstruction for prop, name in _PROP_KEYS.items()},
             strong_obstruction={name: reports[prop].is_strong for prop, name in _PROP_KEYS.items()},
-            edge_minimal=edge_minimal(c) if c.dim >= 1 else False,
+            edge_minimal=minimal[c],
         ))
     return entries
 

@@ -286,7 +286,9 @@ class SimplicialComplex:
 
     def canonical_form(self) -> CanonicalForm:
         if self._canon is None:
-            self._canon, self._canon_map = _canonicalize(self.facets, self.vertices)
+            self._canon, self._canon_map = cache.memo(
+                _CANON_CACHE, self.facets, _canonicalize, self.facets, self.vertices
+            )
         return self._canon
 
     def canonical_map(self) -> dict[int, int]:
@@ -607,36 +609,31 @@ def _search_tree(n: int, facet_bits: list[tuple[int, ...]], root: list[int]) -> 
 
 
 def _canonicalize(facets: tuple[int, ...], vertices: int) -> tuple[CanonicalForm, tuple[tuple[int, int], ...]]:
-    cached = _CANON_CACHE.get(facets)
-    if cached is not None:
-        return cached
-
     verts = face_vertices(vertices)
     n = len(verts)
     if n > CANONICAL_VERTEX_CAP:
         raise CapacityError(
             f"canonical labeling supports at most {CANONICAL_VERTEX_CAP} vertices, got {n}"
         )
+    if n == 0:
+        return CanonicalForm(0, (0,)), ()
     compact = {v: i for i, v in enumerate(verts)}
     facet_bits = [tuple(compact[v] for v in face_vertices(m)) for m in facets]
-
-    if n == 0:
-        result = (CanonicalForm(0, (0,)), ())
+    colors = _refine_colors(n, facet_bits)
+    cells = _cells(colors)
+    if _is_leaf(cells):
+        key, perms = _leaf(n, facet_bits, cells)
+        label = _label(n, cells, perms)
     else:
-        colors = _refine_colors(n, facet_bits)
-        cells = _cells(colors)
-        if _is_leaf(cells):
-            key, perms = _leaf(n, facet_bits, cells)
-            label = _label(n, cells, perms)
-        else:
-            key, label = _search_tree(n, facet_bits, colors)
-        low = (1 << n) - 1
-        mapping = tuple((verts[v], label[v]) for v in range(n))
-        result = (CanonicalForm(n, tuple(m & low for m in key)), mapping)
+        key, label = _search_tree(n, facet_bits, colors)
+    low = (1 << n) - 1
+    mapping = tuple((verts[v], label[v]) for v in range(n))
+    return CanonicalForm(n, tuple(m & low for m in key)), mapping
 
-    cache.trim(_CANON_CACHE)
-    _CANON_CACHE[facets] = result
-    return result
+
+def _on_representative(compute, canon: CanonicalForm, *key):
+    """``compute`` on the complex whose facets are the canonical ones."""
+    return compute(SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1), *key)
 
 
 def memoized(table: dict, c: SimplicialComplex, compute, relabel=None, key: tuple = ()):
@@ -646,19 +643,15 @@ def memoized(table: dict, c: SimplicialComplex, compute, relabel=None, key: tupl
     returns speaks of canonical vertex ids; ``relabel(result, inverse)`` maps
     a result back to the ids of ``c`` through the inverse canonical map.  A
     result of None carries no labels and is returned as it is, and so is
-    every result when ``relabel`` is None.  Above ``CANONICAL_VERTEX_CAP``
-    nothing is memoized and ``compute`` runs on ``c`` itself.
+    every result when ``relabel`` is None.  Above ``CANONICAL_VERTEX_CAP``,
+    where labeling would cost more than most decisions, the memo is keyed on
+    the raw facets instead and ``compute`` runs on ``c`` itself: a repeated
+    query is still answered once, but a relabeled copy is decided anew.
     """
     if c.n_vertices > CANONICAL_VERTEX_CAP:
-        return compute(c, *key)
+        return cache.memo(table, (c.facets, *key), compute, c, *key)
     canon = c.canonical_form()
-    slot = (canon, *key)
-    if slot in table:
-        result = table[slot]
-    else:
-        result = compute(SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1), *key)
-        cache.trim(table)
-        table[slot] = result
+    result = cache.memo(table, (canon, *key), _on_representative, compute, canon, *key)
     if result is None or relabel is None:
         return result
     return relabel(result, {new: old for old, new in c._canon_map})
@@ -745,14 +738,3 @@ def two_disjoint_edges() -> SimplicialComplex:
 def all_faces(c: SimplicialComplex) -> list[int]:
     """All faces as a deterministic sorted list (by dimension, then mask)."""
     return sorted(c.faces(), key=_facet_sort_key)
-
-
-def random_complex(rng, n_max: int = 6, max_facets: int = 7, dim_cap: int = 3) -> SimplicialComplex:
-    """Small random complex for corpus tests (deterministic under a seeded rng)."""
-    n = rng.randint(1, n_max)
-    k = rng.randint(1, max_facets)
-    cands = []
-    for _ in range(k):
-        size = rng.randint(1, min(n, dim_cap + 1))
-        cands.append(face(rng.sample(range(n), size)))
-    return from_facets(cands)

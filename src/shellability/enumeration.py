@@ -231,9 +231,7 @@ _PAIR_TABLES: dict[int, _PairTables] = cache.new_cache()
 
 
 def _pair_tables(s: int) -> _PairTables:
-    if s not in _PAIR_TABLES:
-        _PAIR_TABLES[s] = _PairTables(s)
-    return _PAIR_TABLES[s]
+    return cache.memo(_PAIR_TABLES, s, _PairTables, s)
 
 
 def _face_pair_mask(xprime: tuple[int, ...], tables: _PairTables) -> int:
@@ -291,8 +289,8 @@ def _register_cores(cores: list[tuple[int, ...]]) -> set[int]:
     return {union(core).bit_count() for core in cores}
 
 
-def _contains_core(triangles: tuple[int, ...], sizes: set[int]) -> bool:
-    """Whether some restriction of the triangle set to k vertices, for k in
+def _core_free(triangles: tuple[int, ...], sizes: set[int]) -> bool:
+    """Whether no restriction of the triangle set to k vertices, for k in
     ``sizes``, is isomorphic to a registered core on k vertices.
 
     Only a restriction whose invariant matches a core's gets a canonical
@@ -307,8 +305,8 @@ def _contains_core(triangles: tuple[int, ...], sizes: set[int]) -> bool:
             part = tuple(t for t in triangles if not t & outside)
             cores = _HSTAR_CANON.get(_invariant(part))
             if cores and from_facets(part).canonical_form().facets in cores:
-                return True
-    return False
+                return False
+    return True
 
 
 def _known(triangles: tuple[int, ...], sizes: set[int]) -> bool:
@@ -317,14 +315,7 @@ def _known(triangles: tuple[int, ...], sizes: set[int]) -> bool:
     Every core on at most as many vertices as the set has must be registered
     and its size in ``sizes``, as a minimal nonshellable restriction is such
     a core."""
-    if len(triangles) <= 1:
-        return True
-    verdict = _HSTAR_RAW.get(triangles)
-    if verdict is None:
-        verdict = not _contains_core(triangles, sizes)
-        cache.trim(_HSTAR_RAW)
-        _HSTAR_RAW[triangles] = verdict
-    return verdict
+    return len(triangles) <= 1 or cache.memo(_HSTAR_RAW, triangles, _core_free, triangles, sizes)
 
 
 def _deficit_groups(tables: _PairTables) -> dict[tuple[int, ...], list[int]]:
@@ -539,16 +530,20 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
     sources: list[tuple[int, ...]] = [(), ((0b111),)]
     lower: list[tuple[int, ...]] = []
+    out = {}
     for s in range(4, max_vertices + 1):
-        if s not in _CORES_MEMO:
-            if s == MAX_OBSTRUCTION_VERTICES:
-                _CORES_MEMO[s] = [], _scan_terminal(sources, s, lower)
-            else:
-                _CORES_MEMO[s] = _scan_level(sources, s, lower, False)
-        hereditary, cores = _CORES_MEMO[s]
+        hereditary, cores = cache.memo(_CORES_MEMO, s, _scan, sources, s, lower)
         sources = sources + hereditary
         lower = lower + cores
-    return {s: list(_CORES_MEMO[s][1]) for s in range(4, max_vertices + 1)}
+        out[s] = list(cores)
+    return out
+
+
+def _scan(sources: list[tuple[int, ...]], s: int, lower: list[tuple[int, ...]]):
+    """Level s's (hereditary, cores); the top level gives only its cores."""
+    if s == MAX_OBSTRUCTION_VERTICES:
+        return [], _scan_terminal(sources, s, lower)
+    return _scan_level(sources, s, lower, False)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +586,10 @@ def dim2_shellability_obstructions(max_vertices: int = MAX_OBSTRUCTION_VERTICES)
     core with every subset of its non-face pairs and filtering with the
     direct obstruction check is exhaustive.
     """
-    if max_vertices in _DIM2_MEMO:
-        return list(_DIM2_MEMO[max_vertices])
+    return list(cache.memo(_DIM2_MEMO, max_vertices, _dim2_obstructions, max_vertices))
+
+
+def _dim2_obstructions(max_vertices: int) -> list[SimplicialComplex]:
     results: dict[CanonicalForm, SimplicialComplex] = {}
     checked: set[CanonicalForm] = set()
     for s, cores in sorted(triangle_cores(max_vertices).items()):
@@ -608,9 +605,7 @@ def dim2_shellability_obstructions(max_vertices: int = MAX_OBSTRUCTION_VERTICES)
                 checked.add(key)
                 if obstruction_report(candidate, PropertyKind.SHELLABLE).is_obstruction:
                     results[key] = from_facets(key.facets)
-    out = sorted(results.values(), key=_sort_key)
-    _DIM2_MEMO[max_vertices] = out
-    return list(out)
+    return sorted(results.values(), key=_sort_key)
 
 
 def edge_minimal(c: SimplicialComplex) -> bool:

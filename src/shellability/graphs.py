@@ -190,9 +190,10 @@ def independence_cycle_report(n_max: int = 9) -> CycleObstructionReport:
     Even n fail partitionability through the two-private-facets pattern; odd
     n have a band top skeleton with first homology Z.  Only this finite range
     is checked, up to n_max = 10.  The 10-vertex complex itself lies above
-    the canonical-labeling cap and is decided unmemoized, but its vertex
-    deletions are not, so its restrictions are decided through the memo of
-    hereditary verdicts, one isomorphism class at a time.
+    the canonical-labeling cap, so its decisions are memoized on its raw
+    facets and each is made once; its vertex deletions are below the cap, so
+    its restrictions are decided through the memo of hereditary verdicts, one
+    isomorphism class at a time.
     """
     if n_max > 10:
         raise CapacityError("n_max above 10 is not supported")

@@ -243,13 +243,7 @@ def reduced_homology(c: SimplicialComplex, k: int) -> HomologyGroup:
         raise ValueError("reduced homology is defined for k >= -1")
     if k > c.dim:
         return ZERO_GROUP
-    slot = (c.facets, k)
-    group = _HOMOLOGY_CACHE.get(slot)
-    if group is None:
-        group = _homology_group(c, k)
-        cache.trim(_HOMOLOGY_CACHE)
-        _HOMOLOGY_CACHE[slot] = group
-    return group
+    return cache.memo(_HOMOLOGY_CACHE, (c.facets, k), _homology_group, c, k)
 
 
 def homology_groups(c: SimplicialComplex) -> dict[int, HomologyGroup]:

@@ -72,10 +72,13 @@ def _failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> Optional[i
     """The first proper restriction, largest first, that fails the property.
 
     Up to one vertex above the labeling cap, every vertex deletion is
-    memoized, so the class recursion answers first and the subset scan runs
-    only to name a restriction that is known to fail.  Above that the
-    recursion would be unmemoized, n (n-1) ... steps instead of 2^n, so the
-    plain scan runs alone.
+    memoized on its isomorphism class, so the class recursion answers first
+    and the subset scan runs only to name a restriction that is known to
+    fail.  Above that the deletions are memoized too, on their raw facets,
+    but the plain scan runs alone: the recursion is depth-first, so a
+    failing deletion can wait behind the whole subtree of an earlier
+    deletion that passes, while the largest-first scan tries every deletion
+    first.
     """
     if c.n_vertices <= CANONICAL_VERTEX_CAP + 1 and _deletions_hereditary(c, prop):
         return None

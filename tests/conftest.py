@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from shellability.complexes import SimplicialComplex, from_facets, random_complex
+from shellability.complexes import SimplicialComplex, face, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 
@@ -54,6 +54,17 @@ def complex_2() -> SimplicialComplex:
 @pytest.fixture
 def ind_c6() -> SimplicialComplex:
     return independence_complex(cycle_graph(6))
+
+
+def random_complex(rng, n_max: int = 6, max_facets: int = 7, dim_cap: int = 3) -> SimplicialComplex:
+    """Small random complex for corpus tests (deterministic under a seeded rng)."""
+    n = rng.randint(1, n_max)
+    k = rng.randint(1, max_facets)
+    cands = []
+    for _ in range(k):
+        size = rng.randint(1, min(n, dim_cap + 1))
+        cands.append(face(rng.sample(range(n), size)))
+    return from_facets(cands)
 
 
 def corpus(

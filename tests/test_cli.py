@@ -55,14 +55,16 @@ def test_check_accepts_only_the_listed_property_names(tmp_path, two_k2, capsys, 
 
 
 @pytest.mark.parametrize("prop, plain, certified", [
-    ("shellable", 1, 1), ("partitionable", 1, 1), ("scm", 1, 2),
+    ("shellable", 1, 1), ("partitionable", 1, 1), ("scm", 1, 1),
 ])
 def test_check_decides_the_property_once(tmp_path, capsys, monkeypatch, prop, plain, certified):
-    """Above the labeling cap nothing is memoized, so each decision of this
-    nonshellable 10-vertex input is one more shelling search.  The verdict
-    and the certificate come from one decision; a positive SCM certificate
-    asks once more, for a shelling to name as its evidence."""
-    from shellability import shelling
+    """A certificate costs no decision of its own: in every variant, a check
+    of this nonshellable 10-vertex input with ``--certificate`` runs as many
+    shelling searches as the same check without it.  The input is above the
+    labeling cap, where the deciders memoize on raw facets, so the caches are
+    cleared before each check; ``plain`` and ``certified`` are the counts of
+    the plain variant."""
+    from shellability import cache, shelling
 
     c = from_facets([f | {8, 9} for f in DUNCE_HAT_FACETS])  # the join with an edge
     assert c.n_vertices == 10 and not is_shellable(c).shellable
@@ -75,10 +77,16 @@ def test_check_decides_the_property_once(tmp_path, capsys, monkeypatch, prop, pl
         return search(*args, **kwargs)
 
     monkeypatch.setattr(shelling, "_search_ordering", counted)
-    for extra, expected in (([], plain), (["--certificate"], certified)):
-        searches.clear()
-        main(["check", p, "--property", prop, *extra])
-        assert len(searches) == expected, (prop, extra)
+    for variant in ("plain", "hereditary", "obstruction", "strong-obstruction"):
+        counts = []
+        for extra in ([], ["--certificate"]):
+            cache.clear_all_caches()
+            searches.clear()
+            main(["check", p, "--property", prop, "--variant", variant, *extra])
+            counts.append(len(searches))
+        assert counts[0] == counts[1], (prop, variant, counts)
+        if variant == "plain":
+            assert counts == [plain, certified], prop
 
 
 def test_check_obstruction_variants(tmp_path, two_k2, capsys):

@@ -423,6 +423,56 @@ def test_every_memo_table_is_registered_and_cleared():
     assert {name: len(t) for name, t in tables.items() if t} == {}
 
 
+def test_memo_stores_once_and_treats_a_stored_none_as_a_hit():
+    table: dict = {}
+    calls = []
+
+    def compute(x):
+        calls.append(x)
+        return None
+
+    assert cache.memo(table, "k", compute, 1) is None
+    assert cache.memo(table, "k", compute, 2) is None
+    assert calls == [1] and table == {"k": None}
+
+
+def test_memo_drops_the_oldest_half_of_a_full_table(monkeypatch):
+    monkeypatch.setattr(cache, "CACHE_LIMIT", 4)
+    table: dict = {}
+    for k in range(5):
+        cache.memo(table, k, str, k)
+    assert table == {2: "2", 3: "3", 4: "4"}
+
+
+def test_only_the_cache_module_trims_or_stores_into_a_module_table():
+    """Every memo table is read and written through ``cache.memo``: no other
+    module calls ``trim`` or assigns into a table defined at module level."""
+    import ast
+    from pathlib import Path
+
+    found = []
+    for path in sorted(Path(complexes.__file__).parent.glob("*.py")):
+        if path.name == "cache.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tables = {
+            target.id
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "trim":
+                    found.append(f"{path.name}:{node.lineno} trim")
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name) and node.value.id in tables):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}[...]")
+    assert found == []
+
+
 def test_canonical_cap():
     with pytest.raises(CapacityError):
         from_facets([face(range(10))]).canonical_form()

@@ -5,13 +5,13 @@ from pathlib import Path
 import pytest
 
 from shellability import cache, obstruction
-from shellability.complexes import face_vertices, from_facets, full_simplex, random_complex
+from shellability.complexes import face_vertices, from_facets, full_simplex
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.obstruction import is_hereditary, minimal_failing_restriction, obstruction_report
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind, satisfies
 
-from conftest import corpus
+from conftest import corpus, random_complex
 from oracles import (
     hereditary_via_obstructions,
     hereditary_via_strong_obstructions,
@@ -186,11 +186,12 @@ def test_class_recursion_matches_the_subset_scan(complex_1a):
 
 
 def test_restrictions_above_the_labeling_cap_are_scanned_once_each(monkeypatch):
-    """Above one vertex past the labeling cap the deletions would not be
-    memoized, so the class recursion is skipped: at most one decision per
-    vertex subset.  Fourteen vertices leave four unmemoized levels, where a
-    recursion would make some 30,000 decisions; at twelve it would make fewer
-    than 2^12 and go unseen."""
+    """Above one vertex past the labeling cap the largest-first scan runs
+    alone: at most one decision per vertex subset.  Fourteen vertices leave
+    four levels above the cap, where the deletions are memoized on raw facets
+    rather than on classes; a path that decided them without a memo would
+    make some 30,000 decisions, and at twelve vertices fewer than 2^12 and go
+    unseen."""
     calls = 0
 
     def counted(c, prop):

@@ -288,3 +288,33 @@ def test_nonshellable_input_past_the_prescreen_is_searched_once(monkeypatch):
         assert not is_shellable(c).shellable
     finally:
         cache.clear_all_caches()
+
+
+def test_decisions_above_the_labeling_cap_are_memoized_on_raw_facets(monkeypatch):
+    """The 10-vertex join of the dunce hat with an edge, decided twice, is
+    searched once and never labeled; a relabeled copy is a new key and is
+    searched again."""
+    from shellability import complexes
+
+    c = from_facets([f | {8, 9} for f in DUNCE_HAT_FACETS])
+    assert c.n_vertices == complexes.CANONICAL_VERTEX_CAP + 1
+    searches = []
+    search = shelling._search_ordering
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(shelling, "_search_ordering", counted)
+    cache.clear_all_caches()
+    try:
+        assert not is_shellable(c).shellable
+        assert not is_shellable(c).shellable
+        assert len(searches) == 1
+        assert complexes._CANON_CACHE == {}
+        shifted = c.relabel({v: 9 - v for v in c.vertex_ids()})
+        assert shifted != c
+        assert not is_shellable(shifted).shellable
+        assert len(searches) == 2
+    finally:
+        cache.clear_all_caches()
