@@ -27,20 +27,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-from .complexes import SimplicialComplex, face_vertices, from_facets
+from .complexes import CapacityError, SimplicialComplex, face_vertices, from_facets
 from .enumeration import MAX_OBSTRUCTION_VERTICES, edge_minimal, enumerate_obstructions, EnumerationTask
 from .obstruction import obstruction_report
 from .partition import band_complex
 from .properties import PropertyKind, satisfies
 
 CATALOG_SCHEMA = "shellability-obstruction-catalog/1"
-
-_PROP_KEYS = {
-    PropertyKind.SHELLABLE: "shellable",
-    PropertyKind.PARTITIONABLE: "partitionable",
-    PropertyKind.SEQUENTIALLY_CM: "scm",
-}
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -138,8 +131,8 @@ def build_entries(complexes: list[SimplicialComplex]) -> list[CatalogEntry]:
             shellable=satisfies(c, PropertyKind.SHELLABLE),
             partitionable=satisfies(c, PropertyKind.PARTITIONABLE),
             sequentially_cm=satisfies(c, PropertyKind.SEQUENTIALLY_CM),
-            obstruction={name: reports[prop].is_obstruction for prop, name in _PROP_KEYS.items()},
-            strong_obstruction={name: reports[prop].is_strong for prop, name in _PROP_KEYS.items()},
+            obstruction={prop.value: reports[prop].is_obstruction for prop in PropertyKind},
+            strong_obstruction={prop.value: reports[prop].is_strong for prop in PropertyKind},
             edge_minimal=minimal[c],
         ))
     return entries
@@ -176,7 +169,13 @@ def summary_lines(entries: list[CatalogEntry]) -> list[str]:
 
 
 def obstruction_atlas_entries(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> list[CatalogEntry]:
-    """All obstruction classes of dimension <= 2 with full annotations."""
+    """All obstruction classes of dimension <= 2 with full annotations.
+
+    Dimension 1 stops at its own six-vertex bound when max_vertices is
+    larger.  Raises CapacityError unless 1 <= max_vertices <= 7.
+    """
+    if not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
+        raise CapacityError(f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
     complexes: list[SimplicialComplex] = []
     for dim in (0, 1, 2):
         task = EnumerationTask(dim, PropertyKind.SHELLABLE, "obstructions",
@@ -187,9 +186,9 @@ def obstruction_atlas_entries(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> l
 
 def write_atlas(out_dir: str | Path, max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> list[Path]:
     """Write catalog.json, per-entry facet files and a summary table; returns the paths."""
+    entries = obstruction_atlas_entries(max_vertices)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = obstruction_atlas_entries(max_vertices)
     doc = catalog_document(
         entries,
         kind="obstruction-atlas",

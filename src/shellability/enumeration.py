@@ -2,9 +2,9 @@
 
 Two layers live here.
 
-The generic layer (enumerate_complexes) grows complexes facet by facet with
-canonical-form rejection and no structural assumptions; it is feasible
-through six vertices and serves as the self-check oracle.
+The generic layer (enumerate_complexes) grows complexes of dimension 0 or 1
+edge by edge with canonical-form rejection and no structural assumptions;
+the obstructions in those dimensions are read off it directly.
 
 The dimension-two obstruction search proper runs on the triangle cores of
 candidate complexes.  For a two-dimensional obstruction, the edge facets only
@@ -118,16 +118,6 @@ def _non_face_pairs(c: SimplicialComplex, vertices: Iterable[int]) -> list[int]:
     return out
 
 
-def _triangle_candidates(c: SimplicialComplex, vertices: Iterable[int]) -> Iterable[int]:
-    facets = set(c.facets)
-    for combo in combinations(vertices, 3):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        if m not in facets:
-            yield m
-
-
 def _pad_isolated(c: SimplicialComplex, n: int) -> SimplicialComplex:
     """Append isolated vertices (0-facets) until the complex sits on n vertices."""
     missing = n - c.n_vertices
@@ -146,36 +136,29 @@ def enumerate_complexes(
 ) -> list[SimplicialComplex]:
     """Every isomorphism class of complexes of this dimension on exactly n vertices.
 
-    By default every vertex must lie in a facet of positive dimension, so for
-    dim = 1 this enumerates graphs without isolated vertices.  With
-    include_zero_facets=True, leftover vertices are allowed as 0-facets
-    (needed by the assumption-free obstruction cross-check).  Exhaustive
-    generation is supported for dimensions 0..2; dimension 2 is capped at six
-    vertices, past which the class count is out of reach for this generic
-    path (the obstruction search has its own pruned pipeline for seven).
+    Dimension 0 has one class, n isolated vertices.  In dimension 1 every
+    vertex must by default lie in an edge, so this enumerates graphs without
+    isolated vertices; with include_zero_facets=True, leftover vertices are
+    allowed as 0-facets (the classes generic_obstructions filters).  Higher
+    dimensions are out of scope: dimension-2 obstructions come from the
+    pruned core pipeline.
     """
-    if dim < 0 or dim > 2:
-        raise CapacityError("exhaustive generation covers dimensions 0..2")
+    if dim not in (0, 1):
+        raise CapacityError("exhaustive generation covers dimensions 0 and 1")
     if n < 1 or n > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"vertex count must be 1..{MAX_OBSTRUCTION_VERTICES}")
-    if dim == 2 and n > 6:
-        raise CapacityError("generic dimension-2 generation is capped at 6 vertices")
-
     if dim == 0:
         return [from_facets([1 << i for i in range(n)])]
+    if n < 2:
+        return []
+    return _exact_classes(_grow_classes(from_facets([0b11]), n, _non_face_pairs), n, include_zero_facets)
 
-    if dim == 1:
-        if n < 2:
-            return []
-        classes = _grow_classes(from_facets([0b11]), n, _non_face_pairs)
-    else:
-        if n < 3:
-            return []
-        triangle_classes = _grow_classes(from_facets([0b111]), n, _triangle_candidates)
-        classes = []
-        for t in triangle_classes:
-            classes.extend(_grow_classes(t, n, _non_face_pairs))
 
+def _exact_classes(
+    classes: list[SimplicialComplex], n: int, include_zero_facets: bool
+) -> list[SimplicialComplex]:
+    """The distinct classes on exactly n vertices, padded with 0-facets if
+    allowed and dropped otherwise, as sorted canonical representatives."""
     out = []
     seen: set[CanonicalForm] = set()
     for c in classes:
@@ -624,15 +607,9 @@ def edge_minimal(c: SimplicialComplex) -> bool:
 
 
 def generic_obstructions(dim: int, max_vertices: int, prop: PropertyKind) -> list[SimplicialComplex]:
-    """Assumption-free path: enumerate every class outright and filter.
-
-    Much slower than the pruned pipeline but free of structural reasoning;
-    the two are asserted to agree wherever this one is feasible.
-    """
+    """Assumption-free path in dimension 0 or 1: enumerate every class and filter."""
     out = []
     for n in range(1, max_vertices + 1):
-        if dim == 2 and n > 6:
-            raise CapacityError("generic path capped at 6 vertices in dimension 2")
         for c in enumerate_complexes(dim, n, include_zero_facets=True):
             if obstruction_report(c, prop).is_obstruction:
                 out.append(c)

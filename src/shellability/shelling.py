@@ -213,27 +213,17 @@ def is_shellable(c: SimplicialComplex) -> ShellingDecision:
     if d <= 0:
         return ShellingDecision(True, _certificate(c, c.facets))
 
-    if d == 1:
-        if not c.pure_skeleton(1).connected():
+    if d <= 2:
+        # the 2-faces of a 2-complex are exactly its 3-vertex facets
+        top = _decide_search(c.pure_skeleton(2)) if d == 2 else ()
+        if top is None or not c.pure_skeleton(1).connected():
             return ShellingDecision(False)
         edges = [f for f in c.facets if f.bit_count() == 2]
-        isolated = [f for f in c.facets if f.bit_count() == 1]
-        ordering = _attach_order(0, edges) + sorted(isolated)
-        return ShellingDecision(True, _certificate(c, ordering))
-
-    if d == 2:
-        ordering2 = _decide_search(c.pure_skeleton(2))
-        if ordering2 is None or not c.pure_skeleton(1).connected():
-            return ShellingDecision(False)
-        # the 2-faces of a 2-complex are exactly its 3-vertex facets
-        order_triangles = list(ordering2)
-        edge_facets = [f for f in c.facets if f.bit_count() == 2]
-        tail = _attach_order(union(order_triangles), edge_facets)
+        tail = _attach_order(union(top), edges)
         if tail is None:
             raise RuntimeError("edge facets detached despite connected 1-skeleton")
-        isolated = [f for f in c.facets if f.bit_count() == 1]
-        ordering = order_triangles + tail + sorted(isolated)
-        return ShellingDecision(True, _certificate(c, ordering))
+        isolated = sorted(f for f in c.facets if f.bit_count() == 1)
+        return ShellingDecision(True, _certificate(c, [*top, *tail, *isolated]))
 
     ordering = _decide_search(c)
     if ordering is None:

@@ -11,6 +11,7 @@ from typing import Optional
 from shellability import cache
 from shellability.complexes import (
     CanonicalForm,
+    CapacityError,
     DimensionError,
     SimplicialComplex,
     all_faces,
@@ -19,7 +20,13 @@ from shellability.complexes import (
     subsets_of,
     union,
 )
-from shellability.enumeration import _star_removed
+from shellability.enumeration import (
+    _exact_classes,
+    _grow_classes,
+    _non_face_pairs,
+    _sort_key,
+    _star_removed,
+)
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import ShellingDecision, _certificate, is_shellable
@@ -141,6 +148,26 @@ def naive_is_hereditary(c: SimplicialComplex, prop: PropertyKind) -> tuple[bool,
     return w is None, w
 
 
+def greedy_minimal_failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> SimplicialComplex:
+    """The reference for ``obstruction.minimal_failing_restriction``.
+
+    Drops the lowest vertex whose removal keeps the restriction failing; at
+    a single-vertex local minimum the obstruction check either confirms an
+    obstruction or names a deeper failing restriction to continue from.
+    """
+    w = c.vertices
+    while True:
+        for v in face_vertices(w):
+            if not satisfies(c.restriction(w ^ (1 << v)), prop):
+                w ^= 1 << v
+                break
+        else:
+            report = obstruction_report(c.restriction(w), prop)
+            if report.is_obstruction:
+                return c.restriction(w)
+            w = report.failing_restriction
+
+
 def strong_obstruction_by_definition(c: SimplicialComplex, prop: PropertyKind) -> bool:
     """The literal product-form definition of a strong obstruction.
 
@@ -180,6 +207,45 @@ def hereditary_via_strong_obstructions(c: SimplicialComplex, prop: PropertyKind)
             if obstruction_report(restricted.link(tau), prop).is_strong:
                 return False
     return True
+
+
+def _triangle_candidates(c: SimplicialComplex, vertices) -> list[int]:
+    """The vertex triples among ``vertices`` that are not facets of c."""
+    facets = set(c.facets)
+    triples = (union(1 << v for v in combo) for combo in combinations(vertices, 3))
+    return [m for m in triples if m not in facets]
+
+
+def enumerate_dim2_complexes(n: int, include_zero_facets: bool = False) -> list[SimplicialComplex]:
+    """Every class of 2-dimensional complexes on exactly n <= 6 vertices.
+
+    The generic generator that the dimension-2 obstruction search replaces:
+    grow the triangle classes triangle by triangle, then grow each one edge
+    by edge, with canonical-form rejection and no structural assumptions.
+    Past six vertices the class count is out of reach.
+    """
+    if not 1 <= n <= 6:
+        raise CapacityError("generic dimension-2 generation covers 1..6 vertices")
+    if n < 3:
+        return []
+    classes = []
+    for t in _grow_classes(from_facets([0b111]), n, _triangle_candidates):
+        classes.extend(_grow_classes(t, n, _non_face_pairs))
+    return _exact_classes(classes, n, include_zero_facets)
+
+
+def generic_dim2_obstructions(max_vertices: int, prop: PropertyKind) -> list[SimplicialComplex]:
+    """The reference for ``enumeration.dim2_shellability_obstructions``:
+    every 2-dimensional class on at most max_vertices vertices, 0-facets
+    included, filtered by the obstruction check."""
+    out = [
+        c
+        for n in range(1, max_vertices + 1)
+        for c in enumerate_dim2_complexes(n, include_zero_facets=True)
+        if obstruction_report(c, prop).is_obstruction
+    ]
+    out.sort(key=_sort_key)
+    return out
 
 
 _HSTAR_RAW = cache.new_cache()

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from shellability.catalog import write_atlas
 from shellability.cli import main
-from shellability.complexes import face_vertices, format_complex, from_facets, parse_complex
+from shellability.complexes import CapacityError, face_vertices, format_complex, from_facets, parse_complex
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.shelling import is_shellable
 
@@ -241,6 +242,15 @@ def test_atlas_rejects_bad_arguments(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "atlas"
     assert main(["atlas", str(out_dir), *argv]) == 2
     assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("max_vertices", [0, 8])
+def test_write_atlas_rejects_bounds_outside_the_search_before_writing(tmp_path, max_vertices):
+    """No 8-vertex atlas exists to write, and a bad bound leaves no directory behind."""
+    out_dir = tmp_path / "atlas"
+    with pytest.raises(CapacityError):
+        write_atlas(out_dir, max_vertices)
     assert not out_dir.exists()
 
 

@@ -40,6 +40,8 @@ from shellability.properties import PropertyKind
 from oracles import (
     _triangle_components,
     brute_force_automorphisms,
+    enumerate_dim2_complexes,
+    generic_dim2_obstructions,
     greedy_cone_extension_shellable,
     register_sources,
     source_lookup_known,
@@ -88,10 +90,17 @@ def test_enumerate_complexes_guards():
         enumerate_complexes(2, 7)
     with pytest.raises(CapacityError):
         enumerate_complexes(1, 8)
+    # dimension 2 is the pruned pipeline's alone
+    with pytest.raises(CapacityError):
+        enumerate_complexes(2, 5)
+    with pytest.raises(CapacityError):
+        generic_obstructions(2, 5, SH)
+    with pytest.raises(CapacityError):
+        enumerate_dim2_complexes(7)
 
 
 def test_enumerate_complexes_all_have_exact_vertex_count_and_dim():
-    for c in enumerate_complexes(2, 5, include_zero_facets=True):
+    for c in enumerate_dim2_complexes(5, include_zero_facets=True):
         assert c.n_vertices == 5 and c.dim == 2
     for c in enumerate_complexes(1, 5):
         assert c.n_vertices == 5 and c.dim == 1
@@ -129,14 +138,14 @@ def test_dim1_four_vertex_bound_suffices(two_k2):
 
 
 def test_generic_and_pruned_paths_agree_to_five():
-    gen = {c.canonical_form() for c in generic_obstructions(2, 5, SH)}
+    gen = {c.canonical_form() for c in generic_dim2_obstructions(5, SH)}
     pruned = {c.canonical_form() for c in dim2_shellability_obstructions(5)}
     assert gen == pruned
     assert len(gen) == 14
 
 
 def test_generic_and_pruned_paths_agree_to_six():
-    gen = {c.canonical_form() for c in generic_obstructions(2, 6, SH)}
+    gen = {c.canonical_form() for c in generic_dim2_obstructions(6, SH)}
     pruned = {c.canonical_form() for c in dim2_shellability_obstructions(6)}
     assert gen == pruned
     assert len(gen) == 34
