@@ -116,19 +116,24 @@ def is_hereditary(c: SimplicialComplex, prop: PropertyKind) -> tuple[bool, Optio
 def minimal_failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> SimplicialComplex:
     """An inclusion-minimal restriction failing the property; it is an obstruction.
 
-    Descends through obstruction reports: while the restriction to W is not
-    an obstruction, W becomes its reported failing restriction, the first
-    failing one in the largest-first scan, so a single-vertex deletion that
-    fails is taken first, lowest vertex first.  Each step drops a vertex, so
-    the descent ends at an obstruction.  Raises ValueError when the complex
-    satisfies the property.
+    Greedy descent dropping the lowest vertex whose removal keeps the
+    restriction failing.  Because the property need not be hereditary, a
+    single-vertex local minimum is re-verified with the full obstruction
+    check, and the descent continues into any deeper failing restriction that
+    check uncovers.  Raises ValueError when the complex satisfies the
+    property.
     """
     if satisfies(c, prop):
         raise ValueError("complex satisfies the property; nothing fails")
     w = c.vertices
     while True:
-        restricted = c.restriction(w)
-        report = obstruction_report(restricted, prop)
-        if report.is_obstruction:
-            return restricted
-        w = report.failing_restriction
+        for v in face_vertices(w):
+            smaller = w ^ (1 << v)
+            if not satisfies(c.restriction(smaller), prop):
+                w = smaller
+                break
+        else:
+            report = obstruction_report(c.restriction(w), prop)
+            if report.is_obstruction:
+                return c.restriction(w)
+            w = report.failing_restriction

@@ -148,26 +148,6 @@ def naive_is_hereditary(c: SimplicialComplex, prop: PropertyKind) -> tuple[bool,
     return w is None, w
 
 
-def greedy_minimal_failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> SimplicialComplex:
-    """The reference for ``obstruction.minimal_failing_restriction``.
-
-    Drops the lowest vertex whose removal keeps the restriction failing; at
-    a single-vertex local minimum the obstruction check either confirms an
-    obstruction or names a deeper failing restriction to continue from.
-    """
-    w = c.vertices
-    while True:
-        for v in face_vertices(w):
-            if not satisfies(c.restriction(w ^ (1 << v)), prop):
-                w ^= 1 << v
-                break
-        else:
-            report = obstruction_report(c.restriction(w), prop)
-            if report.is_obstruction:
-                return c.restriction(w)
-            w = report.failing_restriction
-
-
 def strong_obstruction_by_definition(c: SimplicialComplex, prop: PropertyKind) -> bool:
     """The literal product-form definition of a strong obstruction.
 
@@ -216,8 +196,9 @@ def _triangle_candidates(c: SimplicialComplex, vertices) -> list[int]:
     return [m for m in triples if m not in facets]
 
 
-def enumerate_dim2_complexes(n: int, include_zero_facets: bool = False) -> list[SimplicialComplex]:
-    """Every class of 2-dimensional complexes on exactly n <= 6 vertices.
+def enumerate_dim2_complexes(n: int) -> list[SimplicialComplex]:
+    """Every class of complexes of dimension 2 on exactly n <= 6 vertices,
+    0-facets included.
 
     The generic generator that the dimension-2 obstruction search replaces:
     grow the triangle classes triangle by triangle, then grow each one edge
@@ -231,7 +212,7 @@ def enumerate_dim2_complexes(n: int, include_zero_facets: bool = False) -> list[
     classes = []
     for t in _grow_classes(from_facets([0b111]), n, _triangle_candidates):
         classes.extend(_grow_classes(t, n, _non_face_pairs))
-    return _exact_classes(classes, n, include_zero_facets)
+    return _exact_classes(classes, n, True)
 
 
 def generic_dim2_obstructions(max_vertices: int, prop: PropertyKind) -> list[SimplicialComplex]:
@@ -241,7 +222,7 @@ def generic_dim2_obstructions(max_vertices: int, prop: PropertyKind) -> list[Sim
     out = [
         c
         for n in range(1, max_vertices + 1)
-        for c in enumerate_dim2_complexes(n, include_zero_facets=True)
+        for c in enumerate_dim2_complexes(n)
         if obstruction_report(c, prop).is_obstruction
     ]
     out.sort(key=_sort_key)

@@ -100,7 +100,7 @@ def test_enumerate_complexes_guards():
 
 
 def test_enumerate_complexes_all_have_exact_vertex_count_and_dim():
-    for c in enumerate_dim2_complexes(5, include_zero_facets=True):
+    for c in enumerate_dim2_complexes(5):
         assert c.n_vertices == 5 and c.dim == 2
     for c in enumerate_complexes(1, 5):
         assert c.n_vertices == 5 and c.dim == 1

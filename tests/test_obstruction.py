@@ -13,7 +13,6 @@ from shellability.properties import PropertyKind, satisfies
 
 from conftest import corpus, random_complex
 from oracles import (
-    greedy_minimal_failing_restriction,
     hereditary_via_obstructions,
     hereditary_via_strong_obstructions,
     is_obstruction_via_deletions,
@@ -126,17 +125,6 @@ def test_minimal_failing_restriction_yields_obstructions():
         assert obstruction_report(result, SH).is_obstruction
         produced += 1
     assert produced >= 10
-
-
-def test_minimal_failing_restriction_matches_the_greedy_descent():
-    failing = 0
-    for c in corpus(seed=65, count=400, n_max=7):
-        for prop in PropertyKind:
-            if satisfies(c, prop):
-                continue
-            assert minimal_failing_restriction(c, prop) == greedy_minimal_failing_restriction(c, prop)
-            failing += 1
-    assert failing >= 100
 
 
 def test_implication_metadata():
