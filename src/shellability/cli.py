@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import catalog as catalog_mod
-from .complexes import SimplicialComplex, face_vertices, format_complex, parse_complex
+from .complexes import CapacityError, SimplicialComplex, face_vertices, format_complex, parse_complex
 from .enumeration import MAX_OBSTRUCTION_VERTICES, EnumerationTask, enumerate_obstructions
 from .graphs import cycle_graph, independence_complex
 from .obstruction import is_hereditary, obstruction_report
@@ -204,9 +204,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_atlas(args: argparse.Namespace) -> int:
-    if not 1 <= args.max_vertices <= MAX_OBSTRUCTION_VERTICES:
-        raise ValueError(f"--max-vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
-    paths = catalog_mod.write_atlas(args.out_dir, args.max_vertices)
+    try:
+        paths = catalog_mod.write_atlas(args.out_dir, args.max_vertices)
+    except CapacityError as exc:
+        raise ValueError(f"--max-vertices must be 1..{MAX_OBSTRUCTION_VERTICES}") from exc
     print(f"wrote {len(paths)} files under {args.out_dir}")
     return 0
 

@@ -17,6 +17,14 @@ splits the vertices into cells; while the cells admit more than 6! labelings,
 each vertex of the first non-singleton cell is individualized in turn and the
 colours refined again; the leaves, at 6! labelings or fewer, are enumerated
 exhaustively.  Automorphisms found on the way prune the children.
+
+A refinement round gives each facet one integer, ordered as (size, sorted
+colours), and ranks each vertex by its colour and the sorted integers of its
+facets.  Vertices are compared only within a colour c, and dropping one copy
+of c from two sorted colour lists of the same length keeps their order and
+their equality; so the ranks are those of the signatures that list each
+facet's colours less the vertex's own.  A round that splits no cell ends the
+refinement.
 """
 
 from __future__ import annotations
@@ -362,40 +370,53 @@ def _ranks(sigs: list) -> list[int]:
     return [rank[s] for s in sigs]
 
 
+# Vertex ids of a compacted facet mask, cached as masks turn up: there are at
+# most 2 ** CANONICAL_VERTEX_CAP of them.
+_vertex_tuple = lru_cache(maxsize=None)(face_vertices)
+
+
 def _refine_colors(
     n: int, facet_bits: list[tuple[int, ...]], colors: list[int] | None = None
 ) -> list[int]:
     """Iterated colour refinement over the vertex-facet incidence structure.
 
-    Starts from ``colors`` (ranks 0..k-1) or, by default, from the multiset of
-    incident facet sizes.  Each round ranks the signatures (own colour, the
-    sizes and neighbour colours of the incident facets), so cells only ever
-    split and the result is an isomorphism invariant of the start.
+    Starts from ``colors`` (contiguous ranks 0..k-1) or, by default, from the
+    multiset of incident facet sizes.  Each round gives every facet one
+    integer, ordered as (size, sorted colours of its vertices), and ranks the
+    signatures (own colour, sorted integers of the incident facets), so cells
+    only ever split and the result is an isomorphism invariant of the start.
+
+    Signatures are compared only between vertices of one colour c, and every
+    facet they list contains c.  Removing one copy of c from two sorted
+    colour lists of the same length keeps their order and their equality, so
+    the ranks are those of signatures that list each facet's colours less
+    the vertex's own.  As a signature leads with the old colour, a round that
+    splits no cell returns the same ranks: refinement stops after one, or
+    once every cell is a singleton.
     """
-    sizes = [len(b) for b in facet_bits]
     incident: list[list[int]] = [[] for _ in range(n)]
     for idx, bits in enumerate(facet_bits):
         for v in bits:
             incident[v].append(idx)
-    if colors is None:
-        colors = _ranks([tuple(sorted(sizes[i] for i in incident[v])) for v in range(n)])
-    while True:
-        # v sees in a facet the facet's sorted colours less one copy of its own
-        facet_colors = [sorted([colors[w] for w in bits]) for bits in facet_bits]
-        sigs = []
-        for v in range(n):
-            c = colors[v]
-            local = []
-            for i in incident[v]:
-                others = facet_colors[i][:]
-                others.remove(c)
-                local.append((sizes[i], tuple(others)))
-            local.sort()
-            sigs.append((c, tuple(local)))
-        new_colors = _ranks(sigs)
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+    if colors is None:  # the first round ranks the multisets of incident facet sizes
+        colors = [0] * n
+    # A facet's integer is its size times ``top``, less one base-2**width
+    # digit per colour, colour 0 the most significant, that counts the
+    # facet's vertices of that colour.  Of two sorted colour lists of one
+    # length, the smaller has more copies of the first colour whose counts
+    # differ, so a larger count there gives a smaller integer.
+    width = n.bit_length()
+    top = 1 << (width * n)
+    cells = max(colors) + 1
+    while cells < n:
+        weight = [top - (1 << (width * (n - 1 - c))) for c in colors]
+        codes = [sum(map(weight.__getitem__, bits)) for bits in facet_bits]
+        refined = _ranks([(c, *sorted(map(codes.__getitem__, inc))) for c, inc in zip(colors, incident)])
+        split = max(refined) + 1
+        if split == cells:
+            break
+        colors, cells = refined, split
+    return colors
 
 
 def _cells(colors: list[int]) -> list[list[int]]:
@@ -412,15 +433,21 @@ def _is_leaf(cells: list[list[int]]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _cell_relabelings(k: int, offset: int) -> tuple[tuple[tuple[int, ...], array], ...]:
-    """Every permutation p of range(k), in ``itertools`` order, with its table.
+def _cell_relabelings(k: int, offset: int, symmetric: bool) -> tuple[tuple[tuple[int, ...], array], ...]:
+    """Every permutation p of range(k), in ``itertools`` order, with its table;
+    only the identity when the cell is ``symmetric``.
 
     The table maps a subset of a k-vertex cell, as a mask over cell indices,
-    to its labels when cell index p[pos] gets label offset + pos.
+    to its labels when cell index p[pos] gets label offset + pos.  Tables are
+    16-bit words, so the labels must stay below 16.
     """
+    if offset + k > 16:
+        raise CapacityError(
+            f"leaf tables hold labels 0..15; a cell of {k} vertices at offset {offset} needs {offset + k}"
+        )
     out = []
     inverse = [0] * k
-    for perm in permutations(range(k)):
+    for perm in [tuple(range(k))] if symmetric else permutations(range(k)):
         for pos, j in enumerate(perm):
             inverse[j] = pos
         table = [0]
@@ -431,14 +458,18 @@ def _cell_relabelings(k: int, offset: int) -> tuple[tuple[tuple[int, ...], array
     return tuple(out)
 
 
-def _swap_preserves(fmasks: list[int], facet_set: set[int], v: int, w: int) -> bool:
+def _swap_preserves(facet_set: set[int], v: int, w: int) -> bool:
     """Whether exchanging vertices v and w maps the facets onto themselves."""
     both = (1 << v) | (1 << w)
-    return all(f & both in (0, both) or f ^ both in facet_set for f in fmasks)
+    return all(f & both in (0, both) or f ^ both in facet_set for f in facet_set)
 
 
 def _leaf(
-    n: int, facet_bits: list[tuple[int, ...]], cells: list[list[int]], ties: list | None = None
+    n: int,
+    facet_set: set[int],
+    facet_bits: list[tuple[int, ...]],
+    cells: list[list[int]],
+    ties: list | None = None,
 ) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """Least key over the labelings that number the cells consecutively.
 
@@ -451,42 +482,30 @@ def _leaf(
     winning permutations (see ``_label``); ``ties`` receives the later ones
     that reach the same key.
     """
-    if len(cells) < n:  # some cell has labelings to choose from
-        fmasks = [sum(1 << v for v in bits) for bits in facet_bits]
-        facet_set = set(fmasks)
     label_bit = [0] * n  # of a vertex in a singleton cell
-    in_cell: list = [None] * n  # (the cell's facet masks, index bit) otherwise
     varying = []
     offset = 0
     for cell in cells:
         if len(cell) == 1:
             label_bit[cell[0]] = 1 << offset
         else:
-            local = [0] * len(facet_bits)
+            index_bit = [0] * n
             for j, v in enumerate(cell):
-                in_cell[v] = (local, 1 << j)
-            relabelings = _cell_relabelings(len(cell), offset)
-            if all(_swap_preserves(fmasks, facet_set, v, w) for v, w in zip(cell, cell[1:])):
-                relabelings = relabelings[:1]
-            varying.append((local, relabelings))
+                index_bit[v] = 1 << j
+            local = [sum(map(index_bit.__getitem__, bits)) for bits in facet_bits]
+            symmetric = all(_swap_preserves(facet_set, v, w) for v, w in zip(cell, cell[1:]))
+            varying.append((local, _cell_relabelings(len(cell), offset, symmetric)))
         offset += len(cell)
-    base = [len(bits) << n for bits in facet_bits]
-    for idx, bits in enumerate(facet_bits):
-        for v in bits:
-            if in_cell[v] is None:
-                base[idx] += label_bit[v]
-            else:
-                local, bit = in_cell[v]
-                local[idx] += bit
+    base = [(len(bits) << n) + sum(map(label_bit.__getitem__, bits)) for bits in facet_bits]
 
     best: list = [sorted(base), ()]
     chosen: list[tuple[int, ...]] = []
 
-    def descend(depth: int, masks: list[int]) -> None:
+    def descend(depth: int, partial: list[int]) -> None:
         local, relabelings = varying[depth]
         last = depth + 1 == len(varying)
         for perm, table in relabelings:
-            grown = map(add, masks, map(table.__getitem__, local))
+            grown = map(add, partial, map(table.__getitem__, local))
             if not last:
                 chosen.append(perm)
                 descend(depth + 1, list(grown))
@@ -520,7 +539,8 @@ def _label(n: int, cells: list[list[int]], perms: tuple[tuple[int, ...], ...]) -
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
-    """Split v off the front of its cell, keeping colours contiguous ranks."""
+    """Split v off the front of its cell, which holds other vertices too,
+    keeping colours contiguous ranks."""
     c = colors[v]
     return [k + (k > c or (k == c and w != v)) for w, k in enumerate(colors)]
 
@@ -539,7 +559,9 @@ def _orbits(n: int, generators: list[list[int]]) -> list[int]:
     return orbit
 
 
-def _search_tree(n: int, facet_bits: list[tuple[int, ...]], root: list[int]) -> tuple[list[int], list[int]]:
+def _search_tree(
+    n: int, facet_set: set[int], facet_bits: list[tuple[int, ...]], root: list[int]
+) -> tuple[list[int], list[int]]:
     """Least leaf of the individualization-refinement tree below ``root``.
 
     A node individualizes, in turn, each vertex of its first non-singleton
@@ -550,8 +572,6 @@ def _search_tree(n: int, facet_bits: list[tuple[int, ...]], root: list[int]) -> 
     tied within a leaf.  The skipped subtree is the image of an explored one
     and has the same leaf keys, so the least key is exact.
     """
-    fmasks = [sum(1 << v for v in bits) for bits in facet_bits]
-    facet_set = set(fmasks)
     leaves: dict[tuple[int, ...], list[int]] = {}
     automorphisms: list[list[int]] = []
     best_key: list[int] | None = None
@@ -569,7 +589,7 @@ def _search_tree(n: int, facet_bits: list[tuple[int, ...]], root: list[int]) -> 
         cells = _cells(colors)
         if _is_leaf(cells):
             ties: list = []
-            key, perms = _leaf(n, facet_bits, cells, ties)
+            key, perms = _leaf(n, facet_set, facet_bits, cells, ties)
             label = _label(n, cells, perms)
             twin = leaves.setdefault(tuple(key), label)
             if twin is not label:
@@ -595,7 +615,7 @@ def _search_tree(n: int, facet_bits: list[tuple[int, ...]], root: list[int]) -> 
             orbit = _orbits(n, fixing)
             if any(orbit[v] == orbit[w] for w in explored):
                 continue
-            twin = next((w for w in explored if _swap_preserves(fmasks, facet_set, v, w)), None)
+            twin = next((w for w in explored if _swap_preserves(facet_set, v, w)), None)
             if twin is not None:
                 g = list(range(n))
                 g[v], g[twin] = twin, v
@@ -609,26 +629,28 @@ def _search_tree(n: int, facet_bits: list[tuple[int, ...]], root: list[int]) -> 
 
 
 def _canonicalize(facets: tuple[int, ...], vertices: int) -> tuple[CanonicalForm, tuple[tuple[int, int], ...]]:
-    verts = face_vertices(vertices)
-    n = len(verts)
+    n = vertices.bit_count()
     if n > CANONICAL_VERTEX_CAP:
         raise CapacityError(
             f"canonical labeling supports at most {CANONICAL_VERTEX_CAP} vertices, got {n}"
         )
     if n == 0:
         return CanonicalForm(0, (0,)), ()
-    compact = {v: i for i, v in enumerate(verts)}
-    facet_bits = [tuple(compact[v] for v in face_vertices(m)) for m in facets]
+    masks = facets
+    if vertices & (vertices + 1):  # the ids leave gaps: close each, top one first
+        for gap in reversed(face_vertices(~vertices & ((1 << vertices.bit_length()) - 1))):
+            below = (1 << gap) - 1
+            masks = [m & below | m >> 1 & ~below for m in masks]
+    facet_bits = list(map(_vertex_tuple, masks))
     colors = _refine_colors(n, facet_bits)
     cells = _cells(colors)
     if _is_leaf(cells):
-        key, perms = _leaf(n, facet_bits, cells)
+        key, perms = _leaf(n, set(masks), facet_bits, cells)
         label = _label(n, cells, perms)
     else:
-        key, label = _search_tree(n, facet_bits, colors)
+        key, label = _search_tree(n, set(masks), facet_bits, colors)
     low = (1 << n) - 1
-    mapping = tuple((verts[v], label[v]) for v in range(n))
-    return CanonicalForm(n, tuple(m & low for m in key)), mapping
+    return CanonicalForm(n, tuple(map(low.__and__, key))), tuple(zip(face_vertices(vertices), label))
 
 
 def _on_representative(compute, canon: CanonicalForm, *key):

@@ -558,3 +558,48 @@ def dense_smith_normal_form(matrix) -> tuple[list[int], int]:
         t += 1
 
     return divisors, len(divisors)
+
+
+def _ranks(sigs: list) -> list[int]:
+    rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [rank[s] for s in sigs]
+
+
+def tuple_refine_colors(
+    n: int, facet_bits: list[tuple[int, ...]], colors: list[int] | None = None
+) -> list[int]:
+    """Iterated colour refinement over the vertex-facet incidence structure.
+
+    The reference for ``complexes._refine_colors``: each signature lists, for
+    every incident facet, its size and its sorted colours less one copy of
+    the vertex's own, and every round is confirmed by one that splits nothing.
+
+    Starts from ``colors`` (ranks 0..k-1) or, by default, from the multiset of
+    incident facet sizes.  Each round ranks the signatures (own colour, the
+    sizes and neighbour colours of the incident facets), so cells only ever
+    split and the result is an isomorphism invariant of the start.
+    """
+    sizes = [len(b) for b in facet_bits]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for idx, bits in enumerate(facet_bits):
+        for v in bits:
+            incident[v].append(idx)
+    if colors is None:
+        colors = _ranks([tuple(sorted(sizes[i] for i in incident[v])) for v in range(n)])
+    while True:
+        # v sees in a facet the facet's sorted colours less one copy of its own
+        facet_colors = [sorted([colors[w] for w in bits]) for bits in facet_bits]
+        sigs = []
+        for v in range(n):
+            c = colors[v]
+            local = []
+            for i in incident[v]:
+                others = facet_colors[i][:]
+                others.remove(c)
+                local.append((sizes[i], tuple(others)))
+            local.sort()
+            sigs.append((c, tuple(local)))
+        new_colors = _ranks(sigs)
+        if new_colors == colors:
+            return colors
+        colors = new_colors

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 from itertools import combinations, permutations, product
@@ -26,6 +27,7 @@ from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 
 from conftest import corpus
+from oracles import tuple_refine_colors
 
 
 def masks(*vertex_sets):
@@ -349,6 +351,109 @@ def test_symmetric_families_match_brute_force_oracle():
         assert a.is_isomorphic(b) == expected, (a, b)
         verdicts.append(expected)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+# --- the labeling kernel against the tuple-signature oracle ------------------
+
+def compact_facet_bits(c) -> list[tuple[int, ...]]:
+    """The facets of c as tuples over its vertices renumbered 0..n-1."""
+    index = {v: i for i, v in enumerate(c.vertex_ids())}
+    return [tuple(index[v] for v in face_vertices(m)) for m in c.facets]
+
+
+def mixed_complexes(seed: int, count: int, sizes=range(3, 10)):
+    """Seeded complexes on exactly n vertices, n drawn from sizes, whose
+    facets have one to four vertices."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(sizes)
+        c = from_facets(face(rng.sample(range(n), rng.randint(1, min(n - 1, 4))))
+                        for _ in range(rng.randint(2, 3 * n)))
+        if c.n_vertices == n:
+            out.append(c)
+    return out
+
+
+def test_refinement_matches_the_tuple_signature_oracle():
+    inputs = [*mixed_complexes(seed=31, count=300),
+              *(c for _, c in symmetric_families()), *(c for _, c in refinement_hard_families())]
+    starts = 0
+    for c in inputs:
+        n, bits = c.n_vertices, compact_facet_bits(c)
+        colors = tuple_refine_colors(n, bits)
+        assert complexes._refine_colors(n, bits) == colors, c
+        # individualizing keeps the colours contiguous ranks unless v is alone in its cell
+        for v in range(n):
+            for start in ([0] * n, colors):
+                if start.count(start[v]) > 1:
+                    start = complexes._individualize(start, v)
+                    expected = tuple_refine_colors(n, bits, start)
+                    assert complexes._refine_colors(n, bits, start) == expected, (c, v)
+                    starts += 1
+    assert starts > 2000
+
+
+def search_tree_inputs():
+    """Seeded labelings, on ids with gaps, of complexes on 7 to 9 vertices;
+    most leave more than 6! labelings after refinement."""
+    rng = random.Random(32)
+    shapes = [
+        *(independence_complex(cycle_graph(n)) for n in (7, 8, 9)),
+        cross_polytope_boundary(3),
+        cross_polytope_boundary(4),
+        *(band_complex(2, n) for n in (7, 8, 9)),
+        *(circulant(n, (0, 1, 3)) for n in (7, 8, 9)),
+        cycles(4, 4),
+        cycles(3, 6),
+        *map(from_facets, TIED_TRIANGLE_SYSTEMS),
+        from_facets(GRID_TRIANGLES),
+        *mixed_complexes(seed=33, count=12, sizes=range(7, 10)),
+    ]
+    out = []
+    for c in shapes:
+        out.append(c)
+        for _ in range(3):
+            verts = c.vertex_ids()
+            out.append(c.relabel(dict(zip(verts, rng.sample(range(12), len(verts))))))
+    return out
+
+
+# Computed with the tuple-signature refinement (oracles.tuple_refine_colors)
+# in the labeling: a cheaper kernel must give the same forms and maps.
+SEARCH_TREE_ANSWERS_SHA256 = "070234766db88833201acdadcdf4fdeb0eda1c20553d8e718669054a2d8f88ef"
+
+
+def test_canonical_forms_and_maps_through_the_search_tree_are_pinned(monkeypatch):
+    reached = []
+    search_tree = complexes._search_tree
+
+    def counting(*args):
+        reached.append(args)
+        return search_tree(*args)
+
+    monkeypatch.setattr(complexes, "_search_tree", counting)
+    cache.clear_all_caches()
+    answers = [(c.canonical_form(), sorted(c.canonical_map().items())) for c in search_tree_inputs()]
+    assert len(reached) == 60
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == SEARCH_TREE_ANSWERS_SHA256
+
+
+def test_a_symmetric_cell_builds_only_the_identity_table():
+    complexes._cell_relabelings.cache_clear()
+    cache.clear_all_caches()
+    skeleton(2, 6).canonical_form()  # one cell of six vertices, and every swap preserves it
+    assert complexes._cell_relabelings.cache_info().currsize == 1
+    assert len(complexes._cell_relabelings(6, 0, True)) == 1
+    assert complexes._cell_relabelings.cache_info().currsize == 1
+
+
+def test_cell_relabelings_reject_labels_past_sixteen_bits():
+    assert len(complexes._cell_relabelings(2, 14, False)) == 2
+    with pytest.raises(CapacityError, match="labels 0..15"):
+        complexes._cell_relabelings(2, 15, False)
+    with pytest.raises(CapacityError, match="labels 0..15"):
+        complexes._cell_relabelings(17, 0, True)
 
 
 # Canonical forms computed by exhaustive enumeration over the refined colour
