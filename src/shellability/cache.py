@@ -25,13 +25,12 @@ and degree, so homology never canonicalizes),
 satisfies a property, keyed by class and property), and the enumeration
 memos:
 ``enumeration._CORES_MEMO`` and ``_PAIR_TABLES`` hold one entry per scanned
-support level, ``_DIM2_MEMO`` one per vertex bound, and ``_HSTAR_RAW``
-whether each raw star removal has no restriction isomorphic to a lower core.
-One registered table is not a memo and does not go through ``memo``:
-``enumeration._HSTAR_CANON`` holds the lower cores the scan was given (the 9
-below seven vertices), grouped by a cheap invariant.  Dropping one of them
-would change verdicts, not cost recomputation, so it is never trimmed; it is
-registered only so that clearing the caches clears it too.
+support level and ``_DIM2_MEMO`` one per vertex bound.  The core scan's
+hereditary test reads the other two, one entry per level: ``_HSTAR_RAW``
+holds the triangle mask of each vertex set a candidate is restricted to, and
+``_HSTAR_CANON`` the triangle masks of every labelled copy of the lower
+cores, keyed by level and cores.  Their names are older than their
+contents; the benchmark's list of tables still reads them by these names.
 """
 
 from __future__ import annotations

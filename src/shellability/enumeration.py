@@ -31,10 +31,12 @@ hereditarily shellable set by attaching the star of one of its
 minimum-degree vertices last.  A star removal is not decided again either:
 a minimal nonshellable restriction of a triangle set has full support, so it
 is a core, and a set is hereditarily shellable exactly when none of its
-restrictions to k vertices is isomorphic to a core on k vertices.  A star
-removal lies on fewer vertices than the level, so only the cores already
-found below it are tested (7 on five vertices and 2 on six below the top
-level), each restriction first against their invariants.  Whether an attached star gives the new vertex minimum degree
+restrictions is a labelled copy of a core.  A candidate's restrictions that
+leave out the new vertex are restrictions of its hereditarily shellable
+base, so only the vertex sets that hold the new vertex and miss an old one
+are tested, each as a triangle mask against every labelled copy of the
+cores already found below the level (7 on five vertices and 2 on six below
+the top level).  Whether an attached star gives the new vertex minimum degree
 depends only on the base's vertex degrees and the star's deficit vector, so
 each level groups the stars by deficit vector once and reads the admissible
 ones per degree vector.  Only one star from each orbit of the base's
@@ -54,7 +56,6 @@ level and reports the top stratum completing without truncation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations, groupby, permutations, product
 from operator import le
@@ -180,19 +181,20 @@ def _exact_classes(
 # triangle cores for the dimension-2 obstruction search
 # ---------------------------------------------------------------------------
 
-def _star_removed(triangles: tuple[int, ...], v: int) -> tuple[int, ...]:
-    bit = 1 << v
-    return tuple(t for t in triangles if not t & bit)
-
-
 class _PairTables:
-    """Shared per-level tables over the subsets of vertex pairs below the new vertex."""
+    """Shared per-level tables over the subsets of vertex pairs below the new
+    vertex, and the level's numbering of triangles."""
 
     def __init__(self, s: int):
         self.ends = list(combinations(range(s - 1), 2))
         self.pairs = [(1 << a) | (1 << b) for a, b in self.ends]
         n = len(self.pairs)
         self.n_pairs = n
+        # the triangles on vertices 0..s-1 by top vertex, then in the order of
+        # the pairs below it, so that the star of a link d is d << star_shift
+        triangles = [(1 << a) | (1 << b) | (1 << c) for c in range(s) for a, b in combinations(range(c), 2)]
+        self.index = {t: i for i, t in enumerate(triangles)}
+        self.star_shift = len(self.index) - n
         self.at_vertex = [
             sum(1 << i for i, p in enumerate(self.pairs) if p & (1 << u))
             for u in range(s - 1)
@@ -208,6 +210,10 @@ class _PairTables:
             len(components(p for i, p in enumerate(self.pairs) if d >> i & 1)) == 1
             for d in range(1 << n)
         )
+
+    def mask(self, triangles: Iterable[int]) -> int:
+        """The triangle set as a mask over the level's triangle numbering."""
+        return sum(1 << self.index[t] for t in triangles)
 
 
 _PAIR_TABLES: dict[int, _PairTables] = cache.new_cache()
@@ -244,61 +250,52 @@ def _cone_extension_shellable(d: int, face_mask: int, tables: _PairTables) -> bo
     return bool(tables.connected[along]) and tables.cover[d ^ along] & ~tables.cover[along] == 0
 
 
-# The cores below the levels scanned so far (canonical facets), by prefilter
-# invariant, and each raw star removal's verdict against them.  A verdict
-# holds whenever every core on at most as many vertices as the removal has
-# was registered, so a scan given fewer cores must start from cleared tables.
-_HSTAR_CANON: dict[tuple, set[tuple[int, ...]]] = cache.new_cache()
-_HSTAR_RAW: dict[tuple[int, ...], bool] = cache.new_cache()
+# The core scan's hereditary test reads these: per level, the triangle masks
+# of the vertex sets it restricts to, and per level and lower cores, the
+# masks of every labelled copy of a core.
+_HSTAR_RAW: dict[int, dict[int, int]] = cache.new_cache()
+_HSTAR_CANON: dict[tuple, frozenset[int]] = cache.new_cache()
 
 
-def _invariant(triangles: tuple[int, ...]) -> tuple:
-    """(triangle count, sorted vertex degrees, sorted edge multiplicities),
-    equal on isomorphic triangle sets."""
-    degrees: dict[int, int] = {}
-    edges: dict[int, int] = {}
-    for t in triangles:
-        for v in face_vertices(t):
-            degrees[v] = degrees.get(v, 0) + 1
-            e = t ^ (1 << v)
-            edges[e] = edges.get(e, 0) + 1
-    return len(triangles), tuple(sorted(degrees.values())), tuple(sorted(edges.values()))
+def _restrictions(s: int) -> dict[int, int]:
+    """The triangle mask of every proper vertex set W of 0..s-1 with at least
+    five vertices, keyed by W.  No core has fewer: a triangle set on four
+    vertices lies in the boundary of a tetrahedron, and every such set shells."""
+    return cache.memo(_HSTAR_RAW, s, _restriction_masks, s)
 
 
-def _register_cores(cores: list[tuple[int, ...]]) -> set[int]:
-    """Add the cores to ``_HSTAR_CANON``; returns their support sizes."""
-    for core in cores:
-        _HSTAR_CANON.setdefault(_invariant(core), set()).add(core)
-    return {union(core).bit_count() for core in cores}
+def _restriction_masks(s: int) -> dict[int, int]:
+    index = _pair_tables(s).index
+    out = {}
+    for k in range(5, s):
+        for vertices in combinations(range(s), k):
+            w = sum(1 << v for v in vertices)
+            out[w] = sum(1 << i for t, i in index.items() if t & ~w == 0)
+    return out
 
 
-def _core_free(triangles: tuple[int, ...], sizes: set[int]) -> bool:
-    """Whether no restriction of the triangle set to k vertices, for k in
-    ``sizes``, is isomorphic to a registered core on k vertices.
-
-    Only a restriction whose invariant matches a core's gets a canonical
-    form.
-    """
-    vertices = face_vertices(union(triangles))
-    for k in sizes:
-        if k > len(vertices):
-            continue
-        for dropped in combinations(vertices, len(vertices) - k):
-            outside = sum(1 << v for v in dropped)
-            part = tuple(t for t in triangles if not t & outside)
-            cores = _HSTAR_CANON.get(_invariant(part))
-            if cores and from_facets(part).canonical_form().facets in cores:
-                return False
-    return True
+def _core_copies(s: int, lower: list[tuple[int, ...]]) -> frozenset[int]:
+    """The triangle masks of every relabeling of the cores into vertices 0..s-1."""
+    return cache.memo(_HSTAR_CANON, (s, tuple(lower)), _copy_masks, s, lower)
 
 
-def _known(triangles: tuple[int, ...], sizes: set[int]) -> bool:
-    """Whether a triangle set is hereditarily shellable: it has at most one
-    triangle, or no restriction of it is isomorphic to a registered core.
-    Every core on at most as many vertices as the set has must be registered
-    and its size in ``sizes``, as a minimal nonshellable restriction is such
-    a core."""
-    return len(triangles) <= 1 or cache.memo(_HSTAR_RAW, triangles, _core_free, triangles, sizes)
+def _copy_masks(s: int, lower: list[tuple[int, ...]]) -> frozenset[int]:
+    index = _pair_tables(s).index
+    copies = set()
+    for core in lower:
+        corners = [face_vertices(t) for t in core]
+        for image in permutations(range(s), union(core).bit_length()):
+            bits = [1 << v for v in image]
+            copies.add(sum(1 << index[bits[a] | bits[b] | bits[c]] for a, b, c in corners))
+    return frozenset(copies)
+
+
+def _has_core_copy(mask: int, restrictions: Iterable[int], copies: frozenset[int]) -> bool:
+    """Whether the triangle set's restriction to one of the vertex sets, given
+    by their triangle masks, is a labelled copy of a core.  A restriction
+    that equals a copy on fewer vertices contains that core too, so one set
+    of copies serves every size of vertex set."""
+    return any(mask & w in copies for w in restrictions)
 
 
 def _deficit_groups(tables: _PairTables) -> dict[tuple[int, ...], list[int]]:
@@ -378,23 +375,26 @@ def _scan_level(
     class in the full scan order is the first link of its orbit, so the
     class is still found, and certified or not, from the same candidate.
     An image of an admissible link that is not admissible means a wrong
-    automorphism and raises.  ``lower`` holds every core below s: a star
-    removal, on at most s - 1 vertices, is hereditarily shellable exactly
-    when no restriction of it is isomorphic to one of them (``_known``).
-    With a core missing, classes can be lost.  Every source is shellable,
-    so a cone-extension certificate proves a candidate shellable at any
-    level: at the terminal level, where only the cores are wanted, certified
-    candidates are skipped and no hereditary classes are emitted; below it,
-    a new class whose first candidate is certified is hereditary without a
-    shelling search.  Star removals are tested against ``lower`` alone,
-    never against the sources, so a slice of the sources gives the classes
-    that its candidates reach; ``_scan_terminal`` splits the terminal level
-    that way.
+    automorphism and raises.  ``lower`` holds every core below s: a
+    candidate's star removals are all hereditarily shellable exactly when
+    none of its restrictions to a vertex set that holds the new vertex and
+    misses an old one is a labelled copy of one of them, tested on triangle
+    masks (``_has_core_copy``).  With a core missing, classes can be lost.
+    Every source is shellable, so a cone-extension certificate proves a
+    candidate shellable at any level: at the terminal level, where only the
+    cores are wanted, certified candidates are skipped and no hereditary
+    classes are emitted; below it, a new class whose first candidate is
+    certified is hereditary without a shelling search.  Candidates are
+    tested against ``lower`` alone, never against the sources, so a slice of
+    the sources gives the classes that its candidates reach.
     """
-    sizes = _register_cores(lower)
     tables = _pair_tables(s)
     pairs = tables.pairs
     n_pairs = tables.n_pairs
+    shift = tables.star_shift
+    restrictions = _restrictions(s)
+    around = [m for w, m in restrictions.items() if w >> (s - 1) & 1]
+    copies = _core_copies(s, lower)
     old_vertices = (1 << (s - 1)) - 1
     v_bit = 1 << (s - 1)
     groups = _deficit_groups(tables)
@@ -411,6 +411,7 @@ def _scan_level(
         links = _admissible_links(groups, deg, extras, tables)
         admissible = set(links)
         for _, _, xprime in group:
+            base = tables.mask(xprime)
             face_mask = _face_pair_mask(xprime, tables)
             # each automorphism as two byte tables of its action on link masks
             # (the at most 15 pairs below a seventh vertex fit in two bytes)
@@ -441,12 +442,10 @@ def _scan_level(
                 certified = _cone_extension_shellable(d, face_mask, tables)
                 if terminal and certified:
                     continue
-                candidate = tuple(sorted(
-                    xprime + tuple(pairs[i] | v_bit for i in range(n_pairs) if d >> i & 1)
-                ))
-                if not all(_known(_star_removed(candidate, u), sizes) for u in range(s - 1)):
+                if _has_core_copy(base | d << shift, around, copies):
                     continue
-                key = from_facets(candidate).canonical_form()
+                star = tuple(pairs[i] | v_bit for i in range(n_pairs) if d >> i & 1)
+                key = from_facets(xprime + star).canonical_form()
                 if key in seen:
                     continue
                 seen.add(key)
@@ -455,36 +454,10 @@ def _scan_level(
                     cores.append(rep)
                 elif not terminal:
                     # shellable + the per-vertex filter already implies hereditary
-                    if not all(_known(_star_removed(rep, u), sizes) for u in range(s)):
+                    if _has_core_copy(tables.mask(rep), restrictions.values(), copies):
                         raise RuntimeError("a star removal of a new class is not hereditarily shellable")
                     hereditary.append(rep)
     return sorted(hereditary), sorted(cores)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _scan_terminal(sources: list[tuple[int, ...]], s: int, lower: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The cores on exactly s vertices, from a terminal ``_scan_level``.
-
-    With more than one CPU and source, the sources are dealt round-robin to
-    one process per CPU, each scanning its slice against the lower cores.
-    Every slice returns canonical reps, so equal classes are equal tuples and
-    the sorted union is the single-process answer.
-    """
-    jobs = min(_cpus(), len(sources))
-    if jobs <= 1:
-        return _scan_level(sources, s, lower, True)[1]
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.starmap(_scan_level, [(sources[i::jobs], s, lower, True) for i in range(jobs)])
-    return sorted(set().union(*(cores for _, cores in parts)))
 
 
 _CORES_MEMO: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = cache.new_cache()
@@ -505,9 +478,8 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
     shellability at every level: below the top level it classifies the
     classes it certifies, leaving the shelling search only the cores up to
     six vertices, and the top level, which only needs the cores, skips
-    certified candidates; it is scanned by ``_scan_terminal``, one process per
-    CPU, which changes no answer.  Each level's (hereditary, cores) is
-    memoized once, whatever bound asked for it.
+    certified candidates.  Every level runs in this process.  Each level's
+    (hereditary, cores) is memoized once, whatever bound asked for it.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
@@ -515,18 +487,12 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
     lower: list[tuple[int, ...]] = []
     out = {}
     for s in range(4, max_vertices + 1):
-        hereditary, cores = cache.memo(_CORES_MEMO, s, _scan, sources, s, lower)
+        terminal = s == MAX_OBSTRUCTION_VERTICES
+        hereditary, cores = cache.memo(_CORES_MEMO, s, _scan_level, sources, s, lower, terminal)
         sources = sources + hereditary
         lower = lower + cores
         out[s] = list(cores)
     return out
-
-
-def _scan(sources: list[tuple[int, ...]], s: int, lower: list[tuple[int, ...]]):
-    """Level s's (hereditary, cores); the top level gives only its cores."""
-    if s == MAX_OBSTRUCTION_VERTICES:
-        return [], _scan_terminal(sources, s, lower)
-    return _scan_level(sources, s, lower, False)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from shellability.enumeration import (
     _grow_classes,
     _non_face_pairs,
     _sort_key,
-    _star_removed,
 )
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
@@ -233,6 +232,11 @@ _HSTAR_RAW = cache.new_cache()
 _HSTAR_CANON = cache.new_cache()
 
 
+def _star_removed(triangles: tuple[int, ...], v: int) -> tuple[int, ...]:
+    bit = 1 << v
+    return tuple(t for t in triangles if not t & bit)
+
+
 def _triangle_components(triangles: tuple[int, ...]) -> int:
     comps: list[int] = []
     for t in triangles:
@@ -302,6 +306,64 @@ def source_lookup_known(triangles: tuple[int, ...]) -> bool:
         cache.trim(_SOURCE_RAW)
         _SOURCE_RAW[triangles] = verdict
     return verdict
+
+
+# The core scan's hereditary test before it tested triangle masks against
+# labelled copies of the lower cores: each star removal's restrictions were
+# matched against the cores (canonical facets) through a cheap invariant.  A
+# verdict holds whenever every core on at most as many vertices as the
+# removal has was registered, so a comparison must start from cleared tables.
+_CORES_BY_INVARIANT: dict[tuple, set[tuple[int, ...]]] = cache.new_cache()
+_CORE_FREE_RAW: dict[tuple[int, ...], bool] = cache.new_cache()
+
+
+def _invariant(triangles: tuple[int, ...]) -> tuple:
+    """(triangle count, sorted vertex degrees, sorted edge multiplicities),
+    equal on isomorphic triangle sets."""
+    degrees: dict[int, int] = {}
+    edges: dict[int, int] = {}
+    for t in triangles:
+        for v in face_vertices(t):
+            degrees[v] = degrees.get(v, 0) + 1
+            e = t ^ (1 << v)
+            edges[e] = edges.get(e, 0) + 1
+    return len(triangles), tuple(sorted(degrees.values())), tuple(sorted(edges.values()))
+
+
+def _register_cores(cores: list[tuple[int, ...]]) -> set[int]:
+    """Add the cores to ``_CORES_BY_INVARIANT``; returns their support sizes."""
+    for core in cores:
+        _CORES_BY_INVARIANT.setdefault(_invariant(core), set()).add(core)
+    return {union(core).bit_count() for core in cores}
+
+
+def _core_free(triangles: tuple[int, ...], sizes: set[int]) -> bool:
+    """Whether no restriction of the triangle set to k vertices, for k in
+    ``sizes``, is isomorphic to a registered core on k vertices.
+
+    Only a restriction whose invariant matches a core's gets a canonical
+    form.
+    """
+    vertices = face_vertices(union(triangles))
+    for k in sizes:
+        if k > len(vertices):
+            continue
+        for dropped in combinations(vertices, len(vertices) - k):
+            outside = sum(1 << v for v in dropped)
+            part = tuple(t for t in triangles if not t & outside)
+            cores = _CORES_BY_INVARIANT.get(_invariant(part))
+            if cores and from_facets(part).canonical_form().facets in cores:
+                return False
+    return True
+
+
+def _known(triangles: tuple[int, ...], sizes: set[int]) -> bool:
+    """Whether a triangle set is hereditarily shellable: it has at most one
+    triangle, or no restriction of it is isomorphic to a registered core.
+    Every core on at most as many vertices as the set has must be registered
+    and its size in ``sizes``, as a minimal nonshellable restriction is such
+    a core."""
+    return len(triangles) <= 1 or cache.memo(_CORE_FREE_RAW, triangles, _core_free, triangles, sizes)
 
 
 def brute_force_automorphisms(triangles: tuple[int, ...], m: int) -> set[tuple[int, ...]]:

@@ -254,6 +254,15 @@ def test_write_atlas_rejects_bounds_outside_the_search_before_writing(tmp_path, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("n", ["2", "31"])
+def test_indcycle_rejects_a_length_outside_the_bound(capsys, n):
+    """Past 30 vertices building the complex takes seconds to hours; nothing is printed."""
+    assert main(["indcycle", n]) == 2
+    captured = capsys.readouterr()
+    assert "indcycle n must be 3..30" in captured.err
+    assert captured.out == ""
+
+
 def test_indcycle(tmp_path, capsys):
     assert main(["indcycle", "6"]) == 0
     text = capsys.readouterr().out

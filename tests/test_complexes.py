@@ -551,7 +551,8 @@ def test_memo_drops_the_oldest_half_of_a_full_table(monkeypatch):
 
 def test_only_the_cache_module_trims_or_stores_into_a_module_table():
     """Every memo table is read and written through ``cache.memo``: no other
-    module calls ``trim`` or assigns into a table defined at module level."""
+    module calls ``trim``, assigns into a table defined at module level or
+    calls one of its mutating methods."""
     import ast
     from pathlib import Path
 
@@ -572,6 +573,10 @@ def test_only_the_cache_module_trims_or_stores_into_a_module_table():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name == "trim":
                     found.append(f"{path.name}:{node.lineno} trim")
+                if (name in ("setdefault", "update", "add", "append", "pop", "clear")
+                        and isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                        and func.value.id in tables):
+                    found.append(f"{path.name}:{node.lineno} {func.value.id}.{name}")
             if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
                     and isinstance(node.value, ast.Name) and node.value.id in tables):
                 found.append(f"{path.name}:{node.lineno} {node.value.id}[...]")

@@ -24,7 +24,6 @@ from shellability.enumeration import (
     _face_pair_mask,
     _pair_tables,
     _scan_level,
-    _scan_terminal,
     dim2_shellability_obstructions,
     edge_minimal,
     enumerate_complexes,
@@ -38,6 +37,9 @@ from shellability.partition import band_complex
 from shellability.properties import PropertyKind
 
 from oracles import (
+    _known,
+    _register_cores,
+    _star_removed,
     _triangle_components,
     brute_force_automorphisms,
     enumerate_dim2_complexes,
@@ -251,10 +253,10 @@ def test_catalog_sorted_by_size():
     assert keys == sorted(keys)
 
 
-def test_terminal_scan_worker_split_matches_single_thread(monkeypatch):
+def test_level_scan_matches_the_unpruned_scan():
     """The minimum-degree level scan finds every class the unpruned scan finds,
-    and splitting the terminal scan across processes never changes the result."""
-    monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
+    and the terminal scan, which skips certified candidates and emits no
+    hereditary classes, finds the same cores."""
     hereditary = {3: [((0b111),)]}
     sources = [(), ((0b111),)]
     lower = []
@@ -265,20 +267,11 @@ def test_terminal_scan_worker_split_matches_single_thread(monkeypatch):
         assert cores == sorted(plain_cores)
         assert (len(h), len(cores)) == {4: (3, 0), 5: (22, 7), 6: (811, 2)}[s]
         if s >= 5:
-            # the terminal behaviour: certificate on, hereditary classes not
-            # emitted; the workers start from empty memo tables, not the
-            # parent's, so each must test star removals against the lower
-            # cores it is passed
-            single = _scan_level(sources, s, lower, terminal=True)
-            cache.clear_all_caches()
-            split = _scan_terminal(sources, s, lower)
-            assert single == ([], split)
-            assert single == ([], cores)
-        if s < 6:
-            hereditary[s] = h
-            sources = sources + h
-            lower = lower + cores
-    assert len(single[1]) == 2
+            assert _scan_level(sources, s, lower, terminal=True) == ([], cores)
+        hereditary[s] = h
+        sources = sources + h
+        lower = lower + cores
+    assert len(cores) == 2
 
 
 def _level_sources(s: int) -> list[tuple[int, ...]]:
@@ -295,21 +288,8 @@ def _lower_cores(s: int) -> list[tuple[int, ...]]:
     return [core for cores in triangle_cores(s - 1).values() for core in cores]
 
 
-def test_terminal_scan_on_one_cpu_starts_no_pool(monkeypatch):
-    """With one CPU the terminal scan runs in this process."""
-    import multiprocessing
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
-    assert _scan_terminal(_level_sources(5), 5, _lower_cores(5)) == triangle_cores(5)[5]
-
-
 def test_importing_the_package_does_not_import_multiprocessing():
-    """The pool's module is imported only when a terminal scan starts one, so
-    a process that never scans seven vertices does not pay for it."""
+    """Every scan runs in this process, so nothing imports the pool's module."""
     code = ("import sys, shellability, shellability.cli; "
             "sys.exit(3 if 'multiprocessing' in sys.modules else 0)")
     src = str(Path(shellability.__file__).resolve().parents[1])
@@ -432,33 +412,51 @@ def test_source_automorphisms_match_brute_force(monkeypatch):
             assert sum(map(len, orbits)) == len(links)  # one link per orbit
 
 
-def test_core_free_test_matches_the_source_lookup(monkeypatch):
-    """The scan's hereditary test, a search for restrictions isomorphic to a
-    lower core, agrees with looking each star removal up among every
-    hereditarily shellable class below the level: on every removal the s = 5
-    and 6 scans test and on a fixed share of the s = 7 scan, where some are
-    rejected for being a 6-vertex core, which no 5-vertex core reveals."""
-    cache.clear_all_caches()  # every verdict below comes from this test's scans
-    known = enumeration._known
+def _triangles(mask: int, s: int) -> tuple[int, ...]:
+    """The triangle set of a mask over level s's triangle numbering."""
+    return tuple(sorted(t for t, i in _pair_tables(s).index.items() if mask >> i & 1))
+
+
+def test_mask_test_matches_the_star_removal_tests(monkeypatch):
+    """The scan's hereditary test, whether a restriction of a candidate is a
+    labelled copy of a lower core, gives the verdict of the two tests it
+    replaced: no restriction of a star removal is isomorphic to a lower core,
+    found through invariants, and every star removal is a hereditarily
+    shellable class below the level.  Checked on every candidate and new
+    class the s = 5 and 6 scans test and on a fixed share of the s = 7 scan,
+    where some candidates are rejected only for a 6-vertex core, which no
+    5-vertex core reveals."""
+    cache.clear_all_caches()  # every oracle verdict below comes from this test's scans
+    has_copy = enumeration._has_core_copy
+    five_cores = triangle_cores(5)[5]
     for s, terminal, share in ((5, False, slice(None)), (6, False, slice(None)), (7, True, slice(3, None, 20))):
         sources, lower = _level_sources(s), _lower_cores(s)
-        verdicts = {}
+        every = len(enumeration._restrictions(s))
+        calls = []
 
-        def recorded(triangles, sizes):
-            verdicts[triangles] = known(triangles, sizes)
-            return verdicts[triangles]
+        def recorded(mask, restrictions, copies):
+            # a new class's rep is tested on every proper vertex set, a
+            # candidate only on those that hold its new vertex s - 1 (at
+            # s = 5 there is no vertex set to test, and no lower core)
+            calls.append((mask, len(restrictions) == every, has_copy(mask, restrictions, copies)))
+            return calls[-1][2]
 
         with monkeypatch.context() as patch:
-            patch.setattr(enumeration, "_known", recorded)
+            patch.setattr(enumeration, "_has_core_copy", recorded)
             _scan_level(sources[share], s, lower, terminal)
+        sizes = _register_cores(lower)
         register_sources(sources)
-        for triangles, verdict in verdicts.items():
-            assert verdict == source_lookup_known(triangles), triangles
-        rejected = [t for t, verdict in verdicts.items() if not verdict]
-        six_cores = set(lower) - set(triangle_cores(5)[5])
-        by_six = [t for t in rejected if from_facets(t).canonical_form().facets in six_cores]
-        counts = (len(verdicts), len(rejected), len(by_six))
-        assert counts == {5: (53, 0, 0), 6: (2368, 237, 0), 7: (9823, 5622, 2)}[s]
+        by_six = []
+        for mask, rep, rejected in calls:
+            triangles = _triangles(mask, s)
+            removals = [_star_removed(triangles, u) for u in range(s if rep else s - 1)]
+            assert rejected != all(_known(r, sizes) for r in removals), triangles
+            assert rejected != all(map(source_lookup_known, removals)), triangles
+            if rejected and not has_copy(mask, enumeration._restrictions(s).values(),
+                                         enumeration._core_copies(s, five_cores)):
+                by_six.append(triangles)
+        counts = (len(calls), sum(rejected for _, _, rejected in calls), len(by_six))
+        assert counts == {5: (54, 0, 0), 6: (3426, 1546, 0), 7: (31427, 31427, 2)}[s], counts
 
 
 def test_scan_rejects_a_permutation_that_is_not_an_automorphism(monkeypatch):
@@ -474,17 +472,17 @@ def test_scan_rejects_a_permutation_that_is_not_an_automorphism(monkeypatch):
 
 def test_scan_rechecks_the_star_removals_of_a_new_class(monkeypatch):
     """Below the top level every star removal of a new class, the last one
-    included, must be hereditarily shellable; here the last one is made a
-    5-vertex core, and the scan stops."""
-    lower = _lower_cores(6)
-    removed = enumeration._star_removed
-
-    def last_is_a_core(triangles, v):
-        return lower[0] if v == 5 else removed(triangles, v)
-
-    monkeypatch.setattr(enumeration, "_star_removed", last_is_a_core)
+    included, must be hereditarily shellable; here the restriction of each
+    6-vertex hereditary class to its first five vertices is made a copy of a
+    core, and the scan stops."""
+    triangle_cores(6)
+    tables = _pair_tables(6)
+    first_five = enumeration._restrictions(6)[0b11111]
+    extra = {tables.mask(rep) & first_five for rep in enumeration._CORES_MEMO[6][0]}
+    core_copies = enumeration._core_copies
+    monkeypatch.setattr(enumeration, "_core_copies", lambda s, lower: core_copies(s, lower) | extra)
     with pytest.raises(RuntimeError, match="a star removal of a new class is not hereditarily shellable"):
-        _scan_level(_level_sources(6), 6, lower, terminal=False)
+        _scan_level(_level_sources(6), 6, _lower_cores(6), terminal=False)
 
 
 def test_scan_attaches_one_link_per_source_orbit(monkeypatch):
