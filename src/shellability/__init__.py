@@ -61,8 +61,8 @@ from .graphs import (
     non_edge_graph,
 )
 from .enumeration import (
+    DEFAULT_MAX_VERTICES,
     MAX_OBSTRUCTION_VERTICES,
-    EnumerationTask,
     dim2_shellability_obstructions,
     edge_minimal,
     enumerate_complexes,
@@ -80,7 +80,6 @@ from .catalog import (
     catalog_json,
     core_type,
     obstruction_atlas_entries,
-    triangle_core,
     write_atlas,
 )
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .complexes import CapacityError, SimplicialComplex, face_vertices, from_facets
-from .enumeration import MAX_OBSTRUCTION_VERTICES, edge_minimal, enumerate_obstructions, EnumerationTask
+from .enumeration import DEFAULT_MAX_VERTICES, MAX_OBSTRUCTION_VERTICES, edge_minimal, enumerate_obstructions
 from .obstruction import obstruction_report
 from .partition import band_complex
 from .properties import PropertyKind, satisfies
@@ -56,14 +56,9 @@ class CatalogEntry:
         return asdict(self)
 
 
-def triangle_core(c: SimplicialComplex) -> SimplicialComplex:
-    """The subcomplex generated by the 2-dimensional facets."""
-    return from_facets([f for f in c.facets if f.bit_count() == 3])
-
-
 def core_type(c: SimplicialComplex) -> Optional[int]:
     """Structural family of a 2-dimensional obstruction, from its triangle core."""
-    core = triangle_core(c)
+    core = c.pure_skeleton(2)
     tri = [f for f in core.facets if f.bit_count() == 3]
     if len(tri) == 2:
         overlap = (tri[0] & tri[1]).bit_count()
@@ -177,15 +172,16 @@ def obstruction_atlas_entries(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> l
     if not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
     complexes: list[SimplicialComplex] = []
-    for dim in (0, 1, 2):
-        task = EnumerationTask(dim, PropertyKind.SHELLABLE, "obstructions",
-                               min(max_vertices, EnumerationTask(dim).resolved_max_vertices()))
-        complexes.extend(enumerate_obstructions(task))
+    for dim, bound in DEFAULT_MAX_VERTICES.items():
+        complexes.extend(enumerate_obstructions(dim, max_vertices=min(max_vertices, bound)))
     return build_entries(complexes)
 
 
 def write_atlas(out_dir: str | Path, max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> list[Path]:
-    """Write catalog.json, per-entry facet files and a summary table; returns the paths."""
+    """Write catalog.json, per-entry facet files and a summary table; returns the paths.
+
+    Removes the facet files in ``complexes/`` that the new catalog does not list.
+    """
     entries = obstruction_atlas_entries(max_vertices)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,6 +204,9 @@ def write_atlas(out_dir: str | Path, max_vertices: int = MAX_OBSTRUCTION_VERTICE
         p = complexes_dir / name
         p.write_text(body, encoding="utf-8")
         paths.append(p)
+    for stale in complexes_dir.glob("*.cplx"):
+        if stale not in paths:
+            stale.unlink()
     summary_path = out / "summary.txt"
     summary_path.write_text("\n".join(summary_lines(entries)) + "\n", encoding="utf-8")
     paths.append(summary_path)

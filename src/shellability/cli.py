@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import catalog as catalog_mod
 from .complexes import CapacityError, SimplicialComplex, face_vertices, format_complex, parse_complex
-from .enumeration import MAX_OBSTRUCTION_VERTICES, EnumerationTask, enumerate_obstructions
+from .enumeration import DEFAULT_MAX_VERTICES, MAX_OBSTRUCTION_VERTICES, enumerate_obstructions
 from .graphs import cycle_graph, independence_complex
 from .obstruction import is_hereditary, obstruction_report
 from .properties import PropertyKind, decide
@@ -170,17 +170,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         mode = "edge_minimal_obstructions"
     elif args.strong:
         mode = "strong_obstructions"
-    task = EnumerationTask(args.dim, _property(args.property), mode, args.max_vertices)
+    prop = _property(args.property)
     compare = [_property(name) for name in args.compare]
-    found = enumerate_obstructions(task)
+    max_vertices = DEFAULT_MAX_VERTICES[args.dim] if args.max_vertices is None else args.max_vertices
+    found = enumerate_obstructions(args.dim, prop, mode, max_vertices)
     entries = catalog_mod.build_entries(found)
     doc = catalog_mod.catalog_document(
         entries,
         kind="obstruction-catalog",
-        dimension=task.dimension,
-        property=task.property.value,
-        mode=task.mode,
-        max_vertices=task.resolved_max_vertices(),
+        dimension=args.dim,
+        property=prop.value,
+        mode=mode,
+        max_vertices=max_vertices,
     )
     text = catalog_mod.catalog_json(doc)
     if args.output:
@@ -193,10 +194,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             print(line)
     classes = {c.canonical_form() for c in found}
     for other in compare:
-        other_task = EnumerationTask(task.dimension, other, task.mode, task.max_vertices)
-        others = enumerate_obstructions(other_task)
+        others = enumerate_obstructions(args.dim, other, mode, max_vertices)
         same = classes == {c.canonical_form() for c in others}
-        tag = f"obstructions({task.property.value}) vs obstructions({other.value})"
+        tag = f"obstructions({prop.value}) vs obstructions({other.value})"
         print(f"{tag}: {'IDENTICAL' if same else 'DIFFERENT'}")
         if not same:
             return 1
@@ -212,8 +212,8 @@ def cmd_atlas(args: argparse.Namespace) -> int:
     return 0
 
 
-# Building Ind(C_n) absorbs its maximal independent sets pairwise, which is
-# quadratic in their number: 0.9 s at n = 30, 11 s at n = 34.
+# The bound validates outside input: Ind(C_n) has a facet per maximal independent
+# set, a number that grows by a third per step (4,610 at n = 30; built in 0.015 s).
 MAX_INDCYCLE = 30
 
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atlas = sub.add_parser("atlas", help="write the full dimension <= 2 obstruction atlas")
     p_atlas.set_defaults(run=cmd_atlas)
     p_atlas.add_argument("out_dir")
-    p_atlas.add_argument("--max-vertices", type=int, default=7)
+    p_atlas.add_argument("--max-vertices", type=int, default=max(DEFAULT_MAX_VERTICES.values()))
 
     p_ind = sub.add_parser("indcycle", help="print the independence complex of an n-cycle")
     p_ind.set_defaults(run=cmd_indcycle)

@@ -1,10 +1,12 @@
 """Exhaustive, isomorph-free searches over small complexes.
 
-Two layers live here.
+Two layers live here, behind one entry point, enumerate_obstructions.
 
-The generic layer (enumerate_complexes) grows complexes of dimension 0 or 1
-edge by edge with canonical-form rejection and no structural assumptions;
-the obstructions in those dimensions are read off it directly.
+The generic layer (enumerate_complexes, generic_obstructions) covers
+dimensions 0 and 1 with no structural assumptions: it grows the graphs
+without isolated vertices edge by edge with canonical-form rejection, once
+on the largest vertex count, and pads each with 0-facets to every count up
+to it; the obstructions in those dimensions are read off it directly.
 
 The dimension-two obstruction search proper runs on the triangle cores of
 candidate complexes.  For a two-dimensional obstruction, the edge facets only
@@ -77,6 +79,9 @@ from .shelling import is_shellable
 
 MAX_OBSTRUCTION_VERTICES = 7
 
+# The vertex bound of each dimension's obstruction search when none is given.
+DEFAULT_MAX_VERTICES = {0: 7, 1: 6, 2: 7}
+
 # ---------------------------------------------------------------------------
 # generic isomorph-free generation
 # ---------------------------------------------------------------------------
@@ -132,44 +137,39 @@ def _pad_isolated(c: SimplicialComplex, n: int) -> SimplicialComplex:
     return from_facets(c.facets + tuple(extra)) if extra else c
 
 
-def enumerate_complexes(
-    dim: int, n: int, include_zero_facets: bool = False
-) -> list[SimplicialComplex]:
+def enumerate_complexes(dim: int, n: int) -> list[SimplicialComplex]:
     """Every isomorphism class of complexes of this dimension on exactly n vertices.
 
-    Dimension 0 has one class, n isolated vertices.  In dimension 1 every
-    vertex must by default lie in an edge, so this enumerates graphs without
-    isolated vertices; with include_zero_facets=True, leftover vertices are
-    allowed as 0-facets (the classes generic_obstructions filters).  Higher
-    dimensions are out of scope: dimension-2 obstructions come from the
-    pruned core pipeline.
+    Dimension 0 has one class, n isolated vertices.  In dimension 1 the
+    vertices that lie in no edge are 0-facets, so this enumerates the graphs
+    on n vertices with at least one edge.  Higher dimensions are out of
+    scope: dimension-2 obstructions come from the pruned core pipeline.
     """
+    return _exact_classes(_seed_classes(dim, n), n)
+
+
+def _seed_classes(dim: int, n: int) -> list[SimplicialComplex]:
+    """Classes that pad out to every class of the dimension on at most n
+    vertices: one vertex in dimension 0, and in dimension 1 every graph
+    without isolated vertices, grown edge by edge on n vertices."""
     if dim not in (0, 1):
         raise CapacityError("exhaustive generation covers dimensions 0 and 1")
     if n < 1 or n > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"vertex count must be 1..{MAX_OBSTRUCTION_VERTICES}")
     if dim == 0:
-        return [from_facets([1 << i for i in range(n)])]
-    if n < 2:
-        return []
-    return _exact_classes(_grow_classes(from_facets([0b11]), n, _non_face_pairs), n, include_zero_facets)
+        return [from_facets([1])]
+    return _grow_classes(from_facets([0b11]), n, _non_face_pairs)
 
 
-def _exact_classes(
-    classes: list[SimplicialComplex], n: int, include_zero_facets: bool
-) -> list[SimplicialComplex]:
-    """The distinct classes on exactly n vertices, padded with 0-facets if
-    allowed and dropped otherwise, as sorted canonical representatives."""
+def _exact_classes(classes: list[SimplicialComplex], n: int) -> list[SimplicialComplex]:
+    """The distinct classes on exactly n vertices made by padding the classes
+    on at most n vertices with 0-facets, as sorted canonical representatives."""
     out = []
     seen: set[CanonicalForm] = set()
     for c in classes:
-        if include_zero_facets:
-            padded = _pad_isolated(c, n)
-        elif c.n_vertices != n:
+        if c.n_vertices > n:
             continue
-        else:
-            padded = c
-        key = padded.canonical_form()
+        key = _pad_isolated(c, n).canonical_form()
         if key not in seen:
             seen.add(key)
             out.append(from_facets(key.facets))
@@ -499,31 +499,6 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
 # obstruction enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnumerationTask:
-    dimension: int
-    property: PropertyKind = PropertyKind.SHELLABLE
-    mode: str = "obstructions"  # | strong_obstructions | edge_minimal_obstructions
-    max_vertices: Optional[int] = None
-
-    def resolved_max_vertices(self) -> int:
-        if self.max_vertices is not None:
-            if not 1 <= self.max_vertices <= MAX_OBSTRUCTION_VERTICES:
-                raise CapacityError(
-                    f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}"
-                )
-            return self.max_vertices
-        return {0: 7, 1: 6, 2: 7}[self.dimension]
-
-    def __post_init__(self):
-        if self.dimension not in (0, 1, 2):
-            raise CapacityError("obstruction enumeration covers dimensions 0..2")
-        if self.mode not in ("obstructions", "strong_obstructions", "edge_minimal_obstructions"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "edge_minimal_obstructions" and self.dimension != 2:
-            raise ValueError("edge-minimality is a 2-dimensional notion")
-
-
 _DIM2_MEMO: dict[int, list[SimplicialComplex]] = cache.new_cache()
 
 
@@ -573,18 +548,33 @@ def edge_minimal(c: SimplicialComplex) -> bool:
 
 
 def generic_obstructions(dim: int, max_vertices: int, prop: PropertyKind) -> list[SimplicialComplex]:
-    """Assumption-free path in dimension 0 or 1: enumerate every class and filter."""
-    out = []
-    for n in range(1, max_vertices + 1):
-        for c in enumerate_complexes(dim, n, include_zero_facets=True):
-            if obstruction_report(c, prop).is_obstruction:
-                out.append(c)
+    """Assumption-free path in dimension 0 or 1: enumerate every class and filter.
+
+    The classes are grown once on max_vertices vertices and padded with
+    0-facets to each vertex count up to it.
+    """
+    classes = _seed_classes(dim, max_vertices)
+    out = [
+        c
+        for n in range(1, max_vertices + 1)
+        for c in _exact_classes(classes, n)
+        if obstruction_report(c, prop).is_obstruction
+    ]
     out.sort(key=_sort_key)
     return out
 
 
-def enumerate_obstructions(task: EnumerationTask) -> list[SimplicialComplex]:
-    """Complete list of obstruction classes for the task, canonical reps, sorted.
+def enumerate_obstructions(
+    dim: int,
+    prop: PropertyKind = PropertyKind.SHELLABLE,
+    mode: str = "obstructions",
+    max_vertices: Optional[int] = None,
+) -> list[SimplicialComplex]:
+    """Complete list of obstruction classes, canonical reps, sorted.
+
+    ``mode`` is "obstructions", "strong_obstructions" or, in dimension 2,
+    "edge_minimal_obstructions"; ``max_vertices`` defaults to
+    ``DEFAULT_MAX_VERTICES[dim]``.  Bad arguments raise before any search.
 
     For partitionability and sequential Cohen-Macaulayness in dimension two,
     the list starts from the shellability obstructions: shellability implies
@@ -598,21 +588,31 @@ def enumerate_obstructions(task: EnumerationTask) -> list[SimplicialComplex]:
     obstruction itself fails it has no shelling to lean on, so the exact
     cover or the skeleton scan decides it directly.
     """
-    n_max = task.resolved_max_vertices()
-    if task.dimension <= 1:
-        base = generic_obstructions(task.dimension, n_max, task.property)
+    if dim not in DEFAULT_MAX_VERTICES:
+        raise CapacityError("obstruction enumeration covers dimensions 0..2")
+    if mode not in ("obstructions", "strong_obstructions", "edge_minimal_obstructions"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "edge_minimal_obstructions" and dim != 2:
+        raise ValueError("edge-minimality is a 2-dimensional notion")
+    if max_vertices is None:
+        max_vertices = DEFAULT_MAX_VERTICES[dim]
+    elif not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
+        raise CapacityError(f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
+
+    if dim <= 1:
+        base = generic_obstructions(dim, max_vertices, prop)
     else:
-        base = dim2_shellability_obstructions(n_max)
-        if task.property is not PropertyKind.SHELLABLE:
+        base = dim2_shellability_obstructions(max_vertices)
+        if prop is not PropertyKind.SHELLABLE:
             for c in base:
-                if not obstruction_report(c, task.property).is_obstruction:
+                if not obstruction_report(c, prop).is_obstruction:
                     raise RuntimeError(
-                        f"shellability obstruction is not an obstruction to {task.property}: {c!r}"
+                        f"shellability obstruction is not an obstruction to {prop}: {c!r}"
                     )
 
-    if task.mode == "strong_obstructions":
-        return [c for c in base if obstruction_report(c, task.property).is_strong]
-    if task.mode == "edge_minimal_obstructions":
+    if mode == "strong_obstructions":
+        return [c for c in base if obstruction_report(c, prop).is_strong]
+    if mode == "edge_minimal_obstructions":
         return [c for c in base if edge_minimal(c)]
     return base
 
@@ -678,13 +678,9 @@ def verify_coincidence(dim: int, max_vertices: Optional[int] = None) -> Coincide
     Also re-checks, obstruction by obstruction, that each shellability
     obstruction fails the two weaker properties outright.
     """
-    tasks = {
-        prop: EnumerationTask(dim, prop, "obstructions", max_vertices)
-        for prop in PropertyKind
-    }
     sets = {
-        prop: {c.canonical_form() for c in enumerate_obstructions(task)}
-        for prop, task in tasks.items()
+        prop: {c.canonical_form() for c in enumerate_obstructions(dim, prop, max_vertices=max_vertices)}
+        for prop in PropertyKind
     }
     identical = (
         sets[PropertyKind.SHELLABLE] == sets[PropertyKind.PARTITIONABLE] == sets[PropertyKind.SEQUENTIALLY_CM]

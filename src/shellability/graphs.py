@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .complexes import CapacityError, SimplicialComplex, face_vertices, from_facets
+from .complexes import CapacityError, SimplicialComplex, _facet_sort_key, face_vertices, union
 from .homology import HomologyGroup, reduced_homology
 from .obstruction import is_hereditary, obstruction_report
 from .partition import _two_private_facets, band_complex, is_partitionable
@@ -45,14 +45,6 @@ class Graph:
             for w in face_vertices(row):
                 if not self.adjacency[w] & (1 << v):
                     raise ValueError("adjacency must be symmetric")
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            for w in face_vertices(self.adjacency[v]):
-                if w > v:
-                    out.append((v, w))
-        return out
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -95,10 +87,12 @@ def maximal_independent_sets(g: Graph) -> list[int]:
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:
-    """The complex whose faces are the independent sets of the graph."""
+    """The complex whose faces are the independent sets of the graph; the
+    maximal independent sets are an antichain, so they are its facets as is."""
     if g.n == 0:
         raise ValueError("independence complex needs at least one vertex")
-    return from_facets(maximal_independent_sets(g))
+    facets = sorted(maximal_independent_sets(g), key=_facet_sort_key)
+    return SimplicialComplex(tuple(facets), union(facets))
 
 
 def minimal_nonfaces(c: SimplicialComplex) -> list[int]:

@@ -211,7 +211,7 @@ def enumerate_dim2_complexes(n: int) -> list[SimplicialComplex]:
     classes = []
     for t in _grow_classes(from_facets([0b111]), n, _triangle_candidates):
         classes.extend(_grow_classes(t, n, _non_face_pairs))
-    return _exact_classes(classes, n, True)
+    return _exact_classes(classes, n)
 
 
 def generic_dim2_obstructions(max_vertices: int, prop: PropertyKind) -> list[SimplicialComplex]:

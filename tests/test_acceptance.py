@@ -14,7 +14,6 @@ import test_shelling
 
 from shellability.catalog import core_type
 from shellability.enumeration import (
-    EnumerationTask,
     dim2_shellability_obstructions,
     enumerate_obstructions,
     triangle_cores,
@@ -40,8 +39,8 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def test_c01_dimension_zero_and_one_classification(two_k2):
     t0 = time.time()
-    dim0 = enumerate_obstructions(EnumerationTask(0, SH))
-    dim1 = enumerate_obstructions(EnumerationTask(1, SH))
+    dim0 = enumerate_obstructions(0)
+    dim1 = enumerate_obstructions(1)
     elapsed = time.time() - t0
     ok = (
         dim0 == []
@@ -54,7 +53,7 @@ def test_c01_dimension_zero_and_one_classification(two_k2):
 
 def test_c02_edge_minimal_dimension_two_classification(complex_1a, complex_2):
     t0 = time.time()
-    minimal = enumerate_obstructions(EnumerationTask(2, SH, "edge_minimal_obstructions", 7))
+    minimal = enumerate_obstructions(2, SH, "edge_minimal_obstructions", 7)
     elapsed = time.time() - t0
     by_type = {}
     for c in minimal:
@@ -137,9 +136,9 @@ def test_c05_coincidence_with_witnesses(two_k2):
 
 
 def test_c06_strong_obstruction_list(two_k2, complex_1a):
-    strong = enumerate_obstructions(EnumerationTask(2, SH, "strong_obstructions", 7))
+    strong = enumerate_obstructions(2, SH, "strong_obstructions", 7)
     catalog = dim2_shellability_obstructions(7)
-    minimal = enumerate_obstructions(EnumerationTask(2, SH, "edge_minimal_obstructions", 7))
+    minimal = enumerate_obstructions(2, SH, "edge_minimal_obstructions", 7)
 
     got_strong = {c.canonical_form() for c in strong}
     expected_strong = {c.canonical_form() for c in catalog if core_type(c) in (1, 4)}

@@ -234,6 +234,16 @@ def test_atlas_matches_the_golden_six_vertex_atlas(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / f"atlas6_{name}").read_bytes(), name
 
 
+def test_write_atlas_removes_the_facet_files_of_a_larger_atlas(tmp_path):
+    write_atlas(tmp_path, 6)
+    (tmp_path / "notes.txt").write_text("kept\n")
+    paths = write_atlas(tmp_path, 5)
+    complexes = {p for p in paths if p.parent == tmp_path / "complexes"}
+    assert set((tmp_path / "complexes").iterdir()) == complexes
+    assert len(complexes) == json.loads((tmp_path / "catalog.json").read_text())["count"] == 15
+    assert (tmp_path / "notes.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--max-vertices", "0"], "--max-vertices must be 1..7"),
     (["--max-vertices", "8"], "--max-vertices must be 1..7"),
@@ -256,7 +266,7 @@ def test_write_atlas_rejects_bounds_outside_the_search_before_writing(tmp_path, 
 
 @pytest.mark.parametrize("n", ["2", "31"])
 def test_indcycle_rejects_a_length_outside_the_bound(capsys, n):
-    """Past 30 vertices building the complex takes seconds to hours; nothing is printed."""
+    """The length is outside input and is checked before anything is built or printed."""
     assert main(["indcycle", n]) == 2
     captured = capsys.readouterr()
     assert "indcycle n must be 3..30" in captured.err

@@ -16,7 +16,6 @@ from shellability.catalog import (
 )
 from shellability.complexes import CapacityError, from_facets, union
 from shellability.enumeration import (
-    EnumerationTask,
     _admissible_links,
     _automorphisms,
     _cone_extension_shellable,
@@ -24,6 +23,7 @@ from shellability.enumeration import (
     _face_pair_mask,
     _pair_tables,
     _scan_level,
+    _sort_key,
     dim2_shellability_obstructions,
     edge_minimal,
     enumerate_complexes,
@@ -33,6 +33,7 @@ from shellability.enumeration import (
     verify_coincidence,
     verify_edge_addition_closure,
 )
+from shellability.obstruction import obstruction_report
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind
 
@@ -76,13 +77,16 @@ def test_enumerate_complexes_dimension_zero():
 
 
 def test_enumerate_complexes_dimension_one_counts():
-    assert len(enumerate_complexes(1, 3)) == 2
-    assert len(enumerate_complexes(1, 4)) == 7
-    assert len(enumerate_complexes(1, 3)) == brute_edge_set_classes(3, no_isolated=True)
-    assert len(enumerate_complexes(1, 4)) == brute_edge_set_classes(4, no_isolated=True)
-    # with 0-facets allowed, smaller edge supports pad out with isolated vertices
-    assert len(enumerate_complexes(1, 4, include_zero_facets=True)) == \
-        brute_edge_set_classes(4, no_isolated=False)
+    """Smaller edge supports pad out with isolated vertices as 0-facets; the
+    classes without 0-facets are the graphs without isolated vertices."""
+    counts = {}
+    for n in (3, 4, 5):
+        classes = enumerate_complexes(1, n)
+        edges_only = [c for c in classes if all(f.bit_count() == 2 for f in c.facets)]
+        counts[n] = (len(classes), len(edges_only))
+        assert len(classes) == brute_edge_set_classes(n, no_isolated=False)
+        assert len(edges_only) == brute_edge_set_classes(n, no_isolated=True)
+    assert counts == {3: (3, 2), 4: (10, 7), 5: (33, 23)}
 
 
 def test_enumerate_complexes_guards():
@@ -126,16 +130,16 @@ def test_triangle_cores_hands_out_a_copy():
 
 
 def test_dim0_and_dim1_obstructions(two_k2):
-    assert enumerate_obstructions(EnumerationTask(0, SH)) == []
-    found = enumerate_obstructions(EnumerationTask(1, SH))
+    assert enumerate_obstructions(0) == []
+    found = enumerate_obstructions(1)
     assert len(found) == 1 and found[0].is_isomorphic(two_k2)
     for prop in PropertyKind:
-        found = enumerate_obstructions(EnumerationTask(1, prop))
+        found = enumerate_obstructions(1, prop)
         assert len(found) == 1 and found[0].is_isomorphic(two_k2)
 
 
 def test_dim1_four_vertex_bound_suffices(two_k2):
-    found = enumerate_obstructions(EnumerationTask(1, SH, max_vertices=4))
+    found = enumerate_obstructions(1, SH, max_vertices=4)
     assert len(found) == 1 and found[0].is_isomorphic(two_k2)
 
 
@@ -193,16 +197,63 @@ def test_edge_addition_closure_small():
     assert report.augmentations_checked > 60
 
 
-def test_edge_minimal_mode_needs_dimension_two():
+@pytest.mark.parametrize("dim, mode, max_vertices, error, message", [
+    (3, "obstructions", None, CapacityError, "dimensions 0..2"),
+    (2, "bogus", None, ValueError, "unknown mode 'bogus'"),
+    (0, "edge_minimal_obstructions", None, ValueError, "2-dimensional"),
+    (1, "edge_minimal_obstructions", None, ValueError, "2-dimensional"),
+    (1, "obstructions", 0, CapacityError, "max_vertices must be 1..7"),
+    (2, "obstructions", 0, CapacityError, "max_vertices must be 1..7"),
+    (1, "obstructions", 8, CapacityError, "max_vertices must be 1..7"),
+    (2, "edge_minimal_obstructions", 8, CapacityError, "max_vertices must be 1..7"),
+], ids=["dim-3", "unknown-mode", "edge-minimal-dim-0", "edge-minimal-dim-1",
+        "bound-0-dim-1", "bound-0-dim-2", "bound-8-dim-1", "bound-8-dim-2"])
+def test_enumerate_obstructions_checks_its_arguments_before_any_search(
+    monkeypatch, dim, mode, max_vertices, error, message
+):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    for name in ("generic_obstructions", "dim2_shellability_obstructions", "triangle_cores", "_grow_classes"):
+        monkeypatch.setattr(enumeration, name, no_search)
+    with pytest.raises(error, match=message):
+        enumerate_obstructions(dim, SH, mode, max_vertices)
+
+
+def test_generic_obstructions_grows_the_classes_once(monkeypatch):
+    grown = []
+    original = enumeration._grow_classes
+
+    def counting(seed, n, additions):
+        grown.append(n)
+        return original(seed, n, additions)
+
+    monkeypatch.setattr(enumeration, "_grow_classes", counting)
+    for prop in PropertyKind:
+        grown.clear()
+        generic_obstructions(1, 6, prop)
+        assert grown == [6]
+    grown.clear()
+    generic_obstructions(0, 7, SH)
+    assert grown == []
+
+
+def test_generic_obstructions_match_the_per_count_filter():
+    """One growth padded to every vertex count gives what filtering the
+    classes of each count separately gives, in the same order."""
     for dim in (0, 1):
-        with pytest.raises(ValueError, match="2-dimensional"):
-            EnumerationTask(dim, SH, "edge_minimal_obstructions")
-    assert EnumerationTask(2, SH, "edge_minimal_obstructions").dimension == 2
+        for prop in PropertyKind:
+            by_count = []
+            for bound in range(1, 7):
+                by_count += [c for c in enumerate_complexes(dim, bound) if obstruction_report(c, prop).is_obstruction]
+                expected = sorted(by_count, key=_sort_key)
+                got = generic_obstructions(dim, bound, prop)
+                assert [c.facets for c in got] == [c.facets for c in expected], (dim, prop, bound)
 
 
 def test_strong_mode_and_minimal_mode():
-    strong = enumerate_obstructions(EnumerationTask(2, SH, "strong_obstructions", 6))
-    minimal = enumerate_obstructions(EnumerationTask(2, SH, "edge_minimal_obstructions", 6))
+    strong = enumerate_obstructions(2, SH, "strong_obstructions", 6)
+    minimal = enumerate_obstructions(2, SH, "edge_minimal_obstructions", 6)
     all6 = dim2_shellability_obstructions(6)
     assert {c.canonical_form() for c in strong} <= {c.canonical_form() for c in all6}
     by_type = {}
@@ -241,7 +292,7 @@ LETTERED_CLASSES = {
 
 
 def test_family_letters_are_pinned():
-    minimal = enumerate_obstructions(EnumerationTask(2, SH, "edge_minimal_obstructions", 6))
+    minimal = enumerate_obstructions(2, SH, "edge_minimal_obstructions", 6)
     by_label = {e.label: e.complex() for e in build_entries(minimal)}
     for label, facets in LETTERED_CLASSES.items():
         assert by_label[label].is_isomorphic(from_facets([set(f) for f in facets])), label

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from shellability.complexes import face
+from shellability.complexes import face, from_facets
 from shellability.graphs import (
     Graph,
     cycle_graph,
@@ -58,6 +58,23 @@ def test_independence_complex_examples(two_k2):
     assert ind5.dim == 1 and len(ind5.facets) == 5
     assert set(ind5.facets) == {face({k, (k + 2) % 5}) for k in range(5)}
 
+
+
+def test_independence_complex_takes_the_sets_as_facets_without_absorption():
+    """The maximal independent sets are already an antichain, so the complex
+    built from them directly equals the one from_facets absorbs them into."""
+    graphs = [cycle_graph(n) for n in range(3, 23)]
+    graphs += [graph_from_edges(n, combinations(range(n), 2)) for n in range(1, 9)]
+    rng = random.Random(73)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        joined = rng.randint(1, n - 1)  # the vertices from here on are isolated
+        edges = [e for e in combinations(range(joined), 2) if rng.random() < 0.4]
+        graphs.append(graph_from_edges(n, edges))
+    for g in graphs:
+        direct = independence_complex(g)
+        absorbed = from_facets(maximal_independent_sets(g))
+        assert (direct.facets, direct.vertices) == (absorbed.facets, absorbed.vertices)
 
 def test_ind_c7_is_the_7_band():
     ind7 = independence_complex(cycle_graph(7))
