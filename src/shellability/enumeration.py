@@ -41,15 +41,18 @@ cores already found below the level (7 on five vertices and 2 on six below
 the top level).  Whether an attached star gives the new vertex minimum degree
 depends only on the base's vertex degrees and the star's deficit vector, so
 each level groups the stars by deficit vector once and reads the admissible
-ones per degree vector.  Only one star from each orbit of the base's
-automorphism group is attached, the orbit half of McKay's canonical
-augmentation: an automorphism of the base fixes its degrees, its uncovered
-vertices and its face pairs, so it maps a star to one that passes the same
-tests and gives an isomorphic candidate, and skipping the rest of the orbit
-loses no class.  A cheap cone-extension certificate proves many candidates
-shellable, as every base is: below the top level a class it certifies is
-hereditary without a shelling search, and the top level, which only needs
-the cores, skips certified candidates outright.
+ones per degree vector.  A cheap cone-extension certificate proves many
+candidates shellable, as every base is: below the top level a class it
+certifies is hereditary without a shelling search, and the top level, which
+only needs the cores, skips certified candidates outright.  Every admissible
+star meets the two cheap tests first, the core-copy test and, at the top
+level, the certificate; of the stars that pass them, only the first of each
+orbit of the base's automorphism group is attached, the orbit half of
+McKay's canonical augmentation.  An automorphism of the base fixes its
+degrees, its uncovered vertices, its face pairs and the set of labelled core
+copies, so the stars of one orbit pass or fail the tests together and give
+isomorphic candidates: skipping the rest of the orbit loses no class, and no
+orbit is computed for the many stars the tests reject.
 
 The vertex ceiling of seven is Wachs' classical bound for two-dimensional
 minimally nonshellable complexes; the search relies on it only as a stop
@@ -127,6 +130,8 @@ def _non_face_pairs(c: SimplicialComplex, vertices: Iterable[int]) -> list[int]:
 def _pad_isolated(c: SimplicialComplex, n: int) -> SimplicialComplex:
     """Append isolated vertices (0-facets) until the complex sits on n vertices."""
     missing = n - c.n_vertices
+    if missing < 0:
+        raise ValueError(f"a complex on {c.n_vertices} vertices cannot be padded to {n}")
     extra = []
     label = 0
     while missing:
@@ -365,16 +370,19 @@ def _scan_level(
     vertex, and deleting its star leaves a relabeling of some source.  The
     links that pass both tests depend only on the source's degree vector and
     extras, so they are read once per such key from a table of the links
-    grouped by deficit vector, with the sources scanned in key order.  Of the
-    links of one source, only the first of each orbit of the source's
-    automorphisms (permutations of the old vertices that map its triangles
-    onto themselves) is attached.  That is complete: an automorphism fixes
-    the degree vector, the extras and the face pairs, so the links of an
-    orbit are all admissible, all certified or none, and give isomorphic
-    candidates with isomorphic star removals.  The first candidate of a
-    class in the full scan order is the first link of its orbit, so the
-    class is still found, and certified or not, from the same candidate.
-    An image of an admissible link that is not admissible means a wrong
+    grouped by deficit vector, with the sources scanned in key order.  Every
+    link of a source meets the cheap tests (the certificate at the terminal
+    level, the core-copy test below) first; of the links that pass, only the
+    first of each orbit of the source's automorphisms (permutations of the
+    old vertices that map its triangles onto themselves) is attached, and
+    orbits are computed for those links only.  That is complete: an
+    automorphism fixes the degree vector, the extras, the face pairs and the
+    set of labelled core copies, so the links of an orbit are all
+    admissible, all certified or none, all copies of a core or none, and
+    give isomorphic candidates.  The first link of an orbit that passes is
+    then the orbit's first link, the one a scan without orbits labels first,
+    so each class is found, and certified or not, from the same candidate.
+    An image of a passing link that is not admissible means a wrong
     automorphism and raises.  ``lower`` holds every core below s: a
     candidate's star removals are all hereditarily shellable exactly when
     none of its restrictions to a vertex set that holds the new vertex and
@@ -406,45 +414,27 @@ def _scan_level(
         (tuple(sum(t >> u & 1 for t in xprime) for u in range(s - 1)), old_vertices & ~union(xprime), xprime)
         for xprime in sources
     )
-    image_tables: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     for (deg, extras), group in groupby(keyed, key=lambda item: item[:2]):
         links = _admissible_links(groups, deg, extras, tables)
         admissible = set(links)
         for _, _, xprime in group:
             base = tables.mask(xprime)
             face_mask = _face_pair_mask(xprime, tables)
-            # each automorphism as two byte tables of its action on link masks
-            # (the at most 15 pairs below a seventh vertex fit in two bytes)
-            images = []
-            for g in _automorphisms(xprime, deg) if len(links) > 1 else ():
-                if g not in image_tables:
-                    bits = [1 << pairs.index((1 << g[a]) | (1 << g[b])) for a, b in tables.ends]
-                    bits += [0] * (16 - n_pairs)
-                    lo, hi = [0] * 256, [0] * 256
-                    for x in range(1, 256):
-                        low = x & -x
-                        i = low.bit_length() - 1
-                        lo[x] = lo[x ^ low] | bits[i]
-                        hi[x] = hi[x ^ low] | bits[8 + i]
-                    image_tables[g] = lo, hi
-                images.append(image_tables[g])
+            moves = None  # each automorphism as its permutation of the pair indices
             scanned: set[int] = set()
             for d in links:
-                if len(images) > 1:
-                    if d in scanned:
-                        continue
-                    orbit = {lo[d & 255] | hi[d >> 8] for lo, hi in images}
-                    if not orbit <= admissible:
-                        raise RuntimeError(
-                            "an automorphism of a source maps an admissible link to one that is not"
-                        )
-                    scanned |= orbit
                 certified = _cone_extension_shellable(d, face_mask, tables)
-                if terminal and certified:
+                if terminal and certified or _has_core_copy(base | d << shift, around, copies) or d in scanned:
                     continue
-                if _has_core_copy(base | d << shift, around, copies):
-                    continue
-                star = tuple(pairs[i] | v_bit for i in range(n_pairs) if d >> i & 1)
+                if moves is None:
+                    moves = [[pairs.index((1 << g[a]) | (1 << g[b])) for a, b in tables.ends]
+                             for g in _automorphisms(xprime, deg)]
+                ones = [i for i in range(n_pairs) if d >> i & 1]
+                orbit = {sum(1 << m[i] for i in ones) for m in moves}
+                if not orbit <= admissible:
+                    raise RuntimeError("an automorphism of a source maps an admissible link to one that is not")
+                scanned |= orbit
+                star = tuple(pairs[i] | v_bit for i in ones)
                 key = from_facets(xprime + star).canonical_form()
                 if key in seen:
                     continue
@@ -470,16 +460,18 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
     are exactly the possible pure 2-skeletons of two-dimensional obstructions
     to shellability.  Levels are scanned by support size, each attaching a
     minimum-degree vertex to the hereditarily shellable sets found below it,
-    with the admissible stars read from a per-level deficit table and one
-    star attached per orbit of the base's automorphisms (the others give
-    isomorphic candidates).  A candidate is kept when each star removal is
-    hereditarily shellable, that is, when no restriction of it is isomorphic
-    to a core found at a lower level.  A cone-extension certificate settles
-    shellability at every level: below the top level it classifies the
-    classes it certifies, leaving the shelling search only the cores up to
-    six vertices, and the top level, which only needs the cores, skips
-    certified candidates.  Every level runs in this process.  Each level's
-    (hereditary, cores) is memoized once, whatever bound asked for it.
+    with the admissible stars read from a per-level deficit table.  A
+    candidate is kept when each star removal is hereditarily shellable, that
+    is, when no restriction of it is isomorphic to a core found at a lower
+    level.  A cone-extension certificate settles shellability at every
+    level: below the top level it classifies the classes it certifies,
+    leaving the shelling search only the cores up to six vertices, and the
+    top level, which only needs the cores, skips certified candidates.  Of
+    the stars that pass these tests, one per orbit of the base's
+    automorphisms is attached: the tests give a whole orbit one verdict, and
+    its stars give isomorphic candidates.  Every level runs in this process.
+    Each level's (hereditary, cores) is memoized once, whatever bound asked
+    for it.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")

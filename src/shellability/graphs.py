@@ -191,6 +191,8 @@ def independence_cycle_report(n_max: int = 9) -> CycleObstructionReport:
     """
     if n_max > 10:
         raise CapacityError("n_max above 10 is not supported")
+    if n_max < 4:
+        raise ValueError("n_max below 4 checks no cycle")
     cases = []
     for n in range(4, n_max + 1):
         ind = independence_complex(cycle_graph(n))

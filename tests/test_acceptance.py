@@ -5,6 +5,7 @@ lines as they complete.  Criteria 2 and 7 are search-heavy; everything is
 single-threaded here and measured against the stated budgets.
 """
 
+import hashlib
 import time
 
 import test_complexes
@@ -12,7 +13,7 @@ import test_partition
 import test_properties_random
 import test_shelling
 
-from shellability.catalog import core_type
+from shellability.catalog import core_type, write_atlas
 from shellability.enumeration import (
     dim2_shellability_obstructions,
     enumerate_obstructions,
@@ -30,6 +31,9 @@ from shellability.shelling import is_shellable
 from conftest import corpus
 
 SH = PropertyKind.SHELLABLE
+
+# sha256 of the catalog.json that write_atlas writes at the search's full bound
+ATLAS7_SHA256 = "54b1e393c46cd43f27080d81fd61c4e162101000837a8c5f7a97a6cef6ab1556"
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -89,6 +93,16 @@ def test_c03_vertex_bound_and_top_stratum():
     )
     report(3, ok, f"{len(catalog)} obstruction classes, all on <= 7 vertices; "
                   f"7-vertex stratum searched, {len(cores[7])} core(s) found")
+
+
+def test_c03_seven_vertex_atlas_bytes(tmp_path):
+    t0 = time.time()
+    write_atlas(tmp_path, 7)
+    elapsed = time.time() - t0
+    digest = hashlib.sha256((tmp_path / "catalog.json").read_bytes()).hexdigest()
+    cores = {s: len(v) for s, v in triangle_cores(7).items() if v}
+    ok = digest == ATLAS7_SHA256 and cores == {5: 7, 6: 2, 7: 1}
+    report(3, ok, f"7-vertex catalog.json sha256 {digest[:8]}..., cores per level {cores}, {elapsed:.1f}s")
 
 
 def test_c04_edge_addition_closure():

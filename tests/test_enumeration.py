@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 from itertools import combinations, permutations
@@ -21,6 +22,7 @@ from shellability.enumeration import (
     _cone_extension_shellable,
     _deficit_groups,
     _face_pair_mask,
+    _pad_isolated,
     _pair_tables,
     _scan_level,
     _sort_key,
@@ -103,6 +105,25 @@ def test_enumerate_complexes_guards():
         generic_obstructions(2, 5, SH)
     with pytest.raises(CapacityError):
         enumerate_dim2_complexes(7)
+
+
+def test_pad_isolated_rejects_a_complex_on_more_vertices_at_once():
+    """Padding to fewer vertices than the complex has raises before the
+    padding loop, which would count down from a negative number for ever;
+    a complex already on n vertices comes back unchanged."""
+    def stuck(signum, frame):
+        raise TimeoutError("_pad_isolated did not return")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="cannot be padded"):
+            _pad_isolated(from_facets([0b111]), 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    triangle = from_facets([0b111])
+    assert _pad_isolated(triangle, 3) is triangle
 
 
 def test_enumerate_complexes_all_have_exact_vertex_count_and_dim():
@@ -414,53 +435,79 @@ def _link_image(d: int, perm: tuple[int, ...], tables) -> int:
     return out
 
 
-def _scanned_links(monkeypatch, sources, s, terminal):
-    """Run one level scan and record, per source, the links it examined."""
-    scanned = {}
-    face_pair_mask = enumeration._face_pair_mask
-    certify = enumeration._cone_extension_shellable
+def _labelled_links(monkeypatch, sources, s, terminal):
+    """Run one level scan and record, per source, the links whose candidates
+    it labels.  A candidate is built as the source's triangles followed by the
+    new vertex's star; the only other complex the scan builds is a core's
+    canonical rep, handed straight to the shelling search, so the complex
+    built last before each search is dropped again."""
+    labelled = {x: [] for x in sources}
+    built = []
+    pairs = _pair_tables(s).pairs
+    v_bit = 1 << (s - 1)
+    build, decide = enumeration.from_facets, enumeration.is_shellable
 
-    def entering(xprime, tables):
-        scanned[xprime] = []
-        return face_pair_mask(xprime, tables)
+    def building(facets):
+        built.append(facets)
+        return build(facets)
 
-    def examined(d, face_mask, tables):
-        scanned[next(reversed(scanned))].append(d)
-        return certify(d, face_mask, tables)
+    def deciding(c):
+        built.pop()
+        return decide(c)
 
     with monkeypatch.context() as patch:
-        patch.setattr(enumeration, "_face_pair_mask", entering)
-        patch.setattr(enumeration, "_cone_extension_shellable", examined)
+        patch.setattr(enumeration, "from_facets", building)
+        patch.setattr(enumeration, "is_shellable", deciding)
         _scan_level(sources, s, _lower_cores(s), terminal)
-    return scanned
+    for facets in built:
+        star = [f ^ v_bit for f in facets if f & v_bit]
+        labelled[facets[:-len(star)]].append(sum(1 << pairs.index(p) for p in star))
+    return labelled
 
 
 def test_source_automorphisms_match_brute_force(monkeypatch):
     """The scan's automorphism helper finds exactly the permutations that map a
-    source's triangles onto themselves, and the links the scan examines are
-    one per orbit of those automorphisms, whose orbits cover every admissible
-    link."""
+    source's triangles onto themselves.  The links whose candidates the scan
+    labels are one per orbit of those automorphisms among the links that pass
+    both cheap tests (not certified at the top level, no restriction a copy of
+    a lower core), each the first of its orbit in scan order, and their orbits
+    cover every such link.  On the s = 7 share no link passes both."""
     for s in (5, 6, 7):
         sources = _level_sources(s)
         tables = _pair_tables(s)
         groups = _deficit_groups(tables)
+        restrictions = enumeration._restrictions(s)
+        around = [m for w, m in restrictions.items() if w >> (s - 1) & 1]
+        copies = enumeration._core_copies(s, _lower_cores(s))
+        terminal = s == 7
         if s < 7:
-            scanned = _scanned_links(monkeypatch, sources, s, terminal=False)
+            share = sources
         else:
             # the terminal scan of all 838 sources, and the 720 permutations
             # the oracle tries on each, would slow the suite; a fixed slice
             assert len(sources) == 838
-            scanned = _scanned_links(monkeypatch, sources[3::20], s, terminal=True)
-            assert len(scanned) == 42
-        for x in (sources if s < 7 else scanned):
+            share = sources[3::20]
+            assert len(share) == 42
+        labelled = _labelled_links(monkeypatch, share, s, terminal)
+        assert sum(map(len, labelled.values())) == {5: 32, 6: 1069, 7: 0}[s]
+        for x in share:
             deg, extras = _degrees_and_extras(x, s)
             auts = brute_force_automorphisms(x, s - 1)
             assert sorted(_automorphisms(x, deg)) == sorted(auts)
-            links = set(_admissible_links(groups, deg, extras, tables))
-            reps = scanned.get(x, [])
+            links = _admissible_links(groups, deg, extras, tables)
+            face_mask, base = _face_pair_mask(x, tables), tables.mask(x)
+            passing = [
+                d for d in links
+                if not (terminal and _cone_extension_shellable(d, face_mask, tables))
+                and not enumeration._has_core_copy(base | d << tables.star_shift, around, copies)
+            ]
+            position = {d: i for i, d in enumerate(links)}
+            first = [d for d in passing if all(position[_link_image(d, g, tables)] >= position[d] for g in auts)]
+            reps = labelled[x]
+            assert reps == first
             orbits = [{_link_image(d, g, tables) for g in auts} for d in reps]
-            assert set().union(*orbits) == links
-            assert sum(map(len, orbits)) == len(links)  # one link per orbit
+            assert set().union(*orbits) == set(passing)
+            assert sum(map(len, orbits)) == len(passing)  # one link per orbit
 
 
 def _triangles(mask: int, s: int) -> tuple[int, ...]:
@@ -507,7 +554,7 @@ def test_mask_test_matches_the_star_removal_tests(monkeypatch):
                                          enumeration._core_copies(s, five_cores)):
                 by_six.append(triangles)
         counts = (len(calls), sum(rejected for _, _, rejected in calls), len(by_six))
-        assert counts == {5: (54, 0, 0), 6: (3426, 1546, 0), 7: (31427, 31427, 2)}[s], counts
+        assert counts == {5: (149, 0, 0), 6: (9999, 4427, 0), 7: (47873, 47873, 2)}[s], counts
 
 
 def test_scan_rejects_a_permutation_that_is_not_an_automorphism(monkeypatch):
@@ -537,22 +584,27 @@ def test_scan_rechecks_the_star_removals_of_a_new_class(monkeypatch):
 
 
 def test_scan_attaches_one_link_per_source_orbit(monkeypatch):
-    """The scan examines {7, 127, 9188} links at s = 4, 5, 6 without the
-    orbit pruning; with it, one per automorphism orbit of each source."""
-    calls = []
-    certify = enumeration._cone_extension_shellable
-
-    def counted(*args):
-        calls.append(args)
-        return certify(*args)
-
-    monkeypatch.setattr(enumeration, "_cone_extension_shellable", counted)
+    """The cheap tests see every admissible link (7, 127 and 9188 at s = 4, 5,
+    6); of the links that pass them, only one per automorphism orbit of each
+    source is built and labelled.  The complexes built are those candidates
+    (3, 32, 1069) and the cores' reps handed to the shelling search (0, 7, 2)."""
+    calls = {"from_facets": 0, "_cone_extension_shellable": 0, "is_shellable": 0}
+    for name in calls:
+        def counted(*args, name=name, f=getattr(enumeration, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(enumeration, name, counted)
     sources = [(), ((0b111),)]
     lower = []
     for s in (4, 5, 6):
-        calls.clear()
+        tables = _pair_tables(s)
+        groups = _deficit_groups(tables)
+        admissible = sum(len(_admissible_links(groups, *_degrees_and_extras(x, s), tables)) for x in sources)
+        calls.update(dict.fromkeys(calls, 0))
         h, cores = _scan_level(sources, s, lower, terminal=False)
-        assert len(calls) == {4: 3, 5: 32, 6: 2615}[s]
+        assert calls["_cone_extension_shellable"] == admissible == {4: 7, 5: 127, 6: 9188}[s]
+        assert calls["from_facets"] == {4: 3, 5: 39, 6: 1071}[s]
+        assert calls["is_shellable"] == len(cores) == {4: 0, 5: 7, 6: 2}[s]
         sources = sources + h
         lower = lower + cores
 

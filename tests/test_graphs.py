@@ -125,6 +125,18 @@ def test_cycle_report_guards():
         independence_cycle_report(11)
 
 
+@pytest.mark.parametrize("n_max", [0, 3])
+def test_cycle_report_rejects_a_range_without_a_cycle(n_max):
+    """Below n = 4 the range holds no case, so an ok report would be vacuous."""
+    with pytest.raises(ValueError, match="n_max below 4"):
+        independence_cycle_report(n_max)
+
+
+def test_cycle_report_from_four_checks_one_case():
+    report = independence_cycle_report(4)
+    assert report.n_range == (4, 4) and [case.n for case in report.cases] == [4] and report.ok
+
+
 def test_cycle_report_n10_above_canonical_cap():
     """The 10-cycle complex is above the labeling cap, so its decisions are
     memoized on its raw facets; its restrictions are decided through the memo
