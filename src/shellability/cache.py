@@ -24,7 +24,9 @@ and degree, so homology never canonicalizes),
 ``obstruction._HEREDITARY_CACHE`` (whether every restriction of a class
 satisfies a property, keyed by class and property), and the enumeration
 memos:
-``enumeration._CORES_MEMO`` and ``_PAIR_TABLES`` hold one entry per scanned
+``enumeration._CORES_MEMO`` holds one entry per scanned (support level, top)
+pair, since a bound's top level is scanned for cores only and a larger bound
+scans it again as a source level; ``_PAIR_TABLES`` holds one entry per
 support level and ``_DIM2_MEMO`` one per vertex bound.  The core scan's
 hereditary test reads the other two, one entry per level: ``_HSTAR_RAW``
 holds the triangle mask of each vertex set a candidate is restricted to, and

@@ -44,15 +44,24 @@ each level groups the stars by deficit vector once and reads the admissible
 ones per degree vector.  A cheap cone-extension certificate proves many
 candidates shellable, as every base is: below the top level a class it
 certifies is hereditary without a shelling search, and the top level, which
-only needs the cores, skips certified candidates outright.  Every admissible
-star meets the two cheap tests first, the core-copy test and, at the top
-level, the certificate; of the stars that pass them, only the first of each
-orbit of the base's automorphism group is attached, the orbit half of
-McKay's canonical augmentation.  An automorphism of the base fixes its
-degrees, its uncovered vertices, its face pairs and the set of labelled core
-copies, so the stars of one orbit pass or fail the tests together and give
-isomorphic candidates: skipping the rest of the orbit loses no class, and no
-orbit is computed for the many stars the tests reject.
+only needs the cores, skips certified candidates outright.  The top level is
+the requested bound: its hereditary classes could only be sources of a level
+that is not scanned, so it emits none.  The levels are memoized per (level,
+top), so a larger bound asked for later scans that level again as a source
+level.  Every admissible star not already covered by an orbit meets the two
+cheap tests, the core-copy test and, at the top level, the certificate; of
+the stars that pass them, only the first of each orbit of the base's
+automorphism group is attached, the orbit half of McKay's canonical
+augmentation.  An automorphism of the base fixes its degrees, its uncovered
+vertices, its face pairs and the set of labelled core copies, so the stars
+of one orbit pass or fail the tests together and give isomorphic
+candidates: skipping the rest of the orbit loses no class, and no orbit is
+computed for the many stars the tests reject.
+
+Each core is then augmented with edge facets on its non-face pairs, one edge
+set per orbit of the core's automorphisms: an isomorphism between two
+augmentations of one core maps triangles to triangles, so it is an
+automorphism of the core, and two cores never give isomorphic complexes.
 
 The vertex ceiling of seven is Wachs' classical bound for two-dimensional
 minimally nonshellable complexes; the search relies on it only as a stop
@@ -371,30 +380,33 @@ def _scan_level(
     links that pass both tests depend only on the source's degree vector and
     extras, so they are read once per such key from a table of the links
     grouped by deficit vector, with the sources scanned in key order.  Every
-    link of a source meets the cheap tests (the certificate at the terminal
-    level, the core-copy test below) first; of the links that pass, only the
-    first of each orbit of the source's automorphisms (permutations of the
-    old vertices that map its triangles onto themselves) is attached, and
-    orbits are computed for those links only.  That is complete: an
-    automorphism fixes the degree vector, the extras, the face pairs and the
-    set of labelled core copies, so the links of an orbit are all
-    admissible, all certified or none, all copies of a core or none, and
-    give isomorphic candidates.  The first link of an orbit that passes is
-    then the orbit's first link, the one a scan without orbits labels first,
-    so each class is found, and certified or not, from the same candidate.
-    An image of a passing link that is not admissible means a wrong
-    automorphism and raises.  ``lower`` holds every core below s: a
-    candidate's star removals are all hereditarily shellable exactly when
-    none of its restrictions to a vertex set that holds the new vertex and
-    misses an old one is a labelled copy of one of them, tested on triangle
-    masks (``_has_core_copy``).  With a core missing, classes can be lost.
-    Every source is shellable, so a cone-extension certificate proves a
-    candidate shellable at any level: at the terminal level, where only the
-    cores are wanted, certified candidates are skipped and no hereditary
-    classes are emitted; below it, a new class whose first candidate is
-    certified is hereditary without a shelling search.  Candidates are
-    tested against ``lower`` alone, never against the sources, so a slice of
-    the sources gives the classes that its candidates reach.
+    link of a source that no earlier orbit covers meets the cheap tests (the
+    certificate at the terminal level, the core-copy test below); of the
+    links that pass, only the first of each orbit of the source's
+    automorphisms (permutations of the old vertices that map its triangles
+    onto themselves) is attached, and orbits are computed for those links
+    only.  That is complete: an automorphism fixes the degree vector, the
+    extras, the face pairs and the set of labelled core copies, so the links
+    of an orbit are all admissible, all certified or none, all copies of a
+    core or none, and give isomorphic candidates.  The first link of an
+    orbit that passes is then the orbit's first link, the one a scan without
+    orbits labels first, so each class is found, and certified or not, from
+    the same candidate; a covered link is in the orbit of an earlier passing
+    link, so it would pass too and is skipped before the tests.  An image of
+    a passing link that is not admissible means a wrong automorphism and
+    raises.  ``lower`` holds every core below s: a candidate's star removals
+    are all hereditarily shellable exactly when none of its restrictions to
+    a vertex set that holds the new vertex and misses an old one is a
+    labelled copy of one of them, tested on triangle masks
+    (``_has_core_copy``).  With a core missing, classes can be lost.  Every
+    source is shellable, so a cone-extension certificate proves a candidate
+    shellable at any level: at the terminal level, the top level of the
+    requested bound, where only the cores are wanted, certified candidates
+    are skipped and no hereditary classes are emitted; below it, a new class
+    whose first candidate is certified is hereditary without a shelling
+    search.  Candidates are tested against ``lower`` alone, never against
+    the sources, so a slice of the sources gives the classes that its
+    candidates reach.
     """
     tables = _pair_tables(s)
     pairs = tables.pairs
@@ -423,8 +435,11 @@ def _scan_level(
             moves = None  # each automorphism as its permutation of the pair indices
             scanned: set[int] = set()
             for d in links:
+                # at the top level scanned stays empty for nearly every source
+                if scanned and d in scanned:
+                    continue
                 certified = _cone_extension_shellable(d, face_mask, tables)
-                if terminal and certified or _has_core_copy(base | d << shift, around, copies) or d in scanned:
+                if terminal and certified or _has_core_copy(base | d << shift, around, copies):
                     continue
                 if moves is None:
                     moves = [[pairs.index((1 << g[a]) | (1 << g[b])) for a, b in tables.ends]
@@ -450,7 +465,7 @@ def _scan_level(
     return sorted(hereditary), sorted(cores)
 
 
-_CORES_MEMO: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = cache.new_cache()
+_CORES_MEMO: dict[tuple[int, bool], tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = cache.new_cache()
 
 
 def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, list[tuple[int, ...]]]:
@@ -465,13 +480,16 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
     is, when no restriction of it is isomorphic to a core found at a lower
     level.  A cone-extension certificate settles shellability at every
     level: below the top level it classifies the classes it certifies,
-    leaving the shelling search only the cores up to six vertices, and the
-    top level, which only needs the cores, skips certified candidates.  Of
-    the stars that pass these tests, one per orbit of the base's
-    automorphisms is attached: the tests give a whole orbit one verdict, and
-    its stars give isomorphic candidates.  Every level runs in this process.
-    Each level's (hereditary, cores) is memoized once, whatever bound asked
-    for it.
+    leaving the shelling search only the cores below the top level, and the
+    top level, ``max_vertices``, which only needs the cores, skips certified
+    candidates and emits no hereditary classes.  Of the stars that pass
+    these tests, one per orbit of the base's automorphisms is attached: the
+    tests give a whole orbit one verdict, and its stars give isomorphic
+    candidates.  Every level runs in this process.  Each level's (hereditary,
+    cores) is memoized per (level, top): once as a source level and once as
+    a top level at most, whatever bounds asked for it, so a larger bound
+    asked for after a smaller one scans the smaller one's top level again as
+    a source level.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
@@ -479,8 +497,8 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
     lower: list[tuple[int, ...]] = []
     out = {}
     for s in range(4, max_vertices + 1):
-        terminal = s == MAX_OBSTRUCTION_VERTICES
-        hereditary, cores = cache.memo(_CORES_MEMO, s, _scan_level, sources, s, lower, terminal)
+        top = s == max_vertices
+        hereditary, cores = cache.memo(_CORES_MEMO, (s, top), _scan_level, sources, s, lower, top)
         sources = sources + hereditary
         lower = lower + cores
         out[s] = list(cores)
@@ -500,24 +518,61 @@ def dim2_shellability_obstructions(max_vertices: int = MAX_OBSTRUCTION_VERTICES)
     Core search plus edge augmentation: every obstruction's facets are its
     triangle core plus edge facets on the same vertices, so augmenting each
     core with every subset of its non-face pairs and filtering with the
-    direct obstruction check is exhaustive.
+    direct obstruction check is exhaustive.  Each core's subsets are
+    visited one orbit of its automorphisms at a time.
     """
     return list(cache.memo(_DIM2_MEMO, max_vertices, _dim2_obstructions, max_vertices))
 
 
+def _edge_orbit_reps(core: tuple[int, ...], pairs: list[int]) -> list[int]:
+    """The least edge set of each orbit of the core's automorphisms on the
+    subsets of its non-face pairs, each as a bit mask over ``pairs``.
+
+    An automorphism maps faces to faces, so it permutes the non-face pairs;
+    an image of one that is a face means a wrong automorphism and raises.
+    """
+    deg = tuple(sum(t >> u & 1 for t in core) for u in range(union(core).bit_length()))
+    position = {p: i for i, p in enumerate(pairs)}
+    moves = []
+    for g in _automorphisms(core, deg):
+        images = [(1 << g[a]) | (1 << g[b]) for a, b in map(face_vertices, pairs)]
+        if not all(p in position for p in images):
+            raise RuntimeError("an automorphism of a core maps a non-face pair to a face")
+        moves.append([position[p] for p in images])
+    reps = []
+    scanned: set[int] = set()
+    for ebits in range(1 << len(pairs)):
+        if ebits in scanned:
+            continue
+        reps.append(ebits)
+        ones = [i for i in range(len(pairs)) if ebits >> i & 1]
+        scanned.update(sum(1 << m[i] for i in ones) for m in moves)
+    return reps
+
+
 def _dim2_obstructions(max_vertices: int) -> list[SimplicialComplex]:
+    """The obstructions over the cores of ``triangle_cores(max_vertices)``,
+    whose top level is scanned for cores only.
+
+    Only the least edge set of each orbit of a core's automorphisms is
+    labelled and checked: an isomorphism between two augmentations of one
+    core maps its triangles onto themselves, so it is an automorphism of the
+    core, and the least edge set is the one a scan of every edge set in order
+    reaches its class from first.  A class reached twice means a missing
+    automorphism and raises.
+    """
     results: dict[CanonicalForm, SimplicialComplex] = {}
     checked: set[CanonicalForm] = set()
     for s, cores in sorted(triangle_cores(max_vertices).items()):
         for core in cores:
             base = from_facets(core)
             pairs = _non_face_pairs(base, base.vertex_ids())
-            for ebits in range(1 << len(pairs)):
+            for ebits in _edge_orbit_reps(core, pairs):
                 extra = tuple(p for i, p in enumerate(pairs) if ebits >> i & 1)
                 candidate = from_facets(core + extra)
                 key = candidate.canonical_form()
                 if key in checked:
-                    continue
+                    raise RuntimeError("two edge orbits of a core give isomorphic complexes")
                 checked.add(key)
                 if obstruction_report(candidate, PropertyKind.SHELLABLE).is_obstruction:
                     results[key] = from_facets(key.facets)

@@ -38,6 +38,7 @@ from shellability.enumeration import (
 from shellability.obstruction import obstruction_report
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind
+from shellability.shelling import is_shellable
 
 from oracles import (
     _known,
@@ -347,11 +348,15 @@ def test_level_scan_matches_the_unpruned_scan():
 
 
 def _level_sources(s: int) -> list[tuple[int, ...]]:
-    """The sources of level s: every hereditarily shellable class below it."""
-    triangle_cores(s - 1)
-    sources = [(), ((0b111),)]
+    """The sources of level s: every hereditarily shellable class below it,
+    read from the source-level entries (level, False) of the core memo.  A
+    bound's top level is scanned for cores only, so these are scanned here
+    when no larger bound has scanned them yet."""
+    sources, lower = [(), ((0b111),)], []
     for level in range(4, s):
-        sources = sources + enumeration._CORES_MEMO[level][0]
+        hereditary, cores = cache.memo(enumeration._CORES_MEMO, (level, False),
+                                       _scan_level, sources, level, lower, False)
+        sources, lower = sources + hereditary, lower + cores
     return sources
 
 
@@ -554,7 +559,7 @@ def test_mask_test_matches_the_star_removal_tests(monkeypatch):
                                          enumeration._core_copies(s, five_cores)):
                 by_six.append(triangles)
         counts = (len(calls), sum(rejected for _, _, rejected in calls), len(by_six))
-        assert counts == {5: (149, 0, 0), 6: (9999, 4427, 0), 7: (47873, 47873, 2)}[s], counts
+        assert counts == {5: (54, 0, 0), 6: (6307, 4427, 0), 7: (47873, 47873, 2)}[s], counts
 
 
 def test_scan_rejects_a_permutation_that_is_not_an_automorphism(monkeypatch):
@@ -573,19 +578,20 @@ def test_scan_rechecks_the_star_removals_of_a_new_class(monkeypatch):
     included, must be hereditarily shellable; here the restriction of each
     6-vertex hereditary class to its first five vertices is made a copy of a
     core, and the scan stops."""
-    triangle_cores(6)
+    sources = _level_sources(6)
     tables = _pair_tables(6)
     first_five = enumeration._restrictions(6)[0b11111]
-    extra = {tables.mask(rep) & first_five for rep in enumeration._CORES_MEMO[6][0]}
+    extra = {tables.mask(rep) & first_five for rep in _level_sources(7)[len(sources):]}
     core_copies = enumeration._core_copies
     monkeypatch.setattr(enumeration, "_core_copies", lambda s, lower: core_copies(s, lower) | extra)
     with pytest.raises(RuntimeError, match="a star removal of a new class is not hereditarily shellable"):
-        _scan_level(_level_sources(6), 6, _lower_cores(6), terminal=False)
+        _scan_level(sources, 6, _lower_cores(6), terminal=False)
 
 
 def test_scan_attaches_one_link_per_source_orbit(monkeypatch):
-    """The cheap tests see every admissible link (7, 127 and 9188 at s = 4, 5,
-    6); of the links that pass them, only one per automorphism orbit of each
+    """Of the admissible links (7, 127 and 9188 at s = 4, 5, 6), the cheap
+    tests see those not in the orbit of a link that passed them earlier (3, 32,
+    5496); of the links that pass, only one per automorphism orbit of each
     source is built and labelled.  The complexes built are those candidates
     (3, 32, 1069) and the cores' reps handed to the shelling search (0, 7, 2)."""
     calls = {"from_facets": 0, "_cone_extension_shellable": 0, "is_shellable": 0}
@@ -602,7 +608,8 @@ def test_scan_attaches_one_link_per_source_orbit(monkeypatch):
         admissible = sum(len(_admissible_links(groups, *_degrees_and_extras(x, s), tables)) for x in sources)
         calls.update(dict.fromkeys(calls, 0))
         h, cores = _scan_level(sources, s, lower, terminal=False)
-        assert calls["_cone_extension_shellable"] == admissible == {4: 7, 5: 127, 6: 9188}[s]
+        assert admissible == {4: 7, 5: 127, 6: 9188}[s]
+        assert calls["_cone_extension_shellable"] == {4: 3, 5: 32, 6: 5496}[s]
         assert calls["from_facets"] == {4: 3, 5: 39, 6: 1071}[s]
         assert calls["is_shellable"] == len(cores) == {4: 0, 5: 7, 6: 2}[s]
         sources = sources + h
@@ -610,20 +617,99 @@ def test_scan_attaches_one_link_per_source_orbit(monkeypatch):
 
 
 def test_each_core_level_is_scanned_once(monkeypatch):
+    """Each (level, top) pair is scanned once, whatever bound asks for it: a
+    bound scans its top level for cores only and every level below it as a
+    source level, so a smaller bound asked for later scans its own top level
+    once more, and nothing else is scanned again."""
     monkeypatch.setattr(enumeration, "_CORES_MEMO", {})
     monkeypatch.setattr(enumeration, "_DIM2_MEMO", {})
     levels = []
     scan = enumeration._scan_level
 
-    def logged(sources, s, *args):
-        levels.append(s)
-        return scan(sources, s, *args)
+    def logged(sources, s, lower, terminal):
+        levels.append((s, terminal))
+        return scan(sources, s, lower, terminal)
 
     monkeypatch.setattr(enumeration, "_scan_level", logged)
     triangle_cores(6)
     assert {s: len(v) for s, v in triangle_cores(5).items()} == {4: 0, 5: 7}
     dim2_shellability_obstructions(5)
-    assert levels == [4, 5, 6]
+    triangle_cores(6)
+    dim2_shellability_obstructions(6)
+    assert levels == [(4, False), (5, False), (6, True), (5, True)]
+
+
+def test_a_larger_bound_rescans_the_old_top_level_as_a_source_level(monkeypatch):
+    """A bound's top level emits its cores and no hereditary classes.  In a
+    cleared memo each bound gives the cores of the source-level scans, and a
+    larger bound asked for after a smaller one scans the smaller one's top
+    level again as a source level, so the next level receives every source:
+    the 2 seeds and the 3 + 22 hereditary classes on four and five vertices."""
+    _level_sources(7)
+    frozen = {s: enumeration._CORES_MEMO[s, False][1] for s in (4, 5, 6)}
+    assert {s: len(v) for s, v in frozen.items()} == {4: 0, 5: 7, 6: 2}
+    for bound in (4, 5, 6):
+        monkeypatch.setattr(enumeration, "_CORES_MEMO", {})
+        assert triangle_cores(bound) == {s: frozen[s] for s in range(4, bound + 1)}
+        assert enumeration._CORES_MEMO[bound, True][0] == []
+
+    monkeypatch.setattr(enumeration, "_CORES_MEMO", {})
+    received = {}
+    scan = enumeration._scan_level
+
+    def logged(sources, s, lower, terminal):
+        received[s, terminal] = len(sources)
+        return scan(sources, s, lower, terminal)
+
+    monkeypatch.setattr(enumeration, "_scan_level", logged)
+    triangle_cores(5)
+    assert {s: len(v) for s, v in triangle_cores(6).items() if v} == {5: 7, 6: 2}
+    assert received == {(4, False): 2, (5, True): 5, (5, False): 5, (6, True): 27}
+
+
+def test_edge_orbits_match_exhaustive_labelling():
+    """For every core up to seven vertices, the edge sets the augmentation
+    labels, the least of each orbit of the core's automorphisms, are exactly
+    the first edge set of each class among all 2^p edge sets labelled in
+    order: pairwise non-isomorphic, covering every class, and each class
+    reached from the same first candidate as labelling every edge set.  The
+    one 7-vertex core (c03) is the triangle set of the 7-vertex band, an
+    obstruction without edge facets (c02), taken from there so that no
+    7-vertex scan runs here."""
+    band = band_complex(2, 7).canonical_form().facets
+    assert not is_shellable(from_facets(band)).shellable
+    assert all(is_shellable(from_facets(band).restriction(set(range(7)) - {v})).shellable for v in range(7))
+    cores = [core for cores in triangle_cores(6).values() for core in cores] + [band]
+    every = labelled = 0
+    for core in cores:
+        base = from_facets(core)
+        pairs = enumeration._non_face_pairs(base, base.vertex_ids())
+        first = {}
+        for ebits in range(1 << len(pairs)):
+            extra = tuple(p for i, p in enumerate(pairs) if ebits >> i & 1)
+            first.setdefault(from_facets(core + extra).canonical_form(), ebits)
+        reps = enumeration._edge_orbit_reps(core, pairs)
+        assert reps == sorted(first.values()), core
+        every, labelled = every + (1 << len(pairs)), labelled + len(reps)
+    assert (len(cores), every, labelled) == (10, 674, 63)
+
+
+def test_edge_orbits_reject_a_wrong_automorphism_group(monkeypatch):
+    """A permutation that is not an automorphism of a core, here one that maps
+    a non-face pair to a face, stops the edge augmentation with a clear
+    error; a missing automorphism makes two edge sets give one class, which
+    stops it too."""
+    triangle_cores(5)
+
+    def reversal(xprime, deg):
+        return [tuple(range(len(deg))), tuple(reversed(range(len(deg))))]
+
+    monkeypatch.setattr(enumeration, "_automorphisms", reversal)
+    with pytest.raises(RuntimeError, match="an automorphism of a core maps a non-face pair to a face"):
+        enumeration._dim2_obstructions(5)
+    monkeypatch.setattr(enumeration, "_automorphisms", lambda xprime, deg: [tuple(range(len(deg)))])
+    with pytest.raises(RuntimeError, match="two edge orbits of a core give isomorphic complexes"):
+        enumeration._dim2_obstructions(5)
 
 
 def _nonzero_submasks(mask: int):
