@@ -4,7 +4,6 @@ Cohen-Macaulayness of small simplicial complexes, with obstruction search."""
 from .complexes import (
     CanonicalForm,
     CapacityError,
-    DimensionError,
     FacetAbsorbedWarning,
     InvalidFaceError,
     PurityError,
@@ -14,16 +13,12 @@ from .complexes import (
     face_vertices,
     format_complex,
     from_facets,
-    full_simplex,
     parse_complex,
-    two_disjoint_edges,
 )
 from .homology import (
     BoundaryMatrix,
     HomologyGroup,
     boundary_matrix,
-    euler_characteristic,
-    homology_groups,
     reduced_homology,
     smith_normal_form,
 )
@@ -45,20 +40,15 @@ from .properties import PropertyKind, satisfies
 from .obstruction import (
     ObstructionReport,
     is_hereditary,
-    minimal_failing_restriction,
     obstruction_report,
 )
 from .graphs import (
     Graph,
     cycle_graph,
-    flag_round_trip,
     graph_from_edges,
     independence_complex,
     independence_cycle_report,
-    is_flag,
     maximal_independent_sets,
-    minimal_nonfaces,
-    non_edge_graph,
 )
 from .enumeration import (
     DEFAULT_MAX_VERTICES,

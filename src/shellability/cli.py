@@ -6,9 +6,10 @@ obstruction catalog, ``atlas`` emits the full dimension <= 2 obstruction
 atlas, and ``indcycle`` prints the independence complex of a cycle graph.
 
 Exit codes for ``check``: 0 when the queried predicate holds, 1 when it does
-not, 2 on usage or parse errors; ``indcycle`` exits 2 for a cycle length
-outside 3..30.  All outputs are deterministic, and every search, the
-seven-vertex core scan included, runs in this process.
+not, 2 on usage or parse errors.  Every command exits 2 when a file cannot be
+read or written, and ``indcycle`` exits 2 for a cycle length outside 3..30.
+All outputs are deterministic, and every search, the seven-vertex core scan
+included, runs in this process.
 """
 
 from __future__ import annotations
@@ -99,11 +100,7 @@ def _certificate_lines(c: SimplicialComplex, prop: PropertyKind, decision) -> tu
 def cmd_check(args: argparse.Namespace) -> int:
     prop = _property(args.property)
     path = Path(args.path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 2
+    text = path.read_text(encoding="utf-8")
     try:
         c = parse_complex(text)
     except ValueError as exc:
@@ -144,8 +141,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             holds = report.is_obstruction
         else:
             holds = report.is_strong
-        kind = "strong obstruction" if args.variant == "strong-obstruction" else "obstruction"
-        lines.append(f"{'is' if holds else 'is not'} a {kind} to {prop.value}")
+        kind = "a strong obstruction" if args.variant == "strong-obstruction" else "an obstruction"
+        lines.append(f"{'is' if holds else 'is not'} {kind} to {prop.value}")
         if report.failing_restriction is not None:
             lines.append(f"  restriction to {_face_words(report.failing_restriction)} also fails")
             payload["failing_restriction"] = list(face_vertices(report.failing_restriction))
@@ -276,7 +273,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,10 +53,6 @@ class InvalidFaceError(ValueError):
     """A face argument is not a face of the complex in question."""
 
 
-class DimensionError(ValueError):
-    """The operation is only defined for complexes of another dimension."""
-
-
 class PurityError(ValueError):
     """The operation requires a pure complex."""
 
@@ -272,23 +268,6 @@ class SimplicialComplex:
                     reached.add(j)
                     stack.append(j)
         return len(reached) == m
-
-    # -- dimension-two edge bookkeeping -------------------------------------
-
-    def edge_classification(self) -> dict[int, str]:
-        """Label every edge 'nonboundary' (in two or more 2-facets) or 'boundary'.
-
-        An edge in no 2-facet at all is a boundary edge.  Only defined in
-        dimension two.
-        """
-        if self.dim != 2:
-            raise DimensionError("edge classification requires a 2-dimensional complex")
-        two_facets = [f for f in self.facets if f.bit_count() == 3]
-        out = {}
-        for e in self.faces_of_dim(1):
-            count = sum(1 for f in two_facets if e & ~f == 0)
-            out[e] = "nonboundary" if count >= 2 else "boundary"
-        return out
 
     # -- isomorphism ---------------------------------------------------------
 
@@ -742,19 +721,6 @@ def format_complex(c: SimplicialComplex) -> str:
         return ""
     lines = [" ".join(map(str, face_vertices(f))) for f in c.facets]
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# convenient constructions
-# ---------------------------------------------------------------------------
-
-def full_simplex(n: int) -> SimplicialComplex:
-    return from_facets([(1 << n) - 1])
-
-
-def two_disjoint_edges() -> SimplicialComplex:
-    """The four-vertex complex with facets {0,1} and {2,3} (written 2K2)."""
-    return from_facets([0b0011, 0b1100])
 
 
 def all_faces(c: SimplicialComplex) -> list[int]:

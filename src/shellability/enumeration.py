@@ -486,10 +486,11 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
     these tests, one per orbit of the base's automorphisms is attached: the
     tests give a whole orbit one verdict, and its stars give isomorphic
     candidates.  Every level runs in this process.  Each level's (hereditary,
-    cores) is memoized per (level, top): once as a source level and once as
-    a top level at most, whatever bounds asked for it, so a larger bound
-    asked for after a smaller one scans the smaller one's top level again as
-    a source level.
+    cores) is memoized per (level, top), so a larger bound asked for after a
+    smaller one scans the smaller one's top level again as a source level.
+    The cores do not depend on ``top``, since the top level skips only
+    certified, hence shellable, candidates; so a top level whose source
+    scan is memoized already is read from that entry and not scanned again.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
@@ -497,7 +498,7 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
     lower: list[tuple[int, ...]] = []
     out = {}
     for s in range(4, max_vertices + 1):
-        top = s == max_vertices
+        top = s == max_vertices and (s, False) not in _CORES_MEMO
         hereditary, cores = cache.memo(_CORES_MEMO, (s, top), _scan_level, sources, s, lower, top)
         sources = sources + hereditary
         lower = lower + cores

@@ -1,9 +1,10 @@
-"""Graphs, independence complexes, and flag-complex recognition.
+"""Graphs and independence complexes.
 
 The independence complex of a graph has the graph's vertices as its vertices
 and the independent sets as its faces; its facets are the maximal independent
-sets.  Flag complexes are exactly the complexes arising this way, which the
-round-trip helpers below make checkable.
+sets.  Flag complexes are exactly the complexes arising this way: a flag
+complex is the independence complex of the graph joining its non-face vertex
+pairs, and the test suite checks that round trip on its flag corpus.
 
 independence_cycle_report verifies, for a finite range of cycle lengths, that
 the independence complex of the n-cycle is a strong obstruction to
@@ -93,53 +94,6 @@ def independence_complex(g: Graph) -> SimplicialComplex:
         raise ValueError("independence complex needs at least one vertex")
     facets = sorted(maximal_independent_sets(g), key=_facet_sort_key)
     return SimplicialComplex(tuple(facets), union(facets))
-
-
-def minimal_nonfaces(c: SimplicialComplex) -> list[int]:
-    """Vertex sets that are not faces but all of whose proper subsets are."""
-    faces = c.faces()
-    verts = face_vertices(c.vertices)
-    out = []
-    for size in range(2, len(verts) + 1):
-        for combo in combinations(verts, size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if m in faces:
-                continue
-            if all((m ^ (1 << v)) in faces for v in combo):
-                out.append(m)
-    return out
-
-
-def is_flag(c: SimplicialComplex) -> tuple[bool, tuple[int, ...]]:
-    """Flag test; returns the minimal nonfaces of size > 2 as counterexamples."""
-    offenders = tuple(m for m in minimal_nonfaces(c) if m.bit_count() != 2)
-    return not offenders, offenders
-
-
-def non_edge_graph(c: SimplicialComplex) -> Graph:
-    """Graph joining the vertex pairs that are not faces of the complex.
-
-    A complex is flag exactly when it is the independence complex of this
-    graph; see flag_round_trip.
-    """
-    verts = face_vertices(c.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    faces = c.faces()
-    edges = []
-    for a, b in combinations(verts, 2):
-        if (1 << a) | (1 << b) not in faces:
-            edges.append((index[a], index[b]))
-    return graph_from_edges(len(verts), edges)
-
-
-def flag_round_trip(c: SimplicialComplex) -> bool:
-    """True iff rebuilding from the non-edge graph reproduces the complex."""
-    rebuilt = independence_complex(non_edge_graph(c))
-    verts = face_vertices(c.vertices)
-    mapping = {i: v for i, v in enumerate(verts)}
-    return rebuilt.relabel(mapping) == c
 
 
 @dataclass(frozen=True)

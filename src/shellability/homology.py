@@ -245,17 +245,3 @@ def reduced_homology(c: SimplicialComplex, k: int) -> HomologyGroup:
         return ZERO_GROUP
     return cache.memo(_HOMOLOGY_CACHE, (c.facets, k), _homology_group, c, k)
 
-
-def homology_groups(c: SimplicialComplex) -> dict[int, HomologyGroup]:
-    """All reduced homology groups from dimension -1 through dim."""
-    return {k: reduced_homology(c, k) for k in range(-1, c.dim + 1)}
-
-
-def euler_characteristic(c: SimplicialComplex) -> int:
-    """Reduced Euler characteristic: alternating face-count sum, empty face at -1."""
-    total = 0
-    sign = -1
-    for count in c.f_vector():
-        total += sign * count
-        sign = -sign
-    return total

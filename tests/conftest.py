@@ -56,6 +56,10 @@ def ind_c6() -> SimplicialComplex:
     return independence_complex(cycle_graph(6))
 
 
+def full_simplex(n: int) -> SimplicialComplex:
+    return from_facets([(1 << n) - 1])
+
+
 def random_complex(rng, n_max: int = 6, max_facets: int = 7, dim_cap: int = 3) -> SimplicialComplex:
     """Small random complex for corpus tests (deterministic under a seeded rng)."""
     n = rng.randint(1, n_max)

@@ -12,7 +12,6 @@ from shellability import cache
 from shellability.complexes import (
     CanonicalForm,
     CapacityError,
-    DimensionError,
     SimplicialComplex,
     all_faces,
     face_vertices,
@@ -26,6 +25,7 @@ from shellability.enumeration import (
     _non_face_pairs,
     _sort_key,
 )
+from shellability.graphs import Graph, graph_from_edges, independence_complex
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import ShellingDecision, _certificate, is_shellable
@@ -92,7 +92,7 @@ def shellable_by_search(c: SimplicialComplex) -> ShellingDecision:
 def fast_paths_agree(c: SimplicialComplex) -> bool:
     """Compare the dimension <= 2 criteria against the raw search (test support)."""
     if c.dim > 2:
-        raise DimensionError("fast paths only exist for dimension <= 2")
+        raise ValueError("fast paths only exist for dimension <= 2")
     return is_shellable(c).shellable == shellable_by_search(c).shellable
 
 
@@ -622,6 +622,16 @@ def dense_smith_normal_form(matrix) -> tuple[list[int], int]:
     return divisors, len(divisors)
 
 
+def euler_characteristic(c: SimplicialComplex) -> int:
+    """Reduced Euler characteristic: alternating face-count sum, empty face at -1."""
+    total = 0
+    sign = -1
+    for count in c.f_vector():
+        total += sign * count
+        sign = -sign
+    return total
+
+
 def _ranks(sigs: list) -> list[int]:
     rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
     return [rank[s] for s in sigs]
@@ -665,3 +675,50 @@ def tuple_refine_colors(
         if new_colors == colors:
             return colors
         colors = new_colors
+
+
+def minimal_nonfaces(c: SimplicialComplex) -> list[int]:
+    """Vertex sets that are not faces but all of whose proper subsets are."""
+    faces = c.faces()
+    verts = face_vertices(c.vertices)
+    out = []
+    for size in range(2, len(verts) + 1):
+        for combo in combinations(verts, size):
+            m = 0
+            for v in combo:
+                m |= 1 << v
+            if m in faces:
+                continue
+            if all((m ^ (1 << v)) in faces for v in combo):
+                out.append(m)
+    return out
+
+
+def is_flag(c: SimplicialComplex) -> tuple[bool, tuple[int, ...]]:
+    """Flag test; returns the minimal nonfaces of size > 2 as counterexamples."""
+    offenders = tuple(m for m in minimal_nonfaces(c) if m.bit_count() != 2)
+    return not offenders, offenders
+
+
+def non_edge_graph(c: SimplicialComplex) -> Graph:
+    """Graph joining the vertex pairs that are not faces of the complex.
+
+    A complex is flag exactly when it is the independence complex of this
+    graph; see flag_round_trip.
+    """
+    verts = face_vertices(c.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    faces = c.faces()
+    edges = []
+    for a, b in combinations(verts, 2):
+        if (1 << a) | (1 << b) not in faces:
+            edges.append((index[a], index[b]))
+    return graph_from_edges(len(verts), edges)
+
+
+def flag_round_trip(c: SimplicialComplex) -> bool:
+    """True iff rebuilding from the non-edge graph reproduces the complex."""
+    rebuilt = independence_complex(non_edge_graph(c))
+    verts = face_vertices(c.vertices)
+    mapping = {i: v for i, v in enumerate(verts)}
+    return rebuilt.relabel(mapping) == c

@@ -41,6 +41,22 @@ def test_check_parse_error(tmp_path, capsys):
 
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent.cplx", "--property", "shellable"]) == 2
+    assert "/nonexistent.cplx" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["atlas", "{tmp}/taken", "--max-vertices", "4"],
+    ["enumerate", "--dim", "1", "--max-vertices", "4", "--output", "{tmp}/missing/cat.json"],
+    ["indcycle", "6", "--output", "{tmp}/missing/ind.cplx"],
+], ids=["atlas", "enumerate", "indcycle"])
+def test_file_errors_exit_2_and_name_the_path(tmp_path, capsys, argv):
+    """A path that cannot be written is a usage error, not a failed predicate."""
+    (tmp_path / "taken").write_text("")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    path = next(arg for arg in argv if arg.startswith(str(tmp_path)))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
 
 
 def test_check_unknown_property(tmp_path, two_k2, capsys):
@@ -95,6 +111,9 @@ def test_check_obstruction_variants(tmp_path, two_k2, capsys):
     assert main(["check", p, "--property", "shellable", "--variant", "obstruction"]) == 0
     assert main(["check", p, "--property", "shellable", "--variant", "strong-obstruction"]) == 0
     assert main(["check", p, "--property", "shellable", "--variant", "hereditary"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["is an obstruction to shellable", "is a strong obstruction to shellable",
+                   "not hereditary: restriction to the complex itself fails"]
 
 
 def test_check_strong_obstruction_ind_c7(tmp_path, capsys):

@@ -4,13 +4,13 @@ from pathlib import Path
 import pytest
 
 from shellability.cohen_macaulay import _pure_skeletons_cm, is_cohen_macaulay, is_sequentially_cm
-from shellability.complexes import PurityError, face_vertices, from_facets, full_simplex
+from shellability.complexes import PurityError, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.homology import HomologyGroup, reduced_homology
 from shellability.partition import band_complex
 from shellability.shelling import is_shellable
 
-from conftest import DUNCE_HAT_FACETS, corpus
+from conftest import DUNCE_HAT_FACETS, corpus, full_simplex
 
 GOLDEN_ATLAS = Path(__file__).parent / "golden" / "atlas6_catalog.json"
 

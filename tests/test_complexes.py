@@ -18,15 +18,13 @@ from shellability.complexes import (
     face_vertices,
     format_complex,
     from_facets,
-    full_simplex,
     parse_complex,
-    two_disjoint_edges,
     union,
 )
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 
-from conftest import corpus
+from conftest import corpus, full_simplex
 from oracles import tuple_refine_colors
 
 
@@ -52,7 +50,6 @@ def test_from_facets_is_idempotent_on_corpus():
 
 
 def test_two_disjoint_edges_shape(two_k2):
-    assert two_disjoint_edges() == two_k2
     assert two_k2.f_vector() == [1, 4, 2]
     assert not two_k2.connected()
 
@@ -132,21 +129,6 @@ def test_f_vector_dim_purity(two_k2, delta5):
     assert delta5.is_pure() and delta5.dim == 2
     assert not from_facets(masks({0, 1, 2}, {3, 4})).is_pure()
     assert sum(delta5.f_vector()) == len(all_faces(delta5))
-
-
-def test_edge_classification(delta5, complex_1a, simplex3):
-    kinds = delta5.edge_classification()
-    nonboundary = {e for e, k in kinds.items() if k == "nonboundary"}
-    assert nonboundary == {face({k, (k + 1) % 5}) for k in range(5)}
-    assert len(kinds) == 10
-
-    assert set(complex_1a.edge_classification().values()) == {"boundary"}
-
-    tri = from_facets([{0, 1, 2}])
-    assert set(tri.edge_classification().values()) == {"boundary"}
-
-    with pytest.raises(Exception):
-        simplex3.link({0}).edge_classification()  # 1-dimensional
 
 
 def test_connectivity(two_k2, delta5):
@@ -580,6 +562,21 @@ def test_only_the_cache_module_trims_or_stores_into_a_module_table():
             if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
                     and isinstance(node.value, ast.Name) and node.value.id in tables):
                 found.append(f"{path.name}:{node.lineno} {node.value.id}[...]")
+    assert found == []
+
+
+def test_the_package_has_no_assert_statements():
+    """``python -O`` strips ``assert`` statements, so no check of the package
+    may be one: each raises an exception of its own."""
+    import ast
+    from pathlib import Path
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(complexes.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
 
 

@@ -7,16 +7,14 @@ from shellability.complexes import face, from_facets
 from shellability.graphs import (
     Graph,
     cycle_graph,
-    flag_round_trip,
     graph_from_edges,
     independence_complex,
     independence_cycle_report,
-    is_flag,
     maximal_independent_sets,
-    minimal_nonfaces,
-    non_edge_graph,
 )
 from shellability.partition import band_complex
+
+from oracles import flag_round_trip, is_flag, minimal_nonfaces, non_edge_graph
 
 
 def brute_mis(g: Graph) -> set:

@@ -7,21 +7,19 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from shellability import cache, complexes
 from shellability.cohen_macaulay import is_sequentially_cm
-from shellability.complexes import from_facets, full_simplex
+from shellability.complexes import from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.homology import (
     HomologyGroup,
     boundary_matrix,
-    euler_characteristic,
-    homology_groups,
     reduced_homology,
     smith_normal_form,
 )
 from shellability.partition import band_complex, is_partitionable, verify_partition
 from shellability.shelling import is_shellable
 
-from conftest import RP2_FACETS, corpus
-from oracles import dense_smith_normal_form
+from conftest import RP2_FACETS, corpus, full_simplex
+from oracles import dense_smith_normal_form, euler_characteristic
 
 
 def matmul(a, b):
@@ -166,12 +164,12 @@ def test_independence_complexes_of_cycles_match_kozlov():
         degree, rank = {0: (k - 1, 2), 1: (k - 1, 1), 2: (k, 1)}[r]
         c = independence_complex(cycle_graph(n))
         expected = {d: HomologyGroup(rank if d == degree else 0) for d in range(-1, c.dim + 1)}
-        assert homology_groups(c) == expected, n
+        assert {k: reduced_homology(c, k) for k in range(-1, c.dim + 1)} == expected, n
 
 
 def test_projective_plane_torsion_end_to_end():
     rp2 = from_facets(RP2_FACETS)
-    assert homology_groups(rp2) == {
+    assert {k: reduced_homology(rp2, k) for k in range(-1, rp2.dim + 1)} == {
         -1: HomologyGroup(0), 0: HomologyGroup(0), 1: HomologyGroup(0, (2,)), 2: HomologyGroup(0)
     }
     report = is_sequentially_cm(rp2)
@@ -188,18 +186,20 @@ def test_homology_is_label_independent():
     rng = random.Random(77)
     for c in corpus(seed=78, count=40, n_max=7, multi_facet=True):
         cache.clear_all_caches()
-        expected = homology_groups(c)
+        expected = {k: reduced_homology(c, k) for k in range(-1, c.dim + 1)}
         for _ in range(3):
             ids = c.vertex_ids()
             relabelled = c.relabel(dict(zip(ids, rng.sample(range(12), len(ids)))))
             cache.clear_all_caches()
-            assert homology_groups(relabelled) == expected, c
+            groups = {k: reduced_homology(relabelled, k) for k in range(-1, relabelled.dim + 1)}
+            assert groups == expected, c
 
 
 def test_homology_does_not_canonicalize():
     cache.clear_all_caches()
     c = from_facets(RP2_FACETS)
-    homology_groups(c)
+    for k in range(-1, c.dim + 1):
+        reduced_homology(c, k)
     assert not complexes._CANON_CACHE
 
 
@@ -224,7 +224,7 @@ def test_euler_characteristic_examples(two_k2, delta5):
 
 def test_euler_characteristic_equals_alternating_betti_sum():
     for c in corpus(seed=23, count=40):
-        groups = homology_groups(c)
+        groups = {k: reduced_homology(c, k) for k in range(-1, c.dim + 1)}
         alternating = sum((-1) ** k * g.betti for k, g in groups.items())
         assert euler_characteristic(c) == alternating
 

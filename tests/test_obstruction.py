@@ -2,12 +2,10 @@ import json
 import random
 from pathlib import Path
 
-import pytest
-
 from shellability import cache, obstruction
-from shellability.complexes import face_vertices, from_facets, full_simplex
+from shellability.complexes import face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
-from shellability.obstruction import is_hereditary, minimal_failing_restriction, obstruction_report
+from shellability.obstruction import is_hereditary, obstruction_report
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind, satisfies
 
@@ -94,37 +92,6 @@ def test_hereditary_characterisations_agree():
             direct = is_hereditary(c, prop)[0]
             assert direct == hereditary_via_obstructions(c, prop)
             assert direct == hereditary_via_strong_obstructions(c, prop)
-
-
-def test_minimal_failing_restriction_examples(two_k2, complex_1a):
-    # a disjoint extra edge is stripped away, leaving the four-vertex core
-    padded = from_facets([{0, 1}, {2, 3}, {4, 5}])
-    small = minimal_failing_restriction(padded, SH)
-    assert small.is_isomorphic(two_k2)
-    assert minimal_failing_restriction(complex_1a, SH) == complex_1a
-    with pytest.raises(ValueError):
-        minimal_failing_restriction(full_simplex(3), SH)
-
-
-def test_minimal_failing_restriction_yields_obstructions():
-    seeded = [
-        band_complex(2, 5),
-        band_complex(2, 6),
-        band_complex(2, 7),
-        independence_complex(cycle_graph(6)),
-        independence_complex(cycle_graph(7)),
-        from_facets([{0, 1}, {2, 3}, {4, 5}]),
-        from_facets([{0, 1, 2}, {3, 4, 5}, {0, 3}]),
-        from_facets([{0, 1, 2}, {0, 3, 4}]),
-    ]
-    produced = 0
-    for c in seeded + corpus(seed=64, count=60):
-        if satisfies(c, SH):
-            continue
-        result = minimal_failing_restriction(c, SH)
-        assert obstruction_report(result, SH).is_obstruction
-        produced += 1
-    assert produced >= 10
 
 
 def test_implication_metadata():

@@ -6,14 +6,14 @@ from itertools import combinations
 
 from shellability.complexes import face, from_facets
 from shellability.enumeration import dim2_shellability_obstructions
-from shellability.graphs import flag_round_trip, graph_from_edges, independence_complex, is_flag
+from shellability.graphs import graph_from_edges, independence_complex
 from shellability.obstruction import is_hereditary
 from shellability.partition import is_partitionable, verify_partition
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import is_shellable, verify_shelling
 
 from conftest import corpus
-from oracles import fast_paths_agree
+from oracles import fast_paths_agree, flag_round_trip, is_flag
 
 
 def enumerated_classes():

@@ -5,13 +5,13 @@ import pytest
 
 from shellability import cache
 from shellability.cohen_macaulay import is_sequentially_cm
-from shellability.complexes import SimplicialComplex, face_vertices, from_facets, full_simplex
+from shellability.complexes import SimplicialComplex, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability import shelling
 from shellability.partition import band_complex, is_partitionable, verify_partition
 from shellability.shelling import is_shellable, verify_shelling
 
-from conftest import DUNCE_HAT_FACETS, corpus
+from conftest import DUNCE_HAT_FACETS, corpus, full_simplex
 from oracles import fast_paths_agree, plain_search_ordering, shellable_by_search
 
 
