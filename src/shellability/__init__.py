@@ -55,7 +55,6 @@ from .enumeration import (
     MAX_OBSTRUCTION_VERTICES,
     dim2_shellability_obstructions,
     edge_minimal,
-    enumerate_complexes,
     enumerate_obstructions,
     generic_obstructions,
     triangle_cores,

@@ -163,14 +163,18 @@ def summary_lines(entries: list[CatalogEntry]) -> list[str]:
     return lines
 
 
+def _check_bound(max_vertices: int) -> None:
+    if not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
+        raise CapacityError(f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
+
+
 def obstruction_atlas_entries(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> list[CatalogEntry]:
     """All obstruction classes of dimension <= 2 with full annotations.
 
     Dimension 1 stops at its own six-vertex bound when max_vertices is
     larger.  Raises CapacityError unless 1 <= max_vertices <= 7.
     """
-    if not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
-        raise CapacityError(f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
+    _check_bound(max_vertices)
     complexes: list[SimplicialComplex] = []
     for dim, bound in DEFAULT_MAX_VERTICES.items():
         complexes.extend(enumerate_obstructions(dim, max_vertices=min(max_vertices, bound)))
@@ -181,10 +185,14 @@ def write_atlas(out_dir: str | Path, max_vertices: int = MAX_OBSTRUCTION_VERTICE
     """Write catalog.json, per-entry facet files and a summary table; returns the paths.
 
     Removes the facet files in ``complexes/`` that the new catalog does not list.
+    A bad bound raises before anything is created, and a directory that
+    cannot be made raises before the search runs.
     """
-    entries = obstruction_atlas_entries(max_vertices)
+    _check_bound(max_vertices)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    complexes_dir = out / "complexes"
+    complexes_dir.mkdir(parents=True, exist_ok=True)
+    entries = obstruction_atlas_entries(max_vertices)
     doc = catalog_document(
         entries,
         kind="obstruction-atlas",
@@ -196,8 +204,6 @@ def write_atlas(out_dir: str | Path, max_vertices: int = MAX_OBSTRUCTION_VERTICE
     catalog_path = out / "catalog.json"
     catalog_path.write_text(catalog_json(doc), encoding="utf-8")
     paths.append(catalog_path)
-    complexes_dir = out / "complexes"
-    complexes_dir.mkdir(exist_ok=True)
     for e in entries:
         name = f"{e.id}{'_' + e.label if e.label else ''}.cplx"
         body = "".join(" ".join(map(str, f)) + "\n" for f in e.facets)

@@ -8,6 +8,8 @@ atlas, and ``indcycle`` prints the independence complex of a cycle graph.
 Exit codes for ``check``: 0 when the queried predicate holds, 1 when it does
 not, 2 on usage or parse errors.  Every command exits 2 when a file cannot be
 read or written, and ``indcycle`` exits 2 for a cycle length outside 3..30.
+``atlas`` and ``enumerate --output`` check the output path before they
+search, so a path that cannot be written fails at once.
 All outputs are deterministic, and every search, the seven-vertex core scan
 included, runs in this process.
 """
@@ -159,6 +161,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if holds else 1
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the OSError that writing the file would raise, before a search
+    runs: open it for update if it exists, else create it and remove it."""
+    if path.exists():
+        with path.open("r+"):
+            pass
+    else:
+        with path.open("x"):
+            pass
+        path.unlink()
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.edge_minimal and args.strong:
         raise ValueError("--edge-minimal and --strong are exclusive")
@@ -170,6 +184,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     prop = _property(args.property)
     compare = [_property(name) for name in args.compare]
     max_vertices = DEFAULT_MAX_VERTICES[args.dim] if args.max_vertices is None else args.max_vertices
+    if args.output:
+        _check_writable(Path(args.output))
     found = enumerate_obstructions(args.dim, prop, mode, max_vertices)
     entries = catalog_mod.build_entries(found)
     doc = catalog_mod.catalog_document(

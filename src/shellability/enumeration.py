@@ -2,11 +2,16 @@
 
 Two layers live here, behind one entry point, enumerate_obstructions.
 
-The generic layer (enumerate_complexes, generic_obstructions) covers
-dimensions 0 and 1 with no structural assumptions: it grows the graphs
-without isolated vertices edge by edge with canonical-form rejection, once
-on the largest vertex count, and pads each with 0-facets to every count up
-to it; the obstructions in those dimensions are read off it directly.
+The generic layer (generic_obstructions) covers dimensions 0 and 1 with no
+structural assumption about the obstructions.  It searches level by level
+over the vertex count: a level attaches a new vertex of minimum degree to
+each hereditarily-P class on one vertex fewer, and rejects a candidate
+before labelling it when a restriction that holds the new vertex is a
+labelled copy of an obstruction found below, as the core scan does in
+dimension two.  The survivors of each level are its hereditary classes and
+its obstructions; the top level labels only the candidates that fail P.  The
+test suite keeps an edge-by-edge generator of every graph class as its
+reference.
 
 The dimension-two obstruction search proper runs on the triangle cores of
 candidate complexes.  For a two-dimensional obstruction, the edge facets only
@@ -95,34 +100,12 @@ MAX_OBSTRUCTION_VERTICES = 7
 DEFAULT_MAX_VERTICES = {0: 7, 1: 6, 2: 7}
 
 # ---------------------------------------------------------------------------
-# generic isomorph-free generation
+# shared helpers
 # ---------------------------------------------------------------------------
 
 def _sort_key(c: SimplicialComplex) -> tuple:
     canon = c.canonical_form()
     return (canon.n_vertices, len(c.facets), canon.facets)
-
-
-def _grow_classes(seed: SimplicialComplex, n: int, additions) -> list[SimplicialComplex]:
-    """All classes reachable from the seed by repeatedly adding one facet.
-
-    ``additions(c, range(n))`` yields candidate facet masks within the
-    n-vertex universe; duplicates are rejected through canonical forms,
-    level by level, so each isomorphism class is visited once.
-    """
-    seen = {seed.canonical_form(): seed}
-    frontier = [seed]
-    while frontier:
-        next_frontier = []
-        for c in frontier:
-            for add in additions(c, range(n)):
-                grown = from_facets(c.facets + (add,))
-                key = grown.canonical_form()
-                if key not in seen:
-                    seen[key] = grown
-                    next_frontier.append(grown)
-        frontier = next_frontier
-    return list(seen.values())
 
 
 def _non_face_pairs(c: SimplicialComplex, vertices: Iterable[int]) -> list[int]:
@@ -133,61 +116,6 @@ def _non_face_pairs(c: SimplicialComplex, vertices: Iterable[int]) -> list[int]:
         m = (1 << a) | (1 << b)
         if m not in faces:
             out.append(m)
-    return out
-
-
-def _pad_isolated(c: SimplicialComplex, n: int) -> SimplicialComplex:
-    """Append isolated vertices (0-facets) until the complex sits on n vertices."""
-    missing = n - c.n_vertices
-    if missing < 0:
-        raise ValueError(f"a complex on {c.n_vertices} vertices cannot be padded to {n}")
-    extra = []
-    label = 0
-    while missing:
-        if not c.vertices & (1 << label):
-            extra.append(1 << label)
-            missing -= 1
-        label += 1
-    return from_facets(c.facets + tuple(extra)) if extra else c
-
-
-def enumerate_complexes(dim: int, n: int) -> list[SimplicialComplex]:
-    """Every isomorphism class of complexes of this dimension on exactly n vertices.
-
-    Dimension 0 has one class, n isolated vertices.  In dimension 1 the
-    vertices that lie in no edge are 0-facets, so this enumerates the graphs
-    on n vertices with at least one edge.  Higher dimensions are out of
-    scope: dimension-2 obstructions come from the pruned core pipeline.
-    """
-    return _exact_classes(_seed_classes(dim, n), n)
-
-
-def _seed_classes(dim: int, n: int) -> list[SimplicialComplex]:
-    """Classes that pad out to every class of the dimension on at most n
-    vertices: one vertex in dimension 0, and in dimension 1 every graph
-    without isolated vertices, grown edge by edge on n vertices."""
-    if dim not in (0, 1):
-        raise CapacityError("exhaustive generation covers dimensions 0 and 1")
-    if n < 1 or n > MAX_OBSTRUCTION_VERTICES:
-        raise CapacityError(f"vertex count must be 1..{MAX_OBSTRUCTION_VERTICES}")
-    if dim == 0:
-        return [from_facets([1])]
-    return _grow_classes(from_facets([0b11]), n, _non_face_pairs)
-
-
-def _exact_classes(classes: list[SimplicialComplex], n: int) -> list[SimplicialComplex]:
-    """The distinct classes on exactly n vertices made by padding the classes
-    on at most n vertices with 0-facets, as sorted canonical representatives."""
-    out = []
-    seen: set[CanonicalForm] = set()
-    for c in classes:
-        if c.n_vertices > n:
-            continue
-        key = _pad_isolated(c, n).canonical_form()
-        if key not in seen:
-            seen.add(key)
-            out.append(from_facets(key.facets))
-    out.sort(key=_sort_key)
     return out
 
 
@@ -595,19 +523,119 @@ def edge_minimal(c: SimplicialComplex) -> bool:
     return True
 
 
-def generic_obstructions(dim: int, max_vertices: int, prop: PropertyKind) -> list[SimplicialComplex]:
-    """Assumption-free path in dimension 0 or 1: enumerate every class and filter.
+def _pair_bit(a: int, b: int) -> int:
+    """The bit of the vertex pair {a, b} in an edge mask.  Pairs are numbered
+    by their larger vertex, then the smaller, so the pairs at a new vertex
+    follow those below it and the numbering does not depend on the level."""
+    lo, hi = min(a, b), max(a, b)
+    return 1 << (hi * (hi - 1) // 2 + lo)
 
-    The classes are grown once on max_vertices vertices and padded with
-    0-facets to each vertex count up to it.
+
+def _edge_mask(facets: Iterable[int]) -> int:
+    return sum(_pair_bit(*face_vertices(f)) for f in facets if f.bit_count() == 2)
+
+
+def _graph_copies(n: int, lower: list[SimplicialComplex]) -> set[int]:
+    """Every relabeling of the obstructions into vertices 0..n-1, each as its
+    vertex set W with its edge mask above it, ``W | edges << n``."""
+    copies = set()
+    for c in lower:
+        edges = [face_vertices(f) for f in c.facets if f.bit_count() == 2]
+        for image in permutations(range(n), c.n_vertices):
+            w = sum(1 << v for v in image)
+            copies.add(w | sum(_pair_bit(image[a], image[b]) for a, b in edges) << n)
+    return copies
+
+
+def _graph_level(
+    dim: int,
+    sources: list[tuple[int, ...]],
+    n: int,
+    lower: list[SimplicialComplex],
+    prop: PropertyKind,
+    top: bool,
+) -> tuple[list[tuple[int, ...]], list[SimplicialComplex]]:
+    """One vertex count of ``generic_obstructions``: (hereditary classes, obstructions) on exactly n vertices.
+
+    The sources are the canonical facet tuples of the hereditarily-P classes
+    on n - 1 vertices.  The new vertex n - 1 gets a neighbourhood N: none in
+    dimension 0, and in dimension 1 every N that gives it minimum degree,
+    |N| <= deg(u) + [u in N] for every old vertex u.  A candidate is dropped
+    unlabelled when its restriction to a vertex set W that holds the new
+    vertex and misses an old one is a labelled copy of an obstruction in
+    ``lower``, compared as ``W | edges << n``, since a 0-facet is a vertex
+    too; only W of an obstruction's size can match.  At the top level P is
+    decided on the raw candidate first, and only the candidates that fail it
+    are labelled.
     """
-    classes = _seed_classes(dim, max_vertices)
-    out = [
-        c
-        for n in range(1, max_vertices + 1)
-        for c in _exact_classes(classes, n)
-        if obstruction_report(c, prop).is_obstruction
+    new = n - 1
+    shift = new * (new - 1) // 2  # the bit of the pair {0, new}
+    sizes = {c.n_vertices for c in lower}
+    around = [
+        (w, _edge_mask((1 << a) | (1 << b) for a, b in combinations(face_vertices(w), 2)))
+        for w in range(1 << new, (1 << n) - 1)
+        if w.bit_count() in sizes
     ]
+    copies = _graph_copies(n, lower)
+    seen: set[CanonicalForm] = set()
+    hereditary: list[tuple[int, ...]] = []
+    found: list[SimplicialComplex] = []
+    for rep in sources:
+        base = _edge_mask(rep)
+        deg = [sum(f >> u & 1 for f in rep if f.bit_count() == 2) for u in range(new)]
+        for nb in range(1 << new if dim == 1 else 1):
+            k = nb.bit_count()
+            if any(k > deg[u] + (nb >> u & 1) for u in range(new)):
+                continue
+            edges = base | nb << shift
+            if any(w | (edges & pairs) << n in copies for w, pairs in around):
+                continue
+            star = tuple((1 << u) | (1 << new) for u in face_vertices(nb)) or (1 << new,)
+            candidate = from_facets(rep + star)
+            if top and satisfies(candidate, prop):
+                continue
+            key = candidate.canonical_form()
+            if key in seen:
+                continue
+            seen.add(key)
+            if top or not satisfies(candidate, prop):
+                found.append(from_facets(key.facets))
+            else:
+                hereditary.append(key.facets)
+    return hereditary, found
+
+
+def generic_obstructions(dim: int, max_vertices: int, prop: PropertyKind) -> list[SimplicialComplex]:
+    """Every obstruction to P of dimension 0 or 1 on at most max_vertices vertices, sorted.
+
+    A level-wise search over the vertex count n, with no structural
+    assumption about the obstructions: level n attaches a new vertex to each
+    hereditarily-P class on n - 1 vertices (level 1 to {∅}).  It is
+    complete.  Every graph has a vertex of minimum degree, and deleting it
+    from a hereditarily-P class or from an obstruction leaves a
+    hereditarily-P class on n - 1 vertices, a source up to relabeling; so
+    every class on n vertices is reached by attaching a minimum-degree
+    vertex last.  A candidate's vertex deletions are all hereditarily P
+    exactly when none of its restrictions is a labelled copy of an
+    obstruction on fewer vertices, since a minimal failing restriction is
+    one; the restrictions that leave the new vertex out lie in the source,
+    so only the vertex sets that hold it and miss an old one are tested.
+    The top level is the bound, whose hereditary classes would only be
+    sources of a level that is not scanned.  Each obstruction found is
+    re-checked with ``obstruction_report``, and a mismatch raises.
+    """
+    if dim not in (0, 1):
+        raise CapacityError("exhaustive generation covers dimensions 0 and 1")
+    if not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
+        raise CapacityError(f"vertex count must be 1..{MAX_OBSTRUCTION_VERTICES}")
+    sources: list[tuple[int, ...]] = [(0,)]
+    out: list[SimplicialComplex] = []
+    for n in range(1, max_vertices + 1):
+        sources, found = _graph_level(dim, sources, n, out, prop, n == max_vertices)
+        for c in found:
+            if not obstruction_report(c, prop).is_obstruction:
+                raise RuntimeError(f"the search found {c!r}, which is not an obstruction to {prop.value}")
+        out += found
     out.sort(key=_sort_key)
     return out
 

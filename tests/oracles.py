@@ -5,7 +5,7 @@ characterisation directly, without the fast paths, prescreens or memo tables
 of the deciders it checks.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Optional
 
 from shellability import cache
@@ -19,12 +19,7 @@ from shellability.complexes import (
     subsets_of,
     union,
 )
-from shellability.enumeration import (
-    _exact_classes,
-    _grow_classes,
-    _non_face_pairs,
-    _sort_key,
-)
+from shellability.enumeration import MAX_OBSTRUCTION_VERTICES, _non_face_pairs, _sort_key
 from shellability.graphs import Graph, graph_from_edges, independence_complex
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
@@ -186,6 +181,126 @@ def hereditary_via_strong_obstructions(c: SimplicialComplex, prop: PropertyKind)
             if obstruction_report(restricted.link(tau), prop).is_strong:
                 return False
     return True
+
+
+def _grow_classes(seed: SimplicialComplex, n: int, additions) -> list[SimplicialComplex]:
+    """All classes reachable from the seed by repeatedly adding one facet.
+
+    ``additions(c, range(n))`` yields candidate facet masks within the
+    n-vertex universe; duplicates are rejected through canonical forms,
+    level by level, so each isomorphism class is visited once.
+    """
+    seen = {seed.canonical_form(): seed}
+    frontier = [seed]
+    while frontier:
+        next_frontier = []
+        for c in frontier:
+            for add in additions(c, range(n)):
+                grown = from_facets(c.facets + (add,))
+                key = grown.canonical_form()
+                if key not in seen:
+                    seen[key] = grown
+                    next_frontier.append(grown)
+        frontier = next_frontier
+    return list(seen.values())
+
+
+def _pad_isolated(c: SimplicialComplex, n: int) -> SimplicialComplex:
+    """Append isolated vertices (0-facets) until the complex sits on n vertices."""
+    missing = n - c.n_vertices
+    if missing < 0:
+        raise ValueError(f"a complex on {c.n_vertices} vertices cannot be padded to {n}")
+    extra = []
+    label = 0
+    while missing:
+        if not c.vertices & (1 << label):
+            extra.append(1 << label)
+            missing -= 1
+        label += 1
+    return from_facets(c.facets + tuple(extra)) if extra else c
+
+
+def enumerate_complexes(dim: int, n: int) -> list[SimplicialComplex]:
+    """Every isomorphism class of complexes of this dimension on exactly n vertices.
+
+    Dimension 0 has one class, n isolated vertices.  In dimension 1 the
+    vertices that lie in no edge are 0-facets, so this enumerates the graphs
+    on n vertices with at least one edge.  Higher dimensions are out of
+    scope: dimension-2 obstructions come from the pruned core pipeline.
+    """
+    return _exact_classes(_seed_classes(dim, n), n)
+
+
+def _seed_classes(dim: int, n: int) -> list[SimplicialComplex]:
+    """Classes that pad out to every class of the dimension on at most n
+    vertices: one vertex in dimension 0, and in dimension 1 every graph
+    without isolated vertices, grown edge by edge on n vertices."""
+    if dim not in (0, 1):
+        raise CapacityError("exhaustive generation covers dimensions 0 and 1")
+    if n < 1 or n > MAX_OBSTRUCTION_VERTICES:
+        raise CapacityError(f"vertex count must be 1..{MAX_OBSTRUCTION_VERTICES}")
+    if dim == 0:
+        return [from_facets([1])]
+    return _grow_classes(from_facets([0b11]), n, _non_face_pairs)
+
+
+def _exact_classes(classes: list[SimplicialComplex], n: int) -> list[SimplicialComplex]:
+    """The distinct classes on exactly n vertices made by padding the classes
+    on at most n vertices with 0-facets, as sorted canonical representatives."""
+    out = []
+    seen: set[CanonicalForm] = set()
+    for c in classes:
+        if c.n_vertices > n:
+            continue
+        key = _pad_isolated(c, n).canonical_form()
+        if key not in seen:
+            seen.add(key)
+            out.append(from_facets(key.facets))
+    out.sort(key=_sort_key)
+    return out
+
+
+def edge_growth_obstructions(dim: int, max_vertices: int, prop: PropertyKind) -> list[SimplicialComplex]:
+    """The reference for ``enumeration.generic_obstructions``: every class of
+    the dimension on each vertex count up to max_vertices, grown edge by
+    edge, filtered by the obstruction check and sorted the same way."""
+    out = [
+        c
+        for n in range(1, max_vertices + 1)
+        for c in enumerate_complexes(dim, n)
+        if obstruction_report(c, prop).is_obstruction
+    ]
+    out.sort(key=_sort_key)
+    return out
+
+
+def two_k2_free_graph_classes(n: int) -> int:
+    """The number of graphs on n vertices with no induced 2K2, up to isomorphism.
+
+    Brute force over the labelled graphs whose degrees do not decrease with
+    the vertex id, which meet every class.  In such a graph each degree's
+    vertices are a run of ids, and two such graphs are isomorphic only
+    through a permutation of each run, so the least edge set over those
+    permutations is a class key.
+    """
+    pairs = [frozenset(p) for p in combinations(range(n), 2)]
+    keys = set()
+    for bits in range(1 << len(pairs)):
+        edges = {p for i, p in enumerate(pairs) if bits >> i & 1}
+        deg = [sum(v in e for e in edges) for v in range(n)]
+        if deg != sorted(deg):
+            continue
+        if any(
+            not e & f and not any(frozenset((x, y)) in edges for x in e for y in f)
+            for e, f in combinations(edges, 2)
+        ):
+            continue
+        runs = [[v for v in range(n) if deg[v] == k] for k in sorted(set(deg))]
+        keys.add(min(
+            tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+            for perm in ([v for run in images for v in run] for images in product(*map(permutations, runs)))
+        ))
+    return len(keys)
 
 
 def _triangle_candidates(c: SimplicialComplex, vertices) -> list[int]:

@@ -59,6 +59,61 @@ def test_file_errors_exit_2_and_name_the_path(tmp_path, capsys, argv):
     assert err.startswith("error: ") and path in err
 
 
+def _no_search(monkeypatch) -> None:
+    from shellability import enumeration
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    for name in ("generic_obstructions", "dim2_shellability_obstructions", "triangle_cores"):
+        monkeypatch.setattr(enumeration, name, no_search)
+
+
+@pytest.mark.parametrize("argv", [
+    ["atlas", "{tmp}/taken"],
+    ["atlas", "{tmp}/taken/atlas"],
+    ["enumerate", "--dim", "1", "--output", "{tmp}/missing/cat.json"],
+    ["enumerate", "--dim", "2", "--output", "{tmp}/folder"],
+    ["enumerate", "--dim", "2", "--output", "{tmp}/taken/cat.json"],
+], ids=["atlas-onto-a-file", "atlas-below-a-file", "enumerate-missing-directory",
+        "enumerate-onto-a-directory", "enumerate-below-a-file"])
+def test_an_unwritable_output_fails_before_the_search(tmp_path, capsys, monkeypatch, argv):
+    """The output path is checked first, so a path that cannot be written
+    fails at once instead of after the whole search, which is stubbed here
+    to raise; the exit code is 2 and the message names the path."""
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "folder").mkdir()
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    _no_search(monkeypatch)
+    path = next(arg for arg in argv if arg.startswith(str(tmp_path)))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "taken"]
+
+
+def test_write_atlas_fails_on_its_directory_before_the_search(tmp_path, monkeypatch):
+    (tmp_path / "taken").write_text("")
+    _no_search(monkeypatch)
+    with pytest.raises(OSError):
+        write_atlas(tmp_path / "taken", 6)
+    assert (tmp_path / "taken").read_text() == ""
+
+
+def test_enumerate_output_writes_what_stdout_prints(tmp_path, capsys):
+    """Checking the output path first leaves the written bytes as they were,
+    for a new file and for one that is overwritten."""
+    argv = ["enumerate", "--dim", "1", "--max-vertices", "5"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    old.write_text("stale text that is longer than the catalog, " * 40)
+    for out in (fresh, old):
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "old.json"]
+
+
 def test_check_unknown_property(tmp_path, two_k2, capsys):
     p = write(tmp_path, "c.cplx", two_k2)
     assert main(["check", p, "--property", "frobnitz"]) == 2

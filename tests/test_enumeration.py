@@ -15,20 +15,18 @@ from shellability.catalog import (
     catalog_json,
     core_type,
 )
-from shellability.complexes import CapacityError, from_facets, union
+from shellability.complexes import CapacityError, SimplicialComplex, from_facets, union
 from shellability.enumeration import (
     _admissible_links,
     _automorphisms,
     _cone_extension_shellable,
     _deficit_groups,
     _face_pair_mask,
-    _pad_isolated,
     _pair_tables,
     _scan_level,
     _sort_key,
     dim2_shellability_obstructions,
     edge_minimal,
-    enumerate_complexes,
     enumerate_obstructions,
     generic_obstructions,
     triangle_cores,
@@ -42,15 +40,19 @@ from shellability.shelling import is_shellable
 
 from oracles import (
     _known,
+    _pad_isolated,
     _register_cores,
     _star_removed,
     _triangle_components,
     brute_force_automorphisms,
+    edge_growth_obstructions,
+    enumerate_complexes,
     enumerate_dim2_complexes,
     generic_dim2_obstructions,
     greedy_cone_extension_shellable,
     register_sources,
     source_lookup_known,
+    two_k2_free_graph_classes,
     unpruned_scan_level,
 )
 
@@ -104,6 +106,9 @@ def test_enumerate_complexes_guards():
         enumerate_complexes(2, 5)
     with pytest.raises(CapacityError):
         generic_obstructions(2, 5, SH)
+    for bound in (0, 8):
+        with pytest.raises(CapacityError, match="vertex count must be 1..7"):
+            generic_obstructions(1, bound, SH)
     with pytest.raises(CapacityError):
         enumerate_dim2_complexes(7)
 
@@ -236,41 +241,117 @@ def test_enumerate_obstructions_checks_its_arguments_before_any_search(
     def no_search(*args, **kwargs):
         raise AssertionError("a search ran")
 
-    for name in ("generic_obstructions", "dim2_shellability_obstructions", "triangle_cores", "_grow_classes"):
+    for name in ("generic_obstructions", "dim2_shellability_obstructions", "triangle_cores", "_graph_level"):
         monkeypatch.setattr(enumeration, name, no_search)
     with pytest.raises(error, match=message):
         enumerate_obstructions(dim, SH, mode, max_vertices)
 
 
-def test_generic_obstructions_grows_the_classes_once(monkeypatch):
-    grown = []
-    original = enumeration._grow_classes
+def _recorded_levels(monkeypatch) -> list[tuple[int, int, int, bool]]:
+    """Route the dimension 0-1 search's level scans through a recorder of
+    (n, hereditary classes, obstructions, top) per scan."""
+    levels = []
+    original = enumeration._graph_level
 
-    def counting(seed, n, additions):
-        grown.append(n)
-        return original(seed, n, additions)
+    def recording(dim, sources, n, lower, prop, top):
+        hereditary, found = original(dim, sources, n, lower, prop, top)
+        levels.append((n, len(hereditary), len(found), top))
+        return hereditary, found
 
-    monkeypatch.setattr(enumeration, "_grow_classes", counting)
+    monkeypatch.setattr(enumeration, "_graph_level", recording)
+    return levels
+
+
+def test_generic_obstructions_scans_each_level_once(monkeypatch):
+    """One call scans each vertex count 1..bound once, in order, and only
+    the bound as the top level, which emits no hereditary classes."""
+    levels = _recorded_levels(monkeypatch)
+    for dim, bound in ((1, 6), (0, 7), (1, 1)):
+        for prop in PropertyKind:
+            levels.clear()
+            generic_obstructions(dim, bound, prop)
+            assert [(n, top) for n, _, _, top in levels] == [(n, n == bound) for n in range(1, bound + 1)]
+            assert levels[-1][1] == 0
+
+
+def test_generic_obstructions_hereditary_classes_per_level(monkeypatch):
+    """The hereditary classes of each level below the bound are the graphs
+    with no induced 2K2 in dimension 1, counted here by brute force over
+    labelled graphs, and the n isolated vertices in dimension 0."""
+    levels = _recorded_levels(monkeypatch)
+    expected = [two_k2_free_graph_classes(n) for n in range(1, 7)]
+    assert expected == [1, 2, 4, 10, 28, 100]
     for prop in PropertyKind:
-        grown.clear()
-        generic_obstructions(1, 6, prop)
-        assert grown == [6]
-    grown.clear()
+        levels.clear()
+        generic_obstructions(1, 7, prop)
+        assert [h for _, h, _, _ in levels] == expected + [0]
+        assert [f for _, _, f, _ in levels] == [0, 0, 0, 1, 0, 0, 0]
+    levels.clear()
     generic_obstructions(0, 7, SH)
-    assert grown == []
+    assert [h for _, h, _, _ in levels] == [1] * 6 + [0]
+
+
+def test_the_top_level_labels_only_the_candidates_that_fail(monkeypatch):
+    """At the bound the search decides P on each raw candidate first and
+    labels only the candidates that fail it; below the bound it labels every
+    candidate that passes the mask test.  Labelings inside the deciders are
+    theirs and are not counted."""
+    deciding = [0]
+    verdicts: dict[int, tuple[SimplicialComplex, bool]] = {}
+    labelled: list[SimplicialComplex] = []
+    original_satisfies = enumeration.satisfies
+    original_canonical_form = SimplicialComplex.canonical_form
+
+    def recording_satisfies(c, prop):
+        deciding[0] += 1
+        try:
+            verdict = original_satisfies(c, prop)
+        finally:
+            deciding[0] -= 1
+        verdicts[id(c)] = (c, verdict)
+        return verdict
+
+    def recording_canonical_form(self):
+        if not deciding[0]:
+            labelled.append(self)
+        return original_canonical_form(self)
+
+    monkeypatch.setattr(enumeration, "satisfies", recording_satisfies)
+    monkeypatch.setattr(SimplicialComplex, "canonical_form", recording_canonical_form)
+    for prop in PropertyKind:
+        sources, lower = [(0,)], []
+        for n in range(1, 7):
+            labelled.clear()
+            below = enumeration._graph_level(1, sources, n, lower, prop, False)
+            below_labels = len(labelled)
+            labelled.clear()
+            verdicts.clear()
+            top = enumeration._graph_level(1, sources, n, lower, prop, True)
+            assert top[0] == []
+            assert [c.facets for c in top[1]] == [c.facets for c in below[1]]
+            assert all(verdicts[id(c)][0] is c and verdicts[id(c)][1] is False for c in labelled), (prop, n)
+            assert len(labelled) == (1 if n == 4 else 0), (prop, n)
+            assert below_labels >= len(below[0]) + len(below[1])
+            sources, lower = below[0], lower + below[1]
 
 
 def test_generic_obstructions_match_the_per_count_filter():
-    """One growth padded to every vertex count gives what filtering the
-    classes of each count separately gives, in the same order."""
+    """The vertex-by-vertex search gives what filtering the classes of each
+    count grown edge by edge gives, in the same order."""
     for dim in (0, 1):
         for prop in PropertyKind:
-            by_count = []
             for bound in range(1, 7):
-                by_count += [c for c in enumerate_complexes(dim, bound) if obstruction_report(c, prop).is_obstruction]
-                expected = sorted(by_count, key=_sort_key)
                 got = generic_obstructions(dim, bound, prop)
+                expected = edge_growth_obstructions(dim, bound, prop)
                 assert [c.facets for c in got] == [c.facets for c in expected], (dim, prop, bound)
+
+
+@pytest.mark.slow
+def test_generic_obstructions_match_the_per_count_filter_at_seven():
+    got = generic_obstructions(1, 7, SH)
+    expected = edge_growth_obstructions(1, 7, SH)
+    assert [c.facets for c in got] == [c.facets for c in expected]
+    assert len(got) == 1
 
 
 def test_strong_mode_and_minimal_mode():
