@@ -19,8 +19,9 @@ import it without an import cycle.
 The tables are ``complexes._CANON_CACHE`` (canonical forms by raw facets),
 the three decider memos ``shelling._DECIDE_CACHE``,
 ``partition._PARTITION_CACHE`` and ``cohen_macaulay._CM_CACHE``,
-``homology._HOMOLOGY_CACHE`` (reduced homology groups keyed by raw facets
-and degree, so homology never canonicalizes),
+``homology._HOMOLOGY_CACHE`` (one entry per complex, keyed by its raw
+facets, holding its reduced homology groups in every degree, so homology
+never canonicalizes),
 ``obstruction._HEREDITARY_CACHE`` (whether every restriction of a class
 satisfies a property, keyed by class and property), and the enumeration
 memos:

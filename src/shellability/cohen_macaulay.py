@@ -43,10 +43,13 @@ class CMReport:
 
 
 def _find_witness(rep: SimplicialComplex) -> Optional[CMWitness]:
-    faces = all_faces(rep)
+    # the link of a face τ of a pure d-complex is pure of dimension d - |τ|,
+    # so only faces with |τ| < d have a degree below the top to check
+    faces = [tau for tau in all_faces(rep) if tau.bit_count() < rep.dim]
     if rep.strongly_connected():
-        # links of large faces are small; scanning them first keeps the
-        # homology cache hot and fails fast on deep defects
+        # all_faces order (dimension, then mask), reversed: links of large
+        # faces are small; scanning them first keeps the homology cache hot
+        # and fails fast on deep defects
         faces.reverse()
     for tau in faces:
         link = rep.link(tau)

@@ -15,9 +15,16 @@ factor 1.  Only the residual block, which has no unit entry, goes to a dense
 reduction whose pivot rule favours entries of least magnitude to keep growth
 down.
 
+Each boundary map is reduced once per complex.  H_k has rank
+n_k - rank ∂_k - rank ∂_{k+1} and torsion the invariant factors of ∂_{k+1}
+above 1, so one Smith normal form of each of ∂_1..∂_dim gives every degree
+at once.  ∂_0, from the vertices to the empty face, is one row of ones: it
+has rank 1 and no torsion whenever there is a vertex, and is never reduced.
+
 Homology is memoized on the raw facets, not on canonical forms: a group
 carries no vertex labels, and a canonical labeling costs more than the
-homology it would save.
+homology it would save.  A complex has one memo entry, holding its groups
+in every degree -1..dim.
 """
 
 from __future__ import annotations
@@ -225,16 +232,24 @@ def _dense_invariant_factors(m: list[list[int]]) -> list[int]:
     return divisors
 
 
-def _homology_group(c: SimplicialComplex, k: int) -> HomologyGroup:
-    n_k = len(c.faces_of_dim(k))
-    if k == -1:
-        rank_k = 0
-    else:
-        _, rank_k = smith_normal_form(boundary_matrix(c, k).entries)
-    factors_up, rank_up = smith_normal_form(boundary_matrix(c, k + 1).entries)
-    betti = n_k - rank_k - rank_up
-    torsion = tuple(d for d in factors_up if d > 1)
-    return HomologyGroup(betti, torsion)
+def _homology_groups(c: SimplicialComplex) -> tuple[HomologyGroup, ...]:
+    """The groups of degrees -1..dim, from one reduction per map ∂_1..∂_dim."""
+    if c.dim < 0:
+        return (HomologyGroup(1),)
+    # entry i of the f-vector counts the faces of degree i - 1, and entry i
+    # of ranks and torsion belongs to ∂_{i-1}
+    ranks = [0, 1]
+    torsion: list[tuple[int, ...]] = [(), ()]
+    for k in range(1, c.dim + 1):
+        factors, rank = smith_normal_form(boundary_matrix(c, k).entries)
+        ranks.append(rank)
+        torsion.append(tuple(d for d in factors if d > 1))
+    ranks.append(0)
+    torsion.append(())
+    return tuple(
+        HomologyGroup(n - ranks[i] - ranks[i + 1], torsion[i + 1])
+        for i, n in enumerate(c.f_vector())
+    )
 
 
 def reduced_homology(c: SimplicialComplex, k: int) -> HomologyGroup:
@@ -243,5 +258,4 @@ def reduced_homology(c: SimplicialComplex, k: int) -> HomologyGroup:
         raise ValueError("reduced homology is defined for k >= -1")
     if k > c.dim:
         return ZERO_GROUP
-    return cache.memo(_HOMOLOGY_CACHE, (c.facets, k), _homology_group, c, k)
-
+    return cache.memo(_HOMOLOGY_CACHE, c.facets, _homology_groups, c)[k + 1]

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +99,32 @@ def corpus(
         if len(c.facets) >= 2:
             out.append(c)
     return out
+
+
+def homology_oracle_inputs() -> list[SimplicialComplex]:
+    """The complexes that homology and the Cohen-Macaulay scan are compared
+    with their oracles on, once per facet list.
+
+    The fixtures' complexes, {∅}, 0-dimensional complexes, the Δ5 band, RP2,
+    the dunce hat, Ind(C_n) and its pure skeletons for n = 4..9, the golden
+    six-vertex classes and 110 seeded draws; then, for each of them and each
+    of its pure skeletons, the complex itself and the link of every face.
+    """
+    bases = [from_facets(facets) for facets in (
+        [], [{0}], [{0}, {1}, {2}], [{0, 1, 2}], [{0, 1, 2, 3}], [{0, 1}, {2, 3}],
+        [{0, 1}, {1, 2}, {0, 2}], [{0, 1, 2}, {3, 4, 5}, {0, 3}, {1, 4}, {2, 5}],
+        [{0, 1, 2}, {0, 3, 4}, {1, 3}], RP2_FACETS, DUNCE_HAT_FACETS,
+    )]
+    bases.append(band_complex(2, 5))
+    for n in range(4, 10):
+        ind = independence_complex(cycle_graph(n))
+        bases += [ind] + [ind.pure_skeleton(i) for i in range(ind.dim + 1)]
+    golden = json.loads((Path(__file__).parent / "golden" / "atlas6_catalog.json").read_text())
+    bases += [from_facets([set(f) for f in entry["facets"]]) for entry in golden["entries"]]
+    bases += corpus(seed=81, count=30) + corpus(seed=82, count=80, n_max=7, multi_facet=True)
+    seen: dict[tuple[int, ...], SimplicialComplex] = {}
+    for c in bases:
+        for s in [c] + [c.pure_skeleton(i) for i in range(c.dim + 1)]:
+            for d in [s] + [s.link(tau) for tau in s.faces()]:
+                seen.setdefault(d.facets, d)
+    return list(seen.values())

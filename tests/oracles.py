@@ -9,6 +9,7 @@ from itertools import combinations, permutations, product
 from typing import Optional
 
 from shellability import cache
+from shellability.cohen_macaulay import CMWitness
 from shellability.complexes import (
     CanonicalForm,
     CapacityError,
@@ -21,6 +22,7 @@ from shellability.complexes import (
 )
 from shellability.enumeration import MAX_OBSTRUCTION_VERTICES, _non_face_pairs, _sort_key
 from shellability.graphs import Graph, graph_from_edges, independence_complex
+from shellability.homology import HomologyGroup, boundary_matrix, smith_normal_form
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import ShellingDecision, _certificate, is_shellable
@@ -745,6 +747,49 @@ def euler_characteristic(c: SimplicialComplex) -> int:
         total += sign * count
         sign = -sign
     return total
+
+
+
+def homology_group_by_degree(c: SimplicialComplex, k: int) -> HomologyGroup:
+    """The k-th reduced homology group, computed for that degree alone.
+
+    The reference for ``homology.reduced_homology``: the per-degree
+    computation it used before each boundary map was reduced once per
+    complex, kept verbatim.  It reduces ∂_k for a rank and ∂_{k+1} for a
+    rank and torsion, ∂_0 included, so a scan over degrees reduces every
+    inner map twice.
+    """
+    n_k = len(c.faces_of_dim(k))
+    if k == -1:
+        rank_k = 0
+    else:
+        _, rank_k = smith_normal_form(boundary_matrix(c, k).entries)
+    factors_up, rank_up = smith_normal_form(boundary_matrix(c, k + 1).entries)
+    betti = n_k - rank_k - rank_up
+    torsion = tuple(d for d in factors_up if d > 1)
+    return HomologyGroup(betti, torsion)
+
+
+def full_scan_witness(rep: SimplicialComplex) -> Optional[CMWitness]:
+    """The first face whose link has a nonvanishing group below its top.
+
+    The reference for ``cohen_macaulay._find_witness``: the scan it ran
+    before it skipped the faces whose links have no degree to check, kept
+    verbatim except that homology comes from ``homology_group_by_degree``.
+    It builds the link of every face.
+    """
+    faces = all_faces(rep)
+    if rep.strongly_connected():
+        # links of large faces are small; scanning them first keeps the
+        # homology cache hot and fails fast on deep defects
+        faces.reverse()
+    for tau in faces:
+        link = rep.link(tau)
+        for k in range(0, link.dim):
+            group = homology_group_by_degree(link, k)
+            if not group.is_trivial():
+                return CMWitness(tau, k, group)
+    return None
 
 
 def _ranks(sigs: list) -> list[int]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,22 @@ def test_check_exit_codes(tmp_path, two_k2, simplex3, capsys):
     assert main(["check", p_good, "--property", "partitionable", "--certificate"]) == 0
     out = capsys.readouterr().out
     assert "partitionable" in out and "interval" in out
+
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path, two_k2):
+    """``PYTHONPATH=src python -m shellability`` runs without installing."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "shellability", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+    helped = run("--help")
+    assert helped.returncode == 0 and "usage: shellability" in helped.stdout
+    checked = run("check", write(tmp_path, "2k2.cplx", two_k2), "--property", "shellable")
+    assert checked.returncode == 1 and "nonshellable" in checked.stdout
 
 
 def test_check_parse_error(tmp_path, capsys):

@@ -3,14 +3,21 @@ from pathlib import Path
 
 import pytest
 
-from shellability.cohen_macaulay import _pure_skeletons_cm, is_cohen_macaulay, is_sequentially_cm
-from shellability.complexes import PurityError, face_vertices, from_facets
+from shellability import cache, cohen_macaulay
+from shellability.cohen_macaulay import (
+    _find_witness,
+    _pure_skeletons_cm,
+    is_cohen_macaulay,
+    is_sequentially_cm,
+)
+from shellability.complexes import PurityError, SimplicialComplex, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.homology import HomologyGroup, reduced_homology
 from shellability.partition import band_complex
 from shellability.shelling import is_shellable
 
-from conftest import DUNCE_HAT_FACETS, corpus, full_simplex
+from conftest import DUNCE_HAT_FACETS, corpus, full_simplex, homology_oracle_inputs
+from oracles import full_scan_witness
 
 GOLDEN_ATLAS = Path(__file__).parent / "golden" / "atlas6_catalog.json"
 
@@ -150,3 +157,41 @@ def test_pure_complexes_scm_equals_cm():
 def test_ind_cycles_not_scm():
     for n in (6, 7, 8, 9):
         assert not is_sequentially_cm(independence_complex(cycle_graph(n))).verdict
+
+
+def test_is_cohen_macaulay_returns_the_full_scan_witness(monkeypatch):
+    """Through the canonical-form memo, so on the representative and
+    relabelled back, as the package runs the scan."""
+    pure = [c for c in homology_oracle_inputs() if c.is_pure()]
+    cache.clear_all_caches()
+    reports = [is_cohen_macaulay(c) for c in pure]
+    monkeypatch.setattr(cohen_macaulay, "_find_witness", full_scan_witness)
+    cache.clear_all_caches()
+    assert reports == [is_cohen_macaulay(c) for c in pure]
+    assert sum(not r.verdict for r in reports) >= 90
+
+
+def test_the_witness_scan_builds_only_links_with_a_degree_to_check(monkeypatch):
+    """A face τ of a pure d-complex has a link of dimension d - |τ|, with a
+    degree below its top only when |τ| < d.  The scan builds exactly those
+    links, in the full scan's order, and returns the same witness."""
+    built: list[int] = []
+    real_link = SimplicialComplex.link
+
+    def link(self, tau):
+        built.append(tau)
+        return real_link(self, tau)
+
+    monkeypatch.setattr(SimplicialComplex, "link", link)
+    pure = [c for c in homology_oracle_inputs() if c.is_pure()]
+    skipped = witnesses = 0
+    for c in pure:
+        built.clear()
+        expected_witness = full_scan_witness(c)
+        expected = [tau for tau in built if tau.bit_count() < c.dim]
+        skipped += len(built) - len(expected)
+        built.clear()
+        assert _find_witness(c) == expected_witness, c.facets
+        assert built == expected, c.facets
+        witnesses += expected_witness is not None
+    assert skipped >= 1000 and witnesses >= 90

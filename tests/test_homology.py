@@ -5,7 +5,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from shellability import cache, complexes
+from shellability import cache, complexes, homology
 from shellability.cohen_macaulay import is_sequentially_cm
 from shellability.complexes import from_facets
 from shellability.graphs import cycle_graph, independence_complex
@@ -18,8 +18,8 @@ from shellability.homology import (
 from shellability.partition import band_complex, is_partitionable, verify_partition
 from shellability.shelling import is_shellable
 
-from conftest import RP2_FACETS, corpus, full_simplex
-from oracles import dense_smith_normal_form, euler_characteristic
+from conftest import DUNCE_HAT_FACETS, RP2_FACETS, corpus, full_simplex, homology_oracle_inputs
+from oracles import dense_smith_normal_form, euler_characteristic, homology_group_by_degree
 
 
 def matmul(a, b):
@@ -227,6 +227,81 @@ def test_euler_characteristic_equals_alternating_betti_sum():
         groups = {k: reduced_homology(c, k) for k in range(-1, c.dim + 1)}
         alternating = sum((-1) ** k * g.betti for k, g in groups.items())
         assert euler_characteristic(c) == alternating
+
+
+def test_reduced_homology_matches_the_per_degree_oracle():
+    cache.clear_all_caches()
+    inputs = homology_oracle_inputs()
+    for c in inputs:
+        for k in range(-1, c.dim + 2):
+            assert reduced_homology(c, k) == homology_group_by_degree(c, k), (c.facets, k)
+    assert len(inputs) >= 900
+    assert {c.dim for c in inputs} == {-1, 0, 1, 2, 3}
+
+
+def _count_reductions(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the degree of every boundary matrix that homology builds, and
+    count its calls to ``smith_normal_form``."""
+    built: list[int] = []
+    reductions = [0]
+    real_boundary, real_snf = homology.boundary_matrix, homology.smith_normal_form
+
+    def boundary(c, k):
+        built.append(k)
+        return real_boundary(c, k)
+
+    def snf(matrix):
+        reductions[0] += 1
+        return real_snf(matrix)
+
+    monkeypatch.setattr(homology, "boundary_matrix", boundary)
+    monkeypatch.setattr(homology, "smith_normal_form", snf)
+    return built, reductions
+
+
+COUNT_INPUTS = [
+    [], [{0}], [{0}, {1}, {2}], [{0, 1}, {1, 2}, {0, 2}], [{0, 1}, {2, 3}],
+    [{k % 5, (k + 1) % 5, (k + 2) % 5} for k in range(5)], RP2_FACETS, DUNCE_HAT_FACETS,
+    [{0, 1, 2, 3}], [{0, 1, 2, 3}, {2, 3, 4}, {4, 5}, {6}],
+]
+
+
+def test_a_cold_complex_reduces_each_boundary_map_once(monkeypatch):
+    """A cold degree-0 query reduces ∂_1..∂_dim once each and never ∂_0,
+    the row of ones from the vertices to the empty face."""
+    built, reductions = _count_reductions(monkeypatch)
+    inputs = COUNT_INPUTS + [independence_complex(cycle_graph(9)).facets]
+    for facets in inputs:
+        c = from_facets(facets)
+        cache.clear_all_caches()
+        built.clear()
+        reductions[0] = 0
+        reduced_homology(c, 0)
+        assert built == list(range(1, c.dim + 1)), c.facets
+        assert reductions[0] == max(c.dim, 0), c.facets
+    assert {from_facets(f).dim for f in inputs} == {-1, 0, 1, 2, 3}
+
+
+def test_the_other_degrees_of_the_same_facets_reduce_nothing(monkeypatch):
+    built, reductions = _count_reductions(monkeypatch)
+    cache.clear_all_caches()
+    for facets in COUNT_INPUTS:
+        reduced_homology(from_facets(facets), -1)
+        before = (len(built), reductions[0])
+        again = from_facets(facets)
+        for k in range(-1, again.dim + 2):
+            reduced_homology(again, k)
+        assert (len(built), reductions[0]) == before, facets
+
+
+def test_the_homology_memo_holds_one_entry_per_complex():
+    cache.clear_all_caches()
+    for count, facets in enumerate(COUNT_INPUTS, start=1):
+        c = from_facets(facets)
+        for k in range(-1, c.dim + 2):
+            reduced_homology(c, k)
+        assert len(homology._HOMOLOGY_CACHE) == count
+        assert len(homology._HOMOLOGY_CACHE[c.facets]) == c.dim + 2
 
 
 def test_homology_group_formatting():
