@@ -102,9 +102,8 @@ def _certificate_lines(c: SimplicialComplex, prop: PropertyKind, decision) -> tu
 def cmd_check(args: argparse.Namespace) -> int:
     prop = _property(args.property)
     path = Path(args.path)
-    text = path.read_text(encoding="utf-8")
     try:
-        c = parse_complex(text)
+        c = parse_complex(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2

@@ -15,11 +15,16 @@ factor 1.  Only the residual block, which has no unit entry, goes to a dense
 reduction whose pivot rule favours entries of least magnitude to keep growth
 down.
 
-Each boundary map is reduced once per complex.  H_k has rank
-n_k - rank ∂_k - rank ∂_{k+1} and torsion the invariant factors of ∂_{k+1}
-above 1, so one Smith normal form of each of ∂_1..∂_dim gives every degree
-at once.  ∂_0, from the vertices to the empty face, is one row of ones: it
-has rank 1 and no torsion whenever there is a vertex, and is never reduced.
+H_k has rank n_k - rank ∂_k - rank ∂_{k+1} and torsion the invariant
+factors of ∂_{k+1} above 1, so the ranks and torsion of all the maps give
+every degree at once.  Only ∂_2..∂_dim of a complex that is not a cone go
+through Smith normal form, once each; the rest is read from the facets.  A
+cone (some vertex lies in every facet) is contractible, so its reduced
+homology is 0 in every degree.  ∂_0, from the vertices to the empty face,
+is one row of ones: rank 1 and no torsion whenever there is a vertex.  ∂_1
+is the signed incidence matrix of the 1-skeleton, which is totally
+unimodular: its rank is the number of vertices less the number of
+components, and it has no torsion.
 
 Homology is memoized on the raw facets, not on canonical forms: a group
 carries no vertex labels, and a canonical labeling costs more than the
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cache
-from .complexes import SimplicialComplex, face_vertices
+from .complexes import SimplicialComplex, components, face_vertices
 
 _HOMOLOGY_CACHE = cache.new_cache()
 
@@ -233,14 +238,25 @@ def _dense_invariant_factors(m: list[list[int]]) -> list[int]:
 
 
 def _homology_groups(c: SimplicialComplex) -> tuple[HomologyGroup, ...]:
-    """The groups of degrees -1..dim, from one reduction per map ∂_1..∂_dim."""
+    """The groups of degrees -1..dim, from one reduction per map ∂_2..∂_dim.
+
+    A cone, with a vertex in every facet, is contractible and needs no
+    matrix.  ∂_1 is the signed incidence matrix of the 1-skeleton, which is
+    totally unimodular: its rank is the vertex count less the number of
+    components, and it has no torsion.
+    """
     if c.dim < 0:
         return (HomologyGroup(1),)
+    apex = c.facets[0]
+    for fct in c.facets:
+        apex &= fct
+    if apex:
+        return (ZERO_GROUP,) * (c.dim + 2)
     # entry i of the f-vector counts the faces of degree i - 1, and entry i
-    # of ranks and torsion belongs to ∂_{i-1}
-    ranks = [0, 1]
-    torsion: list[tuple[int, ...]] = [(), ()]
-    for k in range(1, c.dim + 1):
+    # of ranks and torsion belongs to ∂_{i-1}; at dim 0, ∂_1 is the zero map
+    ranks = [0, 1, c.n_vertices - len(components(c.facets))]
+    torsion: list[tuple[int, ...]] = [(), (), ()]
+    for k in range(2, c.dim + 1):
         factors, rank = smith_normal_form(boundary_matrix(c, k).entries)
         ranks.append(rank)
         torsion.append(tuple(d for d in factors if d > 1))

@@ -62,6 +62,24 @@ def full_simplex(n: int) -> SimplicialComplex:
     return from_facets([(1 << n) - 1])
 
 
+def cone(c: SimplicialComplex) -> SimplicialComplex:
+    """The cone over c whose apex is a new vertex above all of c's."""
+    apex = 1 << c.vertices.bit_length()
+    return from_facets([f | apex for f in c.facets])
+
+
+def suspension(c: SimplicialComplex) -> SimplicialComplex:
+    """The union of two cones over c on new vertices: H_k(c) moves to degree k + 1."""
+    north = 1 << c.vertices.bit_length()
+    return from_facets([f | pole for f in c.facets for pole in (north, north << 1)])
+
+
+def golden_classes() -> list[SimplicialComplex]:
+    """The 35 classes of the golden six-vertex atlas, in catalog order."""
+    golden = json.loads((Path(__file__).parent / "golden" / "atlas6_catalog.json").read_text())
+    return [from_facets([set(f) for f in entry["facets"]]) for entry in golden["entries"]]
+
+
 def random_complex(rng, n_max: int = 6, max_facets: int = 7, dim_cap: int = 3) -> SimplicialComplex:
     """Small random complex for corpus tests (deterministic under a seeded rng)."""
     n = rng.randint(1, n_max)
@@ -107,8 +125,10 @@ def homology_oracle_inputs() -> list[SimplicialComplex]:
 
     The fixtures' complexes, {∅}, 0-dimensional complexes, the Δ5 band, RP2,
     the dunce hat, Ind(C_n) and its pure skeletons for n = 4..9, the golden
-    six-vertex classes and 110 seeded draws; then, for each of them and each
-    of its pure skeletons, the complex itself and the link of every face.
+    six-vertex classes, cones over RP2, the dunce hat, Ind(C_6) and the
+    golden classes, the suspension of RP2, a few graphs and 2-complexes
+    named below, and 110 seeded draws; then, for each of them and each of
+    its pure skeletons, the complex itself and the link of every face.
     """
     bases = [from_facets(facets) for facets in (
         [], [{0}], [{0}, {1}, {2}], [{0, 1, 2}], [{0, 1, 2, 3}], [{0, 1}, {2, 3}],
@@ -119,8 +139,18 @@ def homology_oracle_inputs() -> list[SimplicialComplex]:
     for n in range(4, 10):
         ind = independence_complex(cycle_graph(n))
         bases += [ind] + [ind.pure_skeleton(i) for i in range(ind.dim + 1)]
-    golden = json.loads((Path(__file__).parent / "golden" / "atlas6_catalog.json").read_text())
-    bases += [from_facets([set(f) for f in entry["facets"]]) for entry in golden["entries"]]
+    golden = golden_classes()
+    bases += golden
+    # Acyclic cones over bases that are not; RP2's C2 in degree 2; graphs with
+    # isolated vertices and three or more components; facets that meet
+    # pairwise with no vertex common to all of them.
+    rp2, dunce_hat = from_facets(RP2_FACETS), from_facets(DUNCE_HAT_FACETS)
+    bases += [cone(c) for c in [rp2, dunce_hat, independence_complex(cycle_graph(6))] + golden]
+    bases.append(suspension(rp2))
+    bases += [from_facets(facets) for facets in (
+        [{0}, {1, 2}, {3, 4}, {4, 5}, {6}], [{0, 1}, {1, 2}, {3}, {4, 5}, {4, 6}, {5, 6}, {7}, {8}],
+        [{0, 1, 2}, {0, 3, 4}, {1, 3, 5}], [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
+    )]
     bases += corpus(seed=81, count=30) + corpus(seed=82, count=80, n_max=7, multi_facet=True)
     seen: dict[tuple[int, ...], SimplicialComplex] = {}
     for c in bases:

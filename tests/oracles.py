@@ -756,8 +756,8 @@ def homology_group_by_degree(c: SimplicialComplex, k: int) -> HomologyGroup:
     The reference for ``homology.reduced_homology``: the per-degree
     computation it used before each boundary map was reduced once per
     complex, kept verbatim.  It reduces ∂_k for a rank and ∂_{k+1} for a
-    rank and torsion, ∂_0 included, so a scan over degrees reduces every
-    inner map twice.
+    rank and torsion, ∂_0 and ∂_1 included and cones too, so a scan over
+    degrees reduces every inner map twice.
     """
     n_k = len(c.faces_of_dim(k))
     if k == -1:

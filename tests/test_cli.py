@@ -63,6 +63,14 @@ def test_check_missing_file(capsys):
     assert "/nonexistent.cplx" in capsys.readouterr().err
 
 
+def test_check_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "bad.cplx"
+    p.write_bytes(b"\xff\xfe 1 2\n")
+    assert main(["check", str(p), "--property", "shellable"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "utf-8" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["atlas", "{tmp}/taken", "--max-vertices", "4"],
     ["enumerate", "--dim", "1", "--max-vertices", "4", "--output", "{tmp}/missing/cat.json"],

@@ -13,11 +13,15 @@ from shellability.cohen_macaulay import (
 from shellability.complexes import PurityError, SimplicialComplex, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.homology import HomologyGroup, reduced_homology
-from shellability.partition import band_complex
+from shellability.obstruction import ObstructionReport, obstruction_report
+from shellability.partition import band_complex, is_partitionable
+from shellability.properties import PropertyKind
 from shellability.shelling import is_shellable
 
-from conftest import DUNCE_HAT_FACETS, corpus, full_simplex, homology_oracle_inputs
-from oracles import full_scan_witness
+from conftest import (
+    DUNCE_HAT_FACETS, cone, corpus, full_simplex, golden_classes, homology_oracle_inputs,
+)
+from oracles import full_scan_witness, homology_group_by_degree
 
 GOLDEN_ATLAS = Path(__file__).parent / "golden" / "atlas6_catalog.json"
 
@@ -119,6 +123,31 @@ def test_proper_restrictions_of_the_golden_classes_pass_the_skeleton_scan():
             assert _pure_skeletons_cm(r).verdict, (entry["id"], r.facets)
             checked += 1
     assert checked == 1709
+
+
+def test_cones_over_the_golden_classes_fail_in_a_link_through_the_apex():
+    """A cone is shellable, partitionable or sequentially Cohen-Macaulay only
+    if its base is, and no golden class is any of them.  Every proper
+    restriction of the cone but the base is a cone over a proper restriction
+    of the base, so the base is the only failing one.  A cone's own homology
+    is 0 in every degree, so the scan has to find the failure in the link
+    of a face through the apex."""
+    classes = golden_classes()
+    for base in classes:
+        c = cone(base)
+        apex = 1 << base.vertices.bit_length()
+        assert not is_shellable(c).shellable, base.facets
+        assert not is_partitionable(c).partitionable, base.facets
+        fails_in_the_base = ObstructionReport(False, False, base.vertices)
+        assert all(obstruction_report(c, p) == fails_in_the_base for p in PropertyKind), base.facets
+        report = is_sequentially_cm(c)
+        assert not report.verdict, base.facets
+        w = report.witness
+        assert w.face & apex, (base.facets, w)
+        link = c.pure_skeleton(w.skeleton_dim).link(w.face)
+        assert homology_group_by_degree(link, w.degree) == w.group != HomologyGroup(0)
+        assert all(homology_group_by_degree(c, k).is_trivial() for k in range(-1, c.dim + 1))
+    assert len(classes) == 35
 
 
 def test_sequentially_cm_agrees_with_the_skeleton_scan():

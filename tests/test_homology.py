@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from math import gcd
+from operator import and_
 
 import pytest
 import sympy
@@ -239,6 +241,17 @@ def test_reduced_homology_matches_the_per_degree_oracle():
     assert {c.dim for c in inputs} == {-1, 0, 1, 2, 3}
 
 
+def test_the_first_boundary_map_has_rank_vertices_less_components_and_no_torsion():
+    """∂_1 is a graph's signed incidence matrix, which is totally unimodular,
+    so homology takes its rank from the facets and never reduces it."""
+    inputs = [c for c in homology_oracle_inputs() if c.dim >= 1]
+    for c in inputs:
+        factors, rank = smith_normal_form(boundary_matrix(c, 1).entries)
+        assert rank == c.n_vertices - len(complexes.components(c.facets)), c.facets
+        assert set(factors) <= {1}, c.facets
+    assert max(len(complexes.components(c.facets)) for c in inputs) >= 3
+
+
 def _count_reductions(monkeypatch) -> tuple[list[int], list[int]]:
     """Record the degree of every boundary matrix that homology builds, and
     count its calls to ``smith_normal_form``."""
@@ -267,19 +280,27 @@ COUNT_INPUTS = [
 
 
 def test_a_cold_complex_reduces_each_boundary_map_once(monkeypatch):
-    """A cold degree-0 query reduces ∂_1..∂_dim once each and never ∂_0,
-    the row of ones from the vertices to the empty face."""
+    """A cold degree-0 query of a complex that is not a cone reduces
+    ∂_2..∂_dim once each.  It never reduces ∂_0, the row of ones from the
+    vertices to the empty face, nor ∂_1, whose rank is read from the
+    components; a cone reduces nothing."""
     built, reductions = _count_reductions(monkeypatch)
-    inputs = COUNT_INPUTS + [independence_complex(cycle_graph(9)).facets]
+    cones = [[f | {7} for f in RP2_FACETS], [{0, 1, 2}, {0, 2, 3}, {0, 1, 3}]]
+    inputs = COUNT_INPUTS + cones + [independence_complex(cycle_graph(9)).facets]
+    shapes = set()
     for facets in inputs:
         c = from_facets(facets)
+        is_cone = bool(reduce(and_, c.facets))
         cache.clear_all_caches()
         built.clear()
         reductions[0] = 0
         reduced_homology(c, 0)
-        assert built == list(range(1, c.dim + 1)), c.facets
-        assert reductions[0] == max(c.dim, 0), c.facets
-    assert {from_facets(f).dim for f in inputs} == {-1, 0, 1, 2, 3}
+        expected = [] if is_cone else list(range(2, c.dim + 1))
+        assert built == expected, c.facets
+        assert reductions[0] == len(expected), c.facets
+        shapes.add((is_cone, c.dim))
+    assert {(True, 2), (True, 3), (False, 2), (False, 3)} <= shapes
+    assert {dim for _, dim in shapes} == {-1, 0, 1, 2, 3}
 
 
 def test_the_other_degrees_of_the_same_facets_reduce_nothing(monkeypatch):

@@ -1,6 +1,4 @@
-import json
 import random
-from pathlib import Path
 
 from shellability import cache, obstruction
 from shellability.complexes import face_vertices, from_facets
@@ -9,7 +7,7 @@ from shellability.obstruction import is_hereditary, obstruction_report
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind, satisfies
 
-from conftest import corpus, random_complex
+from conftest import corpus, golden_classes, random_complex
 from oracles import (
     hereditary_via_obstructions,
     hereditary_via_strong_obstructions,
@@ -131,8 +129,7 @@ def test_class_recursion_matches_the_subset_scan(complex_1a):
     """Reports and hereditary verdicts against the plain subset scan, on the
     golden atlas classes, Ind(C_n), multi-facet random complexes, and
     obstructions with two apexes added, at least 20 of which are deep."""
-    golden = json.loads((Path(__file__).parent / "golden" / "atlas6_catalog.json").read_text())
-    inputs = [from_facets(entry["facets"]) for entry in golden["entries"]]
+    inputs = golden_classes()
     inputs += [independence_complex(cycle_graph(n)) for n in range(4, 10)]
     rng = random.Random(66)
     drawn = []
