@@ -212,9 +212,6 @@ class SimplicialComplex:
         """Face counts indexed from dimension -1, so it always starts with 1."""
         return [len(self.faces_of_dim(k)) for k in range(-1, self.dim + 1)]
 
-    def face_count(self) -> int:
-        return len(self.faces())
-
     # -- derived complexes -------------------------------------------------
 
     def restriction(self, within: FaceLike) -> "SimplicialComplex":

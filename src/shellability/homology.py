@@ -5,15 +5,19 @@ is a generator in dimension -1), so all homology here is reduced homology.
 Smith normal form is computed exactly; Python integers make every
 intermediate value arbitrary precision for free.
 
-Boundary matrices are sparse with entries ±1, so the reduction first
-eliminates on unit pivots, as in Dumas, Heckenbach, Saunders and Welker,
-"Computing simplicial homology based on efficient Smith normal form
-algorithms" (2003): while some row has an entry ±1, the sparsest such row
-clears its pivot's column by row operations, and the pivot's row and column
-are dropped.  Each such step is unimodular and contributes the invariant
-factor 1.  Only the residual block, which has no unit entry, goes to a dense
-reduction whose pivot rule favours entries of least magnitude to keep growth
-down.
+Boundary matrices are sparse with entries ±1, so the reduction is one loop
+on sparse rows that eliminates on unit pivots first, as in Dumas,
+Heckenbach, Saunders and Welker, "Computing simplicial homology based on
+efficient Smith normal form algorithms" (2003): while some row has an entry
+±1, the sparsest such row clears its pivot's column by row operations, and
+the pivot's row and column are dropped, with the invariant factor 1.  Once
+no unit entry is left, the same loop pivots on an entry p of least
+magnitude.  Row and column operations leave remainders below |p|; while
+one is left, p's row goes back and a smaller entry is the next pivot.  Once
+p clears its row and column, it is frozen only if it divides every entry
+left; otherwise a row it does not divide is added to its row, which leaves
+a remainder.  So the factors come out as a divisibility chain: the 1s, then
+p1 | p2 | ....
 
 H_k has rank n_k - rank ∂_k - rank ∂_{k+1} and torsion the invariant
 factors of ∂_{k+1} above 1, so the ranks and torsion of all the maps give
@@ -103,8 +107,8 @@ def smith_normal_form(matrix) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix, plus its rank.
 
     Accepts any rectangular sequence of int rows (a BoundaryMatrix's entries
-    included).  Unit pivots are eliminated on sparse rows first; the block
-    left without a unit entry goes to ``_dense_invariant_factors``.
+    included).  One loop on sparse rows: it pivots on the sparsest row's unit
+    entry while one is left, then on an entry of least magnitude.
     """
     n_cols = len(matrix[0]) if matrix else 0
     rows: dict[int, dict[int, int]] = {}
@@ -118,8 +122,8 @@ def smith_normal_form(matrix) -> tuple[list[int], int]:
             for j in entries:
                 col_rows.setdefault(j, set()).add(i)
 
-    units = 0
-    while True:
+    divisors: list[int] = []
+    while rows:
         pivot = None
         shortest = n_cols + 1
         for i, row in rows.items():
@@ -132,16 +136,19 @@ def smith_normal_form(matrix) -> tuple[list[int], int]:
             if shortest == 1:
                 break
         if pivot is None:
-            break
-        # Once row operations clear the pivot's column, column operations
-        # clear the rest of its row without touching any other row.
+            least = 0
+            for i, row in rows.items():
+                for j, v in row.items():
+                    if not least or -least < v < least:
+                        pivot, pivot_col, least = i, j, abs(v)
         pivot_row = rows.pop(pivot)
         for j in pivot_row:
             col_rows[j].discard(pivot)
-        unit = pivot_row[pivot_col]
-        for i in col_rows.pop(pivot_col):
+        p = pivot_row[pivot_col]
+        touched = col_rows.pop(pivot_col)
+        for i in touched:
             row = rows[i]
-            factor = row[pivot_col] * unit
+            factor = row[pivot_col] // p
             for j, v in pivot_row.items():
                 new = row.get(j, 0) - factor * v
                 if new:
@@ -154,87 +161,30 @@ def smith_normal_form(matrix) -> tuple[list[int], int]:
                         col_rows[j].discard(i)
             if not row:
                 del rows[i]
-        units += 1
-
-    residual_cols = [j for j, members in col_rows.items() if members]
-    residual = [[row.get(j, 0) for j in residual_cols] for row in rows.values()]
-    divisors = [1] * units + _dense_invariant_factors(residual)
+        if p == 1 or p == -1:
+            # Once row operations clear a unit's column, column operations
+            # clear the rest of its row without touching any other row.
+            divisors.append(1)
+            continue
+        # Row operations leave remainders below |p| in the pivot's column.
+        # Once that column is clear, column operations leave remainders in
+        # the pivot's row, and p is frozen only if it divides every entry.
+        # Any remainder puts the pivot's row back, with a smaller least entry.
+        left = {i for i in touched if pivot_col in rows.get(i, ())}
+        if not left:
+            rest = {j: v % p for j, v in pivot_row.items() if v % p}
+            if not rest:
+                offender = next((row for row in rows.values() if any(v % p for v in row.values())), None)
+                if offender is None:
+                    divisors.append(abs(p))
+                    continue
+                rest = {j: v % p for j, v in offender.items() if v % p}
+            pivot_row = {pivot_col: p, **rest}
+        rows[pivot] = pivot_row
+        col_rows[pivot_col] = left
+        for j in pivot_row:
+            col_rows[j].add(pivot)
     return divisors, len(divisors)
-
-
-def _dense_invariant_factors(m: list[list[int]]) -> list[int]:
-    """Invariant factors of a dense matrix, which the reduction overwrites.
-
-    Pure row/column reduction with a least-magnitude pivot rule; the
-    divisibility chain is enforced before each pivot is frozen.
-    """
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    divisors: list[int] = []
-    t = 0
-    while t < n_rows and t < n_cols:
-        best = None
-        best_abs = 0
-        for i in range(t, n_rows):
-            row = m[i]
-            for j in range(t, n_cols):
-                v = row[j]
-                if v and (best is None or -best_abs < v < best_abs):
-                    best = (i, j)
-                    best_abs = abs(v)
-        if best is None:
-            break
-        bi, bj = best
-        m[t], m[bi] = m[bi], m[t]
-        if bj != t:
-            for row in m:
-                row[t], row[bj] = row[bj], row[t]
-
-        while True:
-            for i in range(n_rows):
-                if i != t and m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    if q:
-                        mi, mt = m[i], m[t]
-                        for j in range(t, n_cols):
-                            mi[j] -= q * mt[j]
-            pending = next((i for i in range(n_rows) if i != t and m[i][t]), None)
-            if pending is not None:
-                m[t], m[pending] = m[pending], m[t]
-                continue
-
-            for j in range(t + 1, n_cols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    if q:
-                        for i in range(t, n_rows):
-                            m[i][j] -= q * m[i][t]
-            pending = next((j for j in range(t + 1, n_cols) if m[t][j]), None)
-            if pending is not None:
-                for i in range(t, n_rows):
-                    m[i][t], m[i][pending] = m[i][pending], m[i][t]
-                continue
-
-            offender = None
-            pivot = m[t][t]
-            for i in range(t + 1, n_rows):
-                row = m[i]
-                for j in range(t + 1, n_cols):
-                    if row[j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            mo, mt = m[offender], m[t]
-            for j in range(t, n_cols):
-                mt[j] += mo[j]
-
-        divisors.append(abs(m[t][t]))
-        t += 1
-
-    return divisors
 
 
 def _homology_groups(c: SimplicialComplex) -> tuple[HomologyGroup, ...]:

@@ -14,8 +14,7 @@ filters:
   its edge part is a tree, so the negative answer is structural, and a
   positive one still runs the exact cover to get its certificate,
 * two facets of dimension >= 1 whose codimension-one subfaces are all
-  private force tau = empty twice, which is impossible,
-* the interval sizes must be able to reach the face count at all.
+  private force tau = empty twice, which is impossible.
 """
 
 from __future__ import annotations
@@ -168,10 +167,8 @@ def _exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, i
 
 
 def _decide_partition(c: SimplicialComplex) -> Optional[tuple[tuple[int, int], ...]]:
-    """The filters, then the exact cover; None when no partition exists."""
+    """The filter, then the exact cover; None when no partition exists."""
     if c.dim >= 2 and _two_private_facets(c):
-        return None
-    if sum(1 << f.bit_count() for f in c.facets) < c.face_count():
         return None
     return _exact_cover_assignment(c)
 

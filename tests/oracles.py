@@ -660,7 +660,8 @@ def dense_smith_normal_form(matrix) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix, plus its rank.
 
     The reference for ``homology.smith_normal_form``: the dense reduction it
-    used before unit pivots, kept verbatim.
+    used before unit pivots, kept verbatim.  The package holds no copy of it;
+    its one sparse loop pivots on units first and on least magnitudes after.
 
     Accepts any rectangular sequence of int rows (a BoundaryMatrix's entries
     included).  Pure row/column reduction with a least-magnitude pivot rule;

@@ -8,9 +8,9 @@ import pytest
 
 from shellability.catalog import write_atlas
 from shellability.cli import main
-from shellability.complexes import CapacityError, face_vertices, format_complex, from_facets, parse_complex
+from shellability.complexes import CapacityError, face, face_vertices, format_complex, from_facets, parse_complex
 from shellability.graphs import cycle_graph, independence_complex
-from shellability.shelling import is_shellable
+from shellability.shelling import is_shellable, verify_shelling
 
 from conftest import DUNCE_HAT_FACETS
 
@@ -205,6 +205,22 @@ def test_check_strong_obstruction_ind_c7(tmp_path, capsys):
     assert "is a strong obstruction" in capsys.readouterr().out
 
 
+def test_check_hereditary_variant_on_a_hereditarily_shellable_input(tmp_path, hollow_triangle, capsys):
+    p = write(tmp_path, "triangle.cplx", hollow_triangle)
+    assert main(["check", p, "--property", "shellable", "--variant", "hereditary"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["hereditarily shellable"]
+
+
+def test_check_strong_obstruction_names_the_failing_link(tmp_path, complex_2, capsys):
+    """An apex type is an obstruction but not a strong one: a vertex link fails."""
+    p = write(tmp_path, "complex_2.cplx", complex_2)
+    assert main(["check", p, "--property", "shellable", "--variant", "strong-obstruction",
+                 "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] is False
+    assert len(payload["failing_link"]) == 1
+
+
 def test_check_json_output(tmp_path, delta5, capsys):
     p = write(tmp_path, "band.cplx", delta5)
     code = main(["check", p, "--property", "scm", "--json", "--certificate"])
@@ -230,6 +246,35 @@ def test_check_scm_certificate_names_its_evidence(tmp_path, simplex3, capsys):
     )
 
 
+def test_check_shelling_certificate_prints_a_shelling(tmp_path, capsys):
+    """The order printed, as text and as JSON, passes ``verify_shelling`` with
+    the restriction sets printed next to it."""
+    sphere = from_facets([{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}])
+    p = write(tmp_path, "sphere.cplx", sphere)
+
+    def mask(words: str) -> int:
+        return face(int(v) for v in words.strip().strip("{}").split(",") if v)
+
+    assert main(["check", p, "--property", "shellable", "--certificate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["shellable", "shelling order (facet | restriction set):"]
+    printed = [[mask(words) for words in line.split(" | ")] for line in lines[2:]]
+    ordering, restrictions = zip(*printed)
+    assert verify_shelling(sphere, ordering) == (True, restrictions)
+
+    assert main(["check", p, "--property", "shellable", "--certificate", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ordering = [face(f) for f in payload["shelling_order"]]
+    restrictions = tuple(face(r) for r in payload["restriction_sets"])
+    assert verify_shelling(sphere, ordering) == (True, restrictions)
+
+
+def test_check_partition_certificate_of_a_non_partitionable_input(tmp_path, two_k2, capsys):
+    p = write(tmp_path, "2k2.cplx", two_k2)
+    assert main(["check", p, "--property", "partitionable", "--certificate"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["not partitionable", "no interval partition exists"]
+
+
 def test_check_partition_certificate_of_a_shellable_input(tmp_path, hollow_triangle, capsys):
     """The intervals printed are the shelling's [R(F_i), F_i], sorted by facet."""
     p = write(tmp_path, "triangle.cplx", hollow_triangle)
@@ -252,6 +297,21 @@ def test_enumerate_dim1(tmp_path, capsys):
     assert doc["entries"][0]["label"] == "2K2"
     assert doc["entries"][0]["facets"] == [[0, 1], [2, 3]]
     assert "2K2" in capsys.readouterr().out
+
+
+def test_enumerate_strong_dim1(tmp_path, capsys):
+    out = tmp_path / "cat.json"
+    assert main(["enumerate", "--dim", "1", "--strong", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["mode"] == "strong_obstructions"
+    assert [e["label"] for e in doc["entries"]] == ["2K2"]
+
+
+def test_enumerate_edge_minimal_and_strong_are_exclusive(tmp_path, capsys):
+    out = tmp_path / "cat.json"
+    assert main(["enumerate", "--dim", "2", "--edge-minimal", "--strong", "--output", str(out)]) == 2
+    assert "--edge-minimal and --strong are exclusive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_enumerate_compare(tmp_path, capsys):
@@ -379,3 +439,10 @@ def test_indcycle(tmp_path, capsys):
     text = capsys.readouterr().out
     c = parse_complex(text)
     assert c == independence_complex(cycle_graph(6))
+
+
+def test_indcycle_output_file(tmp_path, capsys):
+    out = tmp_path / "ind_c5.cplx"
+    assert main(["indcycle", "5", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote independence complex of the 5-cycle to {out}\n"
+    assert parse_complex(out.read_text()) == independence_complex(cycle_graph(5))

@@ -99,7 +99,7 @@ def test_snf_matches_oracles_on_random_matrices():
 
 def test_snf_reduces_the_block_without_units_after_the_unit_pivots():
     """A ±1 boundary block next to a block with no unit entry, rows and
-    columns shuffled: the dense reduction must finish what the unit pivots
+    columns shuffled: the same loop must finish what the unit pivots
     leave.  Half the cases couple the blocks by even entries below the
     boundary block."""
     rng = random.Random(75)
@@ -122,6 +122,25 @@ def test_snf_reduces_the_block_without_units_after_the_unit_pivots():
                     block_factors, _ = dense_smith_normal_form(block)
                     assert factors[0] == 1
                     assert [d for d in factors if d > 1] == [d for d in block_factors if d > 1]
+
+
+def test_snf_matches_oracles_on_matrices_without_a_unit_entry():
+    """Every first pivot is a non-unit: even entries, multiples of 3, or any
+    entries from 2 to 30 in magnitude, up to 9×9, from a few entries to full.
+    So the loop reduces remainders left in the pivot's column, in its row and
+    in the rows that it does not divide."""
+    rng = random.Random(77)
+    pools = (range(-30, 31, 2), range(-30, 31, 3), [v for v in range(-30, 31) if abs(v) > 1])
+    torsion = 0
+    for _ in range(300):
+        pool = [v for v in rng.choice(pools) if v]
+        density = rng.choice((0.15, 0.4, 0.7, 1.0))
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        m = [[rng.choice(pool) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        factors, _ = _snf_matching_oracles(m)
+        torsion += any(d > 1 for d in factors)
+    assert torsion >= 200
 
 
 def test_boundary_squares_to_zero_on_corpus():
