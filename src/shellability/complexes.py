@@ -664,9 +664,10 @@ def parse_complex(text: str) -> SimplicialComplex:
 
     One facet per line, vertices as whitespace-separated tokens; blank lines
     and ``#`` comments are ignored.  If every token in the file is a
-    non-negative integer the integers are used as vertex ids directly,
-    otherwise tokens are mapped to ids in order of first appearance.  A facet
-    line that is a subset of another is absorbed with a warning.  A file with
+    non-negative integer in ASCII digits the integers are used as vertex ids
+    directly, otherwise tokens are mapped to ids in order of first appearance,
+    so a non-ASCII digit such as ``²`` or ``٣`` is a label.  A facet line
+    that is a subset of another is absorbed with a warning.  A file with
     no facet lines denotes the minimal complex {∅}.
     """
     rows: list[list[str]] = []
@@ -680,7 +681,7 @@ def parse_complex(text: str) -> SimplicialComplex:
                 raise ValueError(f"line {lineno}: invalid vertex token {tok!r}")
         rows.append(tokens)
 
-    numeric = all(tok.isdigit() for row in rows for tok in row)
+    numeric = all(tok.isascii() and tok.isdigit() for row in rows for tok in row)
     ids: dict[str, int] = {}
     masks: list[int] = []
     for row in rows:

@@ -13,6 +13,11 @@ filters:
 * a 1-dimensional complex partitions iff at most one connected component of
   its edge part is a tree, so the negative answer is structural, and a
   positive one still runs the exact cover to get its certificate,
+* a pure complex whose h-vector has a negative entry is not partitionable:
+  in a partition of a pure complex, h_j counts the intervals whose bottom
+  has j vertices (R. P. Stanley, "Combinatorics and Commutative Algebra",
+  §III.2).  For a nonpure complex the same formula counts nothing, so the
+  filter is not run there,
 * two facets of dimension >= 1 whose codimension-one subfaces are all
   private force tau = empty twice, which is impossible.
 """
@@ -20,6 +25,7 @@ filters:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Mapping, Optional
 
 from . import cache
@@ -74,6 +80,16 @@ def verify_partition(c: SimplicialComplex, assignment) -> bool:
                 return False
             seen.add(eta)
     return seen == c.faces()
+
+
+def _h_vector(c: SimplicialComplex) -> list[int]:
+    """h_k = sum over i <= k of (-1)^(k-i) C(d-i, k-i) f_(i-1), d the top facet size."""
+    f = c.f_vector()
+    d = len(f) - 1
+    return [
+        sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
+        for k in range(d + 1)
+    ]
 
 
 def _two_private_facets(c: SimplicialComplex) -> bool:
@@ -167,7 +183,9 @@ def _exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[int, i
 
 
 def _decide_partition(c: SimplicialComplex) -> Optional[tuple[tuple[int, int], ...]]:
-    """The filter, then the exact cover; None when no partition exists."""
+    """The filters, then the exact cover; None when no partition exists."""
+    if c.is_pure() and min(_h_vector(c)) < 0:
+        return None
     if c.dim >= 2 and _two_private_facets(c):
         return None
     return _exact_cover_assignment(c)

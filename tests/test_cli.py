@@ -58,6 +58,14 @@ def test_check_parse_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_check_reads_a_non_ascii_digit_as_a_label(tmp_path, capsys):
+    p = tmp_path / "superscript.cplx"
+    p.write_text("²\n", encoding="utf-8")
+    assert main(["check", str(p), "--property", "shellable"]) == 0
+    captured = capsys.readouterr()
+    assert "shellable" in captured.out and not captured.err
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent.cplx", "--property", "shellable"]) == 2
     assert "/nonexistent.cplx" in capsys.readouterr().err

@@ -23,6 +23,7 @@ from shellability.complexes import (
 )
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
+from shellability.shelling import is_shellable
 
 from conftest import corpus, full_simplex
 from oracles import tuple_refine_colors
@@ -609,6 +610,15 @@ def test_parse_comments_blank_lines_and_absorption():
 def test_parse_bad_token():
     with pytest.raises(ValueError, match="line 2"):
         parse_complex("0 1\n0 !\n")
+
+
+def test_parse_reads_a_non_ascii_digit_as_a_label():
+    """Only ASCII digits are vertex numbers: ``²`` is a label, not int('²'),
+    and ``٣`` is a fresh vertex, not the vertex of the token ``3``."""
+    assert parse_complex("²\n") == from_facets([{0}])
+    c = parse_complex("0 1 ٣\n2 3\n")
+    assert c == from_facets(masks({0, 1, 2}, {3, 4}))
+    assert not is_shellable(c).shellable
 
 
 def test_parse_round_trip_on_corpus():

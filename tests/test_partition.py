@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -7,6 +8,7 @@ from shellability.complexes import face, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import (
     _exact_cover_assignment,
+    _h_vector,
     _tree_components_of_edge_part,
     _two_private_facets,
     band_complex,
@@ -116,36 +118,46 @@ def test_certificates_verify_on_corpus():
     assert positives >= 40
 
 
-def _agree_with_brute_force_assignments(inputs) -> tuple[int, int]:
+def _agree_with_brute_force_assignments(inputs) -> tuple[int, int, int]:
     """Every complex with at most 2^12 facet -> bottom assignments, plus the
     ones on at most four facets whatever their count; returns how many were
-    checked and how many of those have five facets or more."""
-    checked = many_facets = 0
+    checked, how many of those have five facets or more, and how many are
+    pure with a negative h-vector entry, which the oracle must reject."""
+    checked = many_facets = h_negative = 0
     for c in inputs:
         if len(c.facets) > 4 and sum(f.bit_count() for f in c.facets) > 12:
             continue
         checked += 1
         many_facets += len(c.facets) >= 5
-        assert is_partitionable(c).partitionable == oracle_partitionable(c)
-    return checked, many_facets
+        expected = oracle_partitionable(c)
+        assert is_partitionable(c).partitionable == expected
+        if c.is_pure() and min(_h_vector(c)) < 0:
+            assert expected is False, c.facets
+            h_negative += 1
+    return checked, many_facets, h_negative
 
 
 def test_against_brute_force_assignments():
-    checked, many_facets = _agree_with_brute_force_assignments(
+    checked, many_facets, h_negative = _agree_with_brute_force_assignments(
         corpus(seed=42, count=90, n_max=5) + corpus(seed=46, count=300, n_max=8, dim_cap=2, max_facets=10)
     )
     assert checked >= 380
     assert many_facets >= 15
+    assert h_negative >= 9
     # the multi-facet draw: no single simplices
-    checked, many_facets = _agree_with_brute_force_assignments(
+    checked, many_facets, h_negative = _agree_with_brute_force_assignments(
         corpus(seed=49, count=150, n_max=7, dim_cap=2, max_facets=12, multi_facet=True)
     )
     assert checked >= 120
     assert many_facets >= 15
+    assert h_negative >= 13
 
 
 def _passes_prefilters(c) -> bool:
-    """The filter ``partition._decide_partition`` runs before the exact cover."""
+    """The private-facet filter ``partition._decide_partition`` runs before
+    the exact cover.  Its h-vector filter is left out on purpose, so that the
+    exact cover is still compared with the naive search on pure inputs with a
+    negative h-vector entry."""
     return not (c.dim >= 2 and _two_private_facets(c))
 
 
@@ -216,6 +228,91 @@ def test_nonshellable_partitionable_inputs_run_the_exact_cover(monkeypatch, face
     assert not is_shellable(c).shellable
     assert decision.partitionable and verify_partition(c, decision.certificate.assignment)
     assert len(calls) == 1
+
+
+def _recorded_exact_cover(monkeypatch) -> list:
+    calls = []
+    real = partition._exact_cover_assignment
+
+    def recorded(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(partition, "_exact_cover_assignment", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("facets, h, reaches_cover", [
+    ([{0, 1}, {2, 3}], [1, 2, -1], False),
+    (RP2_FACETS, [1, 3, 6, 0], True),
+    (DUNCE_HAT_FACETS, [1, 5, 11, 0], True),
+    ([{0, 1}, {2}], [1, 1, -1], True),
+], ids=["2k2", "rp2", "dunce_hat", "nonpure_edge_and_point"])
+def test_h_vector_filter_named_cases(monkeypatch, facets, h, reaches_cover):
+    """2K2's h_2 = -1 rejects it before the exact cover; RP2 and the dunce
+    hat pass with h_3 = 0.  The nonpure {01, 2} gives h_2 = -1 by the same
+    formula, yet [∅, 01] and [2, 2] partition it: the filter must not fire."""
+    c = from_facets(facets)
+    assert _h_vector(c) == h
+    calls = _recorded_exact_cover(monkeypatch)
+    assignment = partition._decide_partition(c)
+    assert len(calls) == reaches_cover
+    if reaches_cover:
+        assert verify_partition(c, assignment)
+    else:
+        assert assignment is None and not oracle_partitionable(c)
+
+
+def test_no_pure_input_with_a_negative_h_entry_reaches_the_exact_cover(monkeypatch):
+    """The exact cover runs on the canonical representatives; none is pure
+    with a negative h-vector entry, while a nonpure one with a negative entry
+    by the pure formula still gets there and is partitionable."""
+    inputs = corpus(seed=46, count=300, n_max=8, dim_cap=2, max_facets=10) + corpus(
+        seed=51, count=120, n_max=7, multi_facet=True
+    )
+    calls = _recorded_exact_cover(monkeypatch)
+    cache.clear_all_caches()
+    try:
+        decisions = [is_partitionable(c) for c in inputs]
+    finally:
+        cache.clear_all_caches()
+    rejected = sum(
+        1 for c, decision in zip(inputs, decisions)
+        if c.is_pure() and min(_h_vector(c)) < 0 and not decision.partitionable
+    )
+    assert rejected >= 24
+    assert not [c.facets for c in calls if c.is_pure() and min(_h_vector(c)) < 0]
+    kept = [
+        (c, decision) for c, decision in zip(inputs, decisions)
+        if not c.is_pure() and min(_h_vector(c)) < 0 and decision.partitionable
+        and not is_shellable(c).shellable
+    ]
+    assert kept
+    for c, decision in kept:
+        assert verify_partition(c, decision.certificate.assignment)
+
+
+def test_interval_bottom_sizes_count_the_h_vector():
+    """Stanley's identity: in a partition of a pure complex into intervals,
+    h_j facets have a bottom of j vertices.  Checked on the shelling
+    intervals and on the exact cover's assignment, whichever exist."""
+    certificates = 0
+    inputs = corpus(seed=41, count=80) + corpus(seed=43, count=80) + corpus(
+        seed=50, count=150, n_max=7, multi_facet=True
+    )
+    for c in inputs:
+        if not c.is_pure():
+            continue
+        h = _h_vector(c)
+        shelling = is_shellable(c).certificate
+        found = [_exact_cover_assignment(c)]
+        if shelling is not None:
+            found.append(tuple(zip(shelling.ordering, shelling.restriction_sets)))
+        for assignment in filter(None, found):
+            sizes = Counter(tau.bit_count() for _, tau in assignment)
+            assert [sizes[j] for j in range(len(h))] == h, c.facets
+            certificates += 1
+    assert certificates >= 362
 
 
 def test_shelling_intervals_that_do_not_partition_raise(monkeypatch, hollow_triangle):
