@@ -12,7 +12,10 @@ posets I", 1996), and a pure shellable complex is Cohen-Macaulay.  So
 ``is_sequentially_cm`` asks ``is_shellable`` first and answers yes without
 homology when there is a shelling; only the other complexes go through the
 pure-skeleton link scan, ``_pure_skeletons_cm``, which finds every witness.
-``is_cohen_macaulay`` always scans.
+That scan reads the two lowest skeletons from the facets: a pure 0-complex
+is Cohen-Macaulay, and a pure 1-complex is Cohen-Macaulay exactly when it is
+connected, so neither is built, labelled or memoized.  ``is_cohen_macaulay``
+always scans.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import cache
-from .complexes import PurityError, SimplicialComplex, all_faces, memoized, relabel_face
+from .complexes import PurityError, SimplicialComplex, _edge_classes, all_faces, memoized, relabel_face
 from .homology import HomologyGroup, reduced_homology
 from .shelling import is_shellable
 
@@ -73,8 +76,15 @@ def is_cohen_macaulay(c: SimplicialComplex) -> CMReport:
 
 
 def _pure_skeletons_cm(c: SimplicialComplex) -> CMReport:
-    """The link scan of every pure skeleton, lowest first; no shelling consulted."""
-    for i in range(0, c.dim + 1):
+    """The link scan of every pure skeleton, lowest first; no shelling consulted.
+
+    The only face below the top of a pure 1-complex is ∅, so it fails when
+    its edges fall into k > 1 classes, with the scan's witness H̃_0 = Z^(k-1).
+    """
+    k = _edge_classes(c.facets)
+    if k > 1:
+        return CMReport(False, CMWitness(0, 0, HomologyGroup(k - 1), skeleton_dim=1))
+    for i in range(2, c.dim + 1):
         report = is_cohen_macaulay(c.pure_skeleton(i))
         if not report.verdict:
             return CMReport(False, replace(report.witness, skeleton_dim=i))

@@ -113,6 +113,12 @@ def components(masks: Iterable[int]) -> list[int]:
     return comps
 
 
+def _edge_classes(facets: Iterable[int]) -> int:
+    """The number of components of the 1-skeleton's edges: the facets with
+    an edge, linked by shared vertices (0 when there is no edge)."""
+    return len(components(f for f in facets if f.bit_count() >= 2))
+
+
 def subsets_of(mask: int) -> Iterator[int]:
     """All subsets of a face mask, the empty face included."""
     sub = mask
@@ -205,9 +211,6 @@ class SimplicialComplex:
             self._faces_by_dim = by_dim
         return list(self._faces_by_dim.get(k, []))
 
-    def has_face(self, mask: int) -> bool:
-        return any(mask & ~fct == 0 for fct in self.facets)
-
     def f_vector(self) -> list[int]:
         """Face counts indexed from dimension -1, so it always starts with 1."""
         return [len(self.faces_of_dim(k)) for k in range(-1, self.dim + 1)]
@@ -224,19 +227,28 @@ class SimplicialComplex:
         return self.restriction(self.vertices & ~face(removed))
 
     def link(self, tau: FaceLike) -> "SimplicialComplex":
+        """The faces σ with σ ∩ τ = ∅ and σ ∪ τ a face, read from the facets.
+
+        Its facets are the facets F ⊇ τ less τ, as they come: F − τ ⊆ G − τ
+        gives F ⊆ G, so they are an antichain, and dropping the same bits
+        from supersets of τ keeps the (size, mask) order.
+        """
         t = face(tau)
-        if not self.has_face(t):
+        rest = [fct ^ t for fct in self.facets if fct & t == t]
+        if not rest:
             raise InvalidFaceError(f"{face_vertices(t)} is not a face of the complex")
-        return from_facets([fct & ~t for fct in self.facets if fct & t == t])
+        return SimplicialComplex(tuple(rest), union(rest))
 
     def pure_skeleton(self, i: int) -> "SimplicialComplex":
         """The subcomplex generated by all i-dimensional faces.
 
-        For i above the dimension there are no such faces and the result is
-        the minimal complex {∅}; callers iterating skeleton dimensions never
-        have to guard the top end.
+        The i-faces all have one size and come sorted by mask, so they are
+        the facets as they come.  For i above the dimension there are none
+        and the result is the minimal complex {∅}; callers iterating
+        skeleton dimensions never have to guard the top end.
         """
-        return from_facets(self.faces_of_dim(i))
+        top = self.faces_of_dim(i) or [0]
+        return SimplicialComplex(tuple(top), union(top))
 
     # -- connectivity ------------------------------------------------------
 

@@ -51,6 +51,8 @@ class Graph:
 def graph_from_edges(n: int, edges) -> Graph:
     rows = [0] * n
     for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a}, {b}) has a vertex outside 0..{n - 1} (n = {n})")
         if a == b:
             raise ValueError("no loops")
         rows[a] |= 1 << b

@@ -212,10 +212,11 @@ def _homology_groups(c: SimplicialComplex) -> tuple[HomologyGroup, ...]:
         torsion.append(tuple(d for d in factors if d > 1))
     ranks.append(0)
     torsion.append(())
-    return tuple(
-        HomologyGroup(n - ranks[i] - ranks[i + 1], torsion[i + 1])
-        for i, n in enumerate(c.f_vector())
-    )
+    if c.dim <= 1:  # the faces of a graph are ∅, its vertices and its edges
+        f = [1, c.n_vertices, sum(fct.bit_count() == 2 for fct in c.facets)][: c.dim + 2]
+    else:
+        f = c.f_vector()
+    return tuple(HomologyGroup(n - ranks[i] - ranks[i + 1], torsion[i + 1]) for i, n in enumerate(f))
 
 
 def reduced_homology(c: SimplicialComplex, k: int) -> HomologyGroup:

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import cache
-from .complexes import SimplicialComplex, face_vertices, memoized, relabel_face, subsets_of, union
+from .complexes import (
+    SimplicialComplex, _edge_classes, face_vertices, memoized, relabel_face, subsets_of, union,
+)
 from .homology import reduced_homology
 
 _DECIDE_CACHE = cache.new_cache()
@@ -152,7 +154,10 @@ def _homology_prescreen_nonshellable(c: SimplicialComplex) -> bool:
     """
     if c.is_pure():
         return any(not reduced_homology(c, k).is_trivial() for k in range(0, c.dim))
-    for i in range(1, c.dim + 1):
+    # H̃_0 of the pure 1-skeleton is Z^(k-1) for k classes of edges
+    if _edge_classes(c.facets) > 1:
+        return True
+    for i in range(2, c.dim + 1):
         skel = c.pure_skeleton(i)
         if any(not reduced_homology(skel, k).is_trivial() for k in range(0, i)):
             return True
@@ -214,9 +219,11 @@ def is_shellable(c: SimplicialComplex) -> ShellingDecision:
         return ShellingDecision(True, _certificate(c, c.facets))
 
     if d <= 2:
-        # the 2-faces of a 2-complex are exactly its 3-vertex facets
-        top = _decide_search(c.pure_skeleton(2)) if d == 2 else ()
-        if top is None or not c.pure_skeleton(1).connected():
+        # the pure 2-skeleton of a 2-complex is its 3-vertex facets, and its
+        # 1-skeleton is connected when the facets with an edge form one class
+        triangles = tuple(f for f in c.facets if f.bit_count() == 3)
+        top = _decide_search(SimplicialComplex(triangles, union(triangles))) if triangles else ()
+        if top is None or _edge_classes(c.facets) != 1:
             return ShellingDecision(False)
         edges = [f for f in c.facets if f.bit_count() == 2]
         tail = _attach_order(union(top), edges)

@@ -5,14 +5,16 @@ characterisation directly, without the fast paths, prescreens or memo tables
 of the deciders it checks.
 """
 
+from dataclasses import replace
 from itertools import combinations, permutations, product
 from typing import Optional
 
 from shellability import cache
-from shellability.cohen_macaulay import CMWitness
+from shellability.cohen_macaulay import CMReport, CMWitness, is_cohen_macaulay
 from shellability.complexes import (
     CanonicalForm,
     CapacityError,
+    InvalidFaceError,
     SimplicialComplex,
     all_faces,
     face_vertices,
@@ -22,10 +24,10 @@ from shellability.complexes import (
 )
 from shellability.enumeration import MAX_OBSTRUCTION_VERTICES, _non_face_pairs, _sort_key
 from shellability.graphs import Graph, graph_from_edges, independence_complex
-from shellability.homology import HomologyGroup, boundary_matrix, smith_normal_form
+from shellability.homology import HomologyGroup, boundary_matrix, reduced_homology, smith_normal_form
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
-from shellability.shelling import ShellingDecision, _certificate, is_shellable
+from shellability.shelling import ShellingDecision, _attach_order, _certificate, _decide_search, is_shellable
 
 
 def plain_search_ordering(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
@@ -91,6 +93,55 @@ def fast_paths_agree(c: SimplicialComplex) -> bool:
     if c.dim > 2:
         raise ValueError("fast paths only exist for dimension <= 2")
     return is_shellable(c).shellable == shellable_by_search(c).shellable
+
+
+def shellable_through_skeletons(c: SimplicialComplex) -> ShellingDecision:
+    """The dimension <= 2 criteria, with both skeletons built as complexes.
+
+    The reference for ``is_shellable`` below dimension 3: the branch it ran
+    before it read the 3-vertex facets and the edge classes straight from
+    the facet list, kept verbatim.
+    """
+    d = c.dim
+    if d <= 0 or d > 2:
+        raise ValueError("the skeleton criteria cover dimensions 1 and 2")
+    top = _decide_search(c.pure_skeleton(2)) if d == 2 else ()
+    if top is None or not c.pure_skeleton(1).connected():
+        return ShellingDecision(False)
+    edges = [f for f in c.facets if f.bit_count() == 2]
+    tail = _attach_order(union(top), edges)
+    if tail is None:
+        raise RuntimeError("edge facets detached despite connected 1-skeleton")
+    isolated = sorted(f for f in c.facets if f.bit_count() == 1)
+    return ShellingDecision(True, _certificate(c, [*top, *tail, *isolated]))
+
+
+def homology_prescreen_by_skeletons(c: SimplicialComplex) -> bool:
+    """The reference for ``shelling._homology_prescreen_nonshellable``: the
+    low homology of every pure skeleton, 1 included, as before H̃_0 of the
+    pure 1-skeleton was read from the classes of edges."""
+    if c.is_pure():
+        return any(not reduced_homology(c, k).is_trivial() for k in range(0, c.dim))
+    for i in range(1, c.dim + 1):
+        skel = c.pure_skeleton(i)
+        if any(not reduced_homology(skel, k).is_trivial() for k in range(0, i)):
+            return True
+    return False
+
+
+def link_by_definition(c: SimplicialComplex, tau: int) -> SimplicialComplex:
+    """The reference for ``SimplicialComplex.link``: the faces through τ less
+    τ, sorted and absorbed by ``from_facets``, as before the link took its
+    facets as they come."""
+    if not any(tau & ~fct == 0 for fct in c.facets):
+        raise InvalidFaceError(f"{face_vertices(tau)} is not a face of the complex")
+    return from_facets([fct & ~tau for fct in c.facets if fct & tau == tau])
+
+
+def pure_skeleton_by_definition(c: SimplicialComplex, i: int) -> SimplicialComplex:
+    """The reference for ``SimplicialComplex.pure_skeleton``: the i-faces
+    sorted and absorbed by ``from_facets``."""
+    return from_facets(c.faces_of_dim(i))
 
 
 def is_obstruction_via_deletions(c: SimplicialComplex, prop: PropertyKind) -> bool:
@@ -791,6 +842,17 @@ def full_scan_witness(rep: SimplicialComplex) -> Optional[CMWitness]:
             if not group.is_trivial():
                 return CMWitness(tau, k, group)
     return None
+
+
+def pure_skeletons_cm_by_scan(c: SimplicialComplex) -> CMReport:
+    """The reference for ``cohen_macaulay._pure_skeletons_cm``: every pure
+    skeleton, 0 and 1 included, through ``is_cohen_macaulay``, lowest first,
+    as before the low two were read from the facets."""
+    for i in range(0, c.dim + 1):
+        report = is_cohen_macaulay(c.pure_skeleton(i))
+        if not report.verdict:
+            return CMReport(False, replace(report.witness, skeleton_dim=i))
+    return CMReport(True)
 
 
 def _ranks(sigs: list) -> list[int]:

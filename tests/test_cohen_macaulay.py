@@ -19,9 +19,9 @@ from shellability.properties import PropertyKind
 from shellability.shelling import is_shellable
 
 from conftest import (
-    DUNCE_HAT_FACETS, cone, corpus, full_simplex, golden_classes, homology_oracle_inputs,
+    DUNCE_HAT_FACETS, cone, corpus, full_simplex, golden_classes, homology_oracle_inputs, suspension,
 )
-from oracles import full_scan_witness, homology_group_by_degree
+from oracles import full_scan_witness, homology_group_by_degree, pure_skeletons_cm_by_scan
 
 GOLDEN_ATLAS = Path(__file__).parent / "golden" / "atlas6_catalog.json"
 
@@ -224,3 +224,35 @@ def test_the_witness_scan_builds_only_links_with_a_degree_to_check(monkeypatch):
         assert built == expected, c.facets
         witnesses += expected_witness is not None
     assert skipped >= 1000 and witnesses >= 90
+
+
+def test_the_skeleton_scan_reads_skeletons_0_and_1_from_the_facets(monkeypatch):
+    """The same reports as scanning every pure skeleton, witness and
+    skeleton_dim included, while is_cohen_macaulay never gets a skeleton of
+    dimension 1 or less: a pure 0-complex is Cohen-Macaulay, and a pure
+    1-complex fails exactly when its edges fall into more than one class."""
+    golden = golden_classes()
+    inputs = homology_oracle_inputs() + golden + [cone(c) for c in golden] + [suspension(c) for c in golden]
+    inputs += [from_facets(facets) for facets in (
+        [{0, 1}, {2, 3}], [{0, 1, 2}, {3, 4}], [{0, 1, 2}, {3, 4}, {5}], [{0, 1}, {2, 3}, {4, 5}, {6}],
+        [{0, 1, 2, 3}, {4, 5}, {5, 6, 7}],
+    )]
+    cache.clear_all_caches()
+    expected = [pure_skeletons_cm_by_scan(c) for c in inputs]
+    handed: list[int] = []
+    real = cohen_macaulay.is_cohen_macaulay
+
+    def recorder(c):
+        handed.append(c.dim)
+        return real(c)
+
+    monkeypatch.setattr(cohen_macaulay, "is_cohen_macaulay", recorder)
+    cache.clear_all_caches()
+    for c, want in zip(inputs, expected):
+        assert _pure_skeletons_cm(c) == want, c.facets
+    at_one = sum(not r.verdict and r.witness.skeleton_dim == 1 for r in expected)
+    above = sum(not r.verdict and r.witness.skeleton_dim >= 2 for r in expected)
+    assert all(r.witness.skeleton_dim != 0 for r in expected if not r.verdict)
+    assert at_one >= 60 and above >= 250 and sum(r.verdict for r in expected) >= 1200
+    assert handed and min(handed) >= 2
+    assert _pure_skeletons_cm(from_facets([{0, 1}, {2, 3}, {4, 5}, {6}])).witness.group == HomologyGroup(2)

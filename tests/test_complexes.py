@@ -25,8 +25,8 @@ from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 from shellability.shelling import is_shellable
 
-from conftest import corpus, full_simplex
-from oracles import tuple_refine_colors
+from conftest import corpus, full_simplex, homology_oracle_inputs
+from oracles import link_by_definition, pure_skeleton_by_definition, tuple_refine_colors
 
 
 def masks(*vertex_sets):
@@ -116,6 +116,30 @@ def test_pure_skeleton_examples(two_k2, delta5):
     k5 = from_facets(masks(*[set(p) for p in combinations(range(5), 2)]))
     assert delta5.pure_skeleton(1) == k5
     assert delta5.pure_skeleton(5).facets == (0,)
+
+
+def test_links_and_pure_skeletons_match_their_definitions():
+    """The facets of a link or a pure skeleton, taken as they come, are the
+    ones ``from_facets`` sorts and absorbs; {∅}, τ = ∅, τ a facet, i = -1,
+    i above the dimension and nonpure inputs included."""
+    inputs = homology_oracle_inputs() + corpus(seed=19, count=80, n_max=7)
+    assert from_facets([]) in inputs
+    facet_links = nonpure = 0
+    for c in inputs:
+        nonpure += not c.is_pure()
+        for tau in c.faces():
+            got, want = c.link(tau), link_by_definition(c, tau)
+            assert (got.facets, got.vertices) == (want.facets, want.vertices), (c.facets, tau)
+            facet_links += tau in c.facets
+        outside = 1 << c.vertices.bit_length()
+        with pytest.raises(InvalidFaceError):
+            c.link(outside)
+        with pytest.raises(InvalidFaceError):
+            link_by_definition(c, outside)
+        for i in range(-2, c.dim + 3):
+            got, want = c.pure_skeleton(i), pure_skeleton_by_definition(c, i)
+            assert (got.facets, got.vertices) == (want.facets, want.vertices), (c.facets, i)
+    assert facet_links >= 7000 and nonpure >= 350
 
 
 def test_pure_skeletons_are_pure_of_requested_dimension():

@@ -39,6 +39,14 @@ def test_graph_invariants():
         Graph(1, (0b1,))  # loop
 
 
+@pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 2), (1, -1)])
+def test_graph_from_edges_rejects_a_vertex_outside_the_range(edge):
+    """Both ends: n is one past the last vertex, and a negative id would
+    otherwise index the rows from the back."""
+    with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\).*0\.\.2 \(n = 3\)"):
+        graph_from_edges(3, [edge])
+
+
 def test_mis_against_brute_force():
     rng = random.Random(71)
     for _ in range(40):

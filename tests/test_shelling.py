@@ -11,8 +11,11 @@ from shellability import shelling
 from shellability.partition import band_complex, is_partitionable, verify_partition
 from shellability.shelling import is_shellable, verify_shelling
 
-from conftest import DUNCE_HAT_FACETS, corpus, full_simplex
-from oracles import fast_paths_agree, plain_search_ordering, shellable_by_search
+from conftest import DUNCE_HAT_FACETS, corpus, full_simplex, golden_classes, homology_oracle_inputs
+from oracles import (
+    fast_paths_agree, homology_prescreen_by_skeletons, plain_search_ordering, shellable_by_search,
+    shellable_through_skeletons,
+)
 
 
 # --- independent oracle: the raw definition over frozensets -----------------
@@ -173,6 +176,31 @@ def test_fast_paths_agree_on_low_dimensions():
     assert count >= 30
 
 
+def test_low_dimensions_read_from_the_facets_match_the_skeleton_path():
+    """Verdicts and certificates in dimensions 1 and 2, against the branch
+    that built the pure 2-skeleton and the 1-skeleton as complexes; nonpure
+    2-complexes with dangling edges and isolated vertices, and graphs with
+    isolated vertices, included."""
+    inputs = homology_oracle_inputs() + golden_classes()
+    inputs += corpus(seed=35, count=150, n_max=7, dim_cap=2, multi_facet=True)
+    inputs = [c for c in inputs if 1 <= c.dim <= 2] + [from_facets(facets) for facets in (
+        [{0, 1, 2}, {2, 3}], [{0, 1, 2}, {2, 3}, {4}], [{0, 1, 2}, {3, 4}], [{0, 1, 2}, {3}],
+        [{0, 1, 2}, {1, 2, 3}, {3, 4}, {4, 5}, {6}, {7}], [{0, 1, 2}, {2, 3, 4}, {4, 0}, {5}],
+        [{0, 1}, {2}], [{0, 1}, {1, 2}, {3}, {4}], [{0, 1}, {2, 3}, {4}], [{0, 1, 2}, {3, 4, 5}, {2, 3}, {6}],
+    )]
+    nonpure_twos = isolated_ones = shellable = 0
+    for c in inputs:
+        decision = is_shellable(c)
+        assert decision == shellable_through_skeletons(c), c.facets
+        shellable += decision.shellable
+        nonpure_twos += c.dim == 2 and not c.is_pure()
+        isolated_ones += c.dim == 1 and c.facets[0].bit_count() == 1
+    assert len(inputs) - shellable >= 200 and shellable >= 1100
+    assert nonpure_twos >= 240 and isolated_ones >= 160
+    with pytest.raises(ValueError):
+        shellable_through_skeletons(full_simplex(4))
+
+
 def test_fast_paths_agree_rejects_high_dimension():
     with pytest.raises(Exception):
         fast_paths_agree(full_simplex(5))
@@ -275,6 +303,25 @@ def test_failed_facet_sets_are_not_searched_again(monkeypatch):
     assert verify_shelling(c, shellable.certificate.ordering)[0]
     assert verify_partition(c, partitionable.certificate.assignment)
     assert scm.verdict
+
+
+def test_the_prescreen_reads_the_1_skeleton_from_the_facets():
+    """The same verdicts as reading H̃_0 of a built pure 1-skeleton, on
+    nonpure inputs whose edges fall into one class or several."""
+    inputs = homology_oracle_inputs() + corpus(seed=36, count=150, n_max=7, multi_facet=True)
+    inputs += [from_facets(facets) for facets in (
+        [{0, 1, 2, 3}, {4, 5}], [{0, 1, 2, 3}, {3, 4}, {5}], [{0, 1, 2, 3}, {4, 5, 6}, {6, 7}],
+    )]
+    # disjoint unions, the second part on vertices 4..7
+    pairs = zip(corpus(seed=37, count=200, n_max=4), corpus(seed=38, count=200, n_max=4))
+    inputs += [from_facets([*a.facets, *(f << 4 for f in b.facets)]) for a, b in pairs]
+    nonpure = [c for c in inputs if not c.is_pure()]
+    split = 0
+    for c in nonpure:
+        verdict = shelling._homology_prescreen_nonshellable(c)
+        assert verdict == homology_prescreen_by_skeletons(c), c.facets
+        split += not c.pure_skeleton(1).connected()
+    assert len(nonpure) >= 550 and split >= 60
 
 
 def test_nonshellable_input_past_the_prescreen_is_searched_once(monkeypatch):
