@@ -28,12 +28,14 @@ memos:
 ``enumeration._CORES_MEMO`` holds one entry per scanned (support level, top)
 pair, since a bound's top level is scanned for cores only and a larger bound
 scans it again as a source level; ``_PAIR_TABLES`` holds one entry per
-support level and ``_DIM2_MEMO`` one per vertex bound.  The core scan's
-hereditary test reads the other two, one entry per level: ``_HSTAR_RAW``
-holds the triangle mask of each vertex set a candidate is restricted to, and
-``_HSTAR_CANON`` the triangle masks of every labelled copy of the lower
-cores, keyed by level and cores.  Their names are older than their
-contents; the benchmark's list of tables still reads them by these names.
+support level and ``_DIM2_MEMO`` one per vertex bound.  The copy test that
+both obstruction searches run reads the other two: ``_HSTAR_RAW`` holds,
+per level and face sizes, the code of each vertex set a candidate is
+restricted to, and ``_HSTAR_CANON`` the codes of every labelled copy of the
+lower obstructions, keyed by level, obstructions and face sizes.  The face
+sizes are (3,) for the triangle core scan and (1, 2) for the dimension 0-1
+search, so the two searches never share an entry.  The names are older than
+the contents; the benchmark's list of tables still reads them by these names.
 """
 
 from __future__ import annotations

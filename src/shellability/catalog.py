@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-from .complexes import CapacityError, SimplicialComplex, face_vertices, from_facets
-from .enumeration import DEFAULT_MAX_VERTICES, MAX_OBSTRUCTION_VERTICES, edge_minimal, enumerate_obstructions
+from .complexes import SimplicialComplex, face_vertices, from_facets
+from .enumeration import DEFAULT_MAX_VERTICES, MAX_OBSTRUCTION_VERTICES, _check_bound, edge_minimal, enumerate_obstructions
 from .obstruction import obstruction_report
 from .partition import band_complex
 from .properties import PropertyKind, satisfies
@@ -161,11 +161,6 @@ def summary_lines(entries: list[CatalogEntry]) -> list[str]:
     lines.append(f"total classes: {len(entries)}")
     lines.append(f"labeled (edge-minimal and 2K2): {', '.join(by_label)}")
     return lines
-
-
-def _check_bound(max_vertices: int) -> None:
-    if not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
-        raise CapacityError(f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
 
 
 def obstruction_atlas_entries(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> list[CatalogEntry]:

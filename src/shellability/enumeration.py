@@ -1,17 +1,27 @@
 """Exhaustive, isomorph-free searches over small complexes.
 
-Two layers live here, behind one entry point, enumerate_obstructions.
+Two layers live here, behind one entry point, enumerate_obstructions.  Both
+search level by level over the vertex count, attaching a new vertex of
+minimum degree to each hereditary class on fewer vertices, and both decide
+whether a candidate is hereditary by one copy test.
+
+The copy test.  A minimal failing restriction is an obstruction on fewer
+vertices, so a candidate is hereditary exactly when none of its restrictions
+is a labelled copy of an obstruction found below its level.  Restrictions
+that leave out the new vertex lie in the hereditary base, and a copy lies in
+the restriction to its own vertex set, so only the vertex sets W of a lower
+obstruction's size that hold the new vertex are tested.  A restriction and a
+copy are compared as codes, bit masks over a numbering of the faces of the
+tracked sizes (triangles in dimension two; vertices and edges in dimensions
+0-1, where a 0-facet is a vertex too).  Faces are numbered by top vertex
+first, so a candidate's code is its base's code with the new vertex's star
+shifted above it.  The codes of the sets W and of the copies are memoized.
 
 The generic layer (generic_obstructions) covers dimensions 0 and 1 with no
-structural assumption about the obstructions.  It searches level by level
-over the vertex count: a level attaches a new vertex of minimum degree to
-each hereditarily-P class on one vertex fewer, and rejects a candidate
-before labelling it when a restriction that holds the new vertex is a
-labelled copy of an obstruction found below, as the core scan does in
-dimension two.  The survivors of each level are its hereditary classes and
-its obstructions; the top level labels only the candidates that fail P.  The
-test suite keeps an edge-by-edge generator of every graph class as its
-reference.
+structural assumption about the obstructions.  The survivors of the copy
+test at each level are its hereditary classes and its obstructions; the top
+level labels only the candidates that fail P.  The test suite keeps an
+edge-by-edge generator of every graph class as its reference.
 
 The dimension-two obstruction search proper runs on the triangle cores of
 candidate complexes.  For a two-dimensional obstruction, the edge facets only
@@ -35,31 +45,25 @@ complete at every level: deleting the star of any vertex of a hereditarily
 shellable set or of a core leaves the restriction to the other vertices,
 which is hereditarily shellable, so every such set arises from a smaller
 hereditarily shellable set by attaching the star of one of its
-minimum-degree vertices last.  A star removal is not decided again either:
-a minimal nonshellable restriction of a triangle set has full support, so it
-is a core, and a set is hereditarily shellable exactly when none of its
-restrictions is a labelled copy of a core.  A candidate's restrictions that
-leave out the new vertex are restrictions of its hereditarily shellable
-base, so only the vertex sets that hold the new vertex and miss an old one
-are tested, each as a triangle mask against every labelled copy of the
-cores already found below the level (7 on five vertices and 2 on six below
-the top level).  Whether an attached star gives the new vertex minimum degree
-depends only on the base's vertex degrees and the star's deficit vector, so
-each level groups the stars by deficit vector once and reads the admissible
-ones per degree vector.  A cheap cone-extension certificate proves many
-candidates shellable, as every base is: below the top level a class it
-certifies is hereditary without a shelling search, and the top level, which
-only needs the cores, skips certified candidates outright.  The top level is
-the requested bound: its hereditary classes could only be sources of a level
-that is not scanned, so it emits none.  The levels are memoized per (level,
-top), so a larger bound asked for later scans that level again as a source
-level.  Every admissible star not already covered by an orbit meets the two
-cheap tests, the core-copy test and, at the top level, the certificate; of
-the stars that pass them, only the first of each orbit of the base's
-automorphism group is attached, the orbit half of McKay's canonical
-augmentation.  An automorphism of the base fixes its degrees, its uncovered
-vertices, its face pairs and the set of labelled core copies, so the stars
-of one orbit pass or fail the tests together and give isomorphic
+minimum-degree vertices last.  A minimal nonshellable restriction of a triangle
+set has full support, so it is a core, and the copy test reads the cores found
+below the level (7 on five vertices and 2 on six below the top level).  Whether
+an attached star gives the new vertex minimum degree depends only on the base's
+vertex degrees and the star's deficit vector, so each level groups the stars by
+deficit vector once and reads the admissible ones per degree vector.  A cheap
+cone-extension certificate proves many candidates shellable, as every base is:
+below the top level a class it certifies is hereditary without a shelling
+search, and the top level, which only needs the cores, skips certified
+candidates outright.  The top level is the requested bound: its hereditary
+classes could only be sources of a level that is not scanned, so it emits
+none.  The levels are memoized per (level, top), so a larger bound asked for
+later scans that level again as a source level.  Every admissible star not
+already covered by an orbit meets the two cheap tests, the core-copy test and,
+at the top level, the certificate; of the stars that pass them, only the first
+of each orbit of the base's automorphism group is attached, the orbit half of
+McKay's canonical augmentation.  An automorphism of the base fixes its degrees,
+its uncovered vertices, its face pairs and the set of labelled core copies, so
+the stars of one orbit pass or fail the tests together and give isomorphic
 candidates: skipping the rest of the orbit loses no class, and no orbit is
 computed for the many stars the tests reject.
 
@@ -88,6 +92,7 @@ from .complexes import (
     components,
     face_vertices,
     from_facets,
+    subsets_of,
     union,
 )
 from .obstruction import obstruction_report
@@ -102,6 +107,12 @@ DEFAULT_MAX_VERTICES = {0: 7, 1: 6, 2: 7}
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
+
+def _check_bound(max_vertices: int) -> None:
+    """The one vertex-bound check of the searches and the atlas."""
+    if not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
+        raise CapacityError(f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
+
 
 def _sort_key(c: SimplicialComplex) -> tuple:
     canon = c.canonical_form()
@@ -120,6 +131,81 @@ def _non_face_pairs(c: SimplicialComplex, vertices: Iterable[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# the hereditary copy test of both searches
+# ---------------------------------------------------------------------------
+
+def _face_index(s: int, sizes: tuple[int, ...]) -> dict[int, int]:
+    """The faces of the given sizes on vertices 0..s-1, numbered by top
+    vertex, then by size, then by the vertices below it, so that the faces
+    at the new vertex s-1 come last."""
+    faces = [sum(1 << v for v in below) | 1 << top
+             for top in range(s) for k in sizes for below in combinations(range(top), k - 1)]
+    return {f: i for i, f in enumerate(faces)}
+
+
+def _code(facets: Iterable[int], index: dict[int, int]) -> int:
+    """The faces numbered in ``index`` that lie in one of the facets, as a bit mask."""
+    faces = {f for g in facets for f in subsets_of(g)}
+    return sum(1 << i for f, i in index.items() if f in faces)
+
+
+# The copy test's memos: the codes of the vertex sets per (level, face sizes),
+# and of the labelled copies per (level, lower obstructions, face sizes).
+_HSTAR_RAW: dict[tuple, dict[int, int]] = cache.new_cache()
+_HSTAR_CANON: dict[tuple, frozenset[int]] = cache.new_cache()
+
+
+def _restrictions(s: int, sizes: tuple[int, ...]) -> dict[int, int]:
+    """The code of every proper nonempty vertex set W of 0..s-1, that is, of
+    the faces inside W, keyed by W, smaller sets first."""
+    return cache.memo(_HSTAR_RAW, (s, sizes), _restriction_masks, s, sizes)
+
+
+def _restriction_masks(s: int, sizes: tuple[int, ...]) -> dict[int, int]:
+    index = _face_index(s, sizes)
+    sets = (sum(1 << v for v in vertices) for k in range(1, s) for vertices in combinations(range(s), k))
+    return {w: _code((w,), index) for w in sets}
+
+
+def _core_copies(s: int, lower: list[tuple[int, ...]], sizes: tuple[int, ...]) -> frozenset[int]:
+    """The codes of every relabeling into vertices 0..s-1 of the
+    obstructions, each given by its facets on vertices 0..k-1."""
+    return cache.memo(_HSTAR_CANON, (s, tuple(lower), sizes), _copy_masks, s, lower, sizes)
+
+
+def _copy_masks(s: int, lower: list[tuple[int, ...]], sizes: tuple[int, ...]) -> frozenset[int]:
+    index = _face_index(s, sizes)
+    powers = [1 << v for v in range(s)]
+    copies = set()
+    for facets in lower:
+        k = union(facets).bit_length()
+        own = _face_index(k, sizes)
+        code = _code(facets, own)
+        # every face as three vertex positions, a smaller one padded with
+        # position k, whose bit is 0 in every image
+        corners = [(face_vertices(f) + (k, k))[:3] for f, i in own.items() if code >> i & 1]
+        for image in permutations(powers, k):
+            bits = image + (0,)
+            copies.add(sum(1 << index[bits[a] | bits[b] | bits[c]] for a, b, c in corners))
+    return frozenset(copies)
+
+
+def _copy_test_tables(s: int, lower: list[tuple[int, ...]], sizes: tuple[int, ...]) -> tuple[list, list, frozenset]:
+    """The copy test of level s: the codes of the proper vertex sets of a
+    lower obstruction's size, the codes of those among them that hold the
+    new vertex s-1, and the codes of the labelled copies."""
+    k = {union(facets).bit_length() for facets in lower}
+    tested = [(w, m) for w, m in _restrictions(s, sizes).items() if w.bit_count() in k]
+    return [m for _, m in tested], [m for w, m in tested if w >> (s - 1) & 1], _core_copies(s, lower, sizes)
+
+
+def _has_core_copy(mask: int, restrictions: Iterable[int], copies: frozenset[int]) -> bool:
+    """Whether the code's restriction to one of the vertex sets, given by
+    their codes, is a labelled copy of a lower obstruction."""
+    return any(mask & w in copies for w in restrictions)
+
+
+# ---------------------------------------------------------------------------
 # triangle cores for the dimension-2 obstruction search
 # ---------------------------------------------------------------------------
 
@@ -132,10 +218,9 @@ class _PairTables:
         self.pairs = [(1 << a) | (1 << b) for a, b in self.ends]
         n = len(self.pairs)
         self.n_pairs = n
-        # the triangles on vertices 0..s-1 by top vertex, then in the order of
-        # the pairs below it, so that the star of a link d is d << star_shift
-        triangles = [(1 << a) | (1 << b) | (1 << c) for c in range(s) for a, b in combinations(range(c), 2)]
-        self.index = {t: i for i, t in enumerate(triangles)}
+        # the triangles at the new vertex come last, in the order of the
+        # pairs below it, so that the star of a link d is d << star_shift
+        self.index = _face_index(s, (3,))
         self.star_shift = len(self.index) - n
         self.at_vertex = [
             sum(1 << i for i, p in enumerate(self.pairs) if p & (1 << u))
@@ -152,10 +237,6 @@ class _PairTables:
             len(components(p for i, p in enumerate(self.pairs) if d >> i & 1)) == 1
             for d in range(1 << n)
         )
-
-    def mask(self, triangles: Iterable[int]) -> int:
-        """The triangle set as a mask over the level's triangle numbering."""
-        return sum(1 << self.index[t] for t in triangles)
 
 
 _PAIR_TABLES: dict[int, _PairTables] = cache.new_cache()
@@ -190,54 +271,6 @@ def _cone_extension_shellable(d: int, face_mask: int, tables: _PairTables) -> bo
     """
     along = d & face_mask
     return bool(tables.connected[along]) and tables.cover[d ^ along] & ~tables.cover[along] == 0
-
-
-# The core scan's hereditary test reads these: per level, the triangle masks
-# of the vertex sets it restricts to, and per level and lower cores, the
-# masks of every labelled copy of a core.
-_HSTAR_RAW: dict[int, dict[int, int]] = cache.new_cache()
-_HSTAR_CANON: dict[tuple, frozenset[int]] = cache.new_cache()
-
-
-def _restrictions(s: int) -> dict[int, int]:
-    """The triangle mask of every proper vertex set W of 0..s-1 with at least
-    five vertices, keyed by W.  No core has fewer: a triangle set on four
-    vertices lies in the boundary of a tetrahedron, and every such set shells."""
-    return cache.memo(_HSTAR_RAW, s, _restriction_masks, s)
-
-
-def _restriction_masks(s: int) -> dict[int, int]:
-    index = _pair_tables(s).index
-    out = {}
-    for k in range(5, s):
-        for vertices in combinations(range(s), k):
-            w = sum(1 << v for v in vertices)
-            out[w] = sum(1 << i for t, i in index.items() if t & ~w == 0)
-    return out
-
-
-def _core_copies(s: int, lower: list[tuple[int, ...]]) -> frozenset[int]:
-    """The triangle masks of every relabeling of the cores into vertices 0..s-1."""
-    return cache.memo(_HSTAR_CANON, (s, tuple(lower)), _copy_masks, s, lower)
-
-
-def _copy_masks(s: int, lower: list[tuple[int, ...]]) -> frozenset[int]:
-    index = _pair_tables(s).index
-    copies = set()
-    for core in lower:
-        corners = [face_vertices(t) for t in core]
-        for image in permutations(range(s), union(core).bit_length()):
-            bits = [1 << v for v in image]
-            copies.add(sum(1 << index[bits[a] | bits[b] | bits[c]] for a, b, c in corners))
-    return frozenset(copies)
-
-
-def _has_core_copy(mask: int, restrictions: Iterable[int], copies: frozenset[int]) -> bool:
-    """Whether the triangle set's restriction to one of the vertex sets, given
-    by their triangle masks, is a labelled copy of a core.  A restriction
-    that equals a copy on fewer vertices contains that core too, so one set
-    of copies serves every size of vertex set."""
-    return any(mask & w in copies for w in restrictions)
 
 
 def _deficit_groups(tables: _PairTables) -> dict[tuple[int, ...], list[int]]:
@@ -322,27 +355,22 @@ def _scan_level(
     the same candidate; a covered link is in the orbit of an earlier passing
     link, so it would pass too and is skipped before the tests.  An image of
     a passing link that is not admissible means a wrong automorphism and
-    raises.  ``lower`` holds every core below s: a candidate's star removals
-    are all hereditarily shellable exactly when none of its restrictions to
-    a vertex set that holds the new vertex and misses an old one is a
-    labelled copy of one of them, tested on triangle masks
-    (``_has_core_copy``).  With a core missing, classes can be lost.  Every
-    source is shellable, so a cone-extension certificate proves a candidate
-    shellable at any level: at the terminal level, the top level of the
-    requested bound, where only the cores are wanted, certified candidates
-    are skipped and no hereditary classes are emitted; below it, a new class
-    whose first candidate is certified is hereditary without a shelling
-    search.  Candidates are tested against ``lower`` alone, never against
-    the sources, so a slice of the sources gives the classes that its
-    candidates reach.
+    raises.  ``lower`` holds every core below s, which the copy test of the
+    module docstring reads on triangle codes (``_has_core_copy``); with a core
+    missing, classes can be lost.  Every source is shellable, so a
+    cone-extension certificate proves a candidate shellable at any level: at
+    the terminal level, the top level of the requested bound, where only the
+    cores are wanted, certified candidates are skipped and no hereditary
+    classes are emitted; below it, a new class whose first candidate is
+    certified is hereditary without a shelling search.  Candidates are tested
+    against ``lower`` alone, never against the sources, so a slice of the
+    sources gives the classes that its candidates reach.
     """
     tables = _pair_tables(s)
     pairs = tables.pairs
     n_pairs = tables.n_pairs
     shift = tables.star_shift
-    restrictions = _restrictions(s)
-    around = [m for w, m in restrictions.items() if w >> (s - 1) & 1]
-    copies = _core_copies(s, lower)
+    restrictions, around, copies = _copy_test_tables(s, lower, (3,))
     old_vertices = (1 << (s - 1)) - 1
     v_bit = 1 << (s - 1)
     groups = _deficit_groups(tables)
@@ -358,7 +386,7 @@ def _scan_level(
         links = _admissible_links(groups, deg, extras, tables)
         admissible = set(links)
         for _, _, xprime in group:
-            base = tables.mask(xprime)
+            base = _code(xprime, tables.index)
             face_mask = _face_pair_mask(xprime, tables)
             moves = None  # each automorphism as its permutation of the pair indices
             scanned: set[int] = set()
@@ -387,7 +415,7 @@ def _scan_level(
                     cores.append(rep)
                 elif not terminal:
                     # shellable + the per-vertex filter already implies hereditary
-                    if _has_core_copy(tables.mask(rep), restrictions.values(), copies):
+                    if _has_core_copy(_code(rep, tables.index), restrictions, copies):
                         raise RuntimeError("a star removal of a new class is not hereditarily shellable")
                     hereditary.append(rep)
     return sorted(hereditary), sorted(cores)
@@ -403,22 +431,21 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
     are exactly the possible pure 2-skeletons of two-dimensional obstructions
     to shellability.  Levels are scanned by support size, each attaching a
     minimum-degree vertex to the hereditarily shellable sets found below it,
-    with the admissible stars read from a per-level deficit table.  A
-    candidate is kept when each star removal is hereditarily shellable, that
-    is, when no restriction of it is isomorphic to a core found at a lower
-    level.  A cone-extension certificate settles shellability at every
-    level: below the top level it classifies the classes it certifies,
-    leaving the shelling search only the cores below the top level, and the
-    top level, ``max_vertices``, which only needs the cores, skips certified
-    candidates and emits no hereditary classes.  Of the stars that pass
-    these tests, one per orbit of the base's automorphisms is attached: the
-    tests give a whole orbit one verdict, and its stars give isomorphic
-    candidates.  Every level runs in this process.  Each level's (hereditary,
-    cores) is memoized per (level, top), so a larger bound asked for after a
-    smaller one scans the smaller one's top level again as a source level.
-    The cores do not depend on ``top``, since the top level skips only
-    certified, hence shellable, candidates; so a top level whose source
-    scan is memoized already is read from that entry and not scanned again.
+    with the admissible stars read from a per-level deficit table.  A candidate
+    is kept when it passes the copy test of the module docstring against the
+    cores found at lower levels.  A cone-extension certificate settles
+    shellability at every level: below the top level it classifies the classes
+    it certifies, leaving the shelling search only the cores below the top
+    level, and the top level, ``max_vertices``, which only needs the cores,
+    skips certified candidates and emits no hereditary classes.  Of the stars
+    that pass these tests, one per orbit of the base's automorphisms is
+    attached: the tests give a whole orbit one verdict, and its stars give
+    isomorphic candidates.  Every level runs in this process.  Each level's
+    (hereditary, cores) is memoized per (level, top), so a larger bound asked
+    for after a smaller one scans the smaller one's top level again as a source
+    level.  The cores do not depend on ``top``, since the top level skips only
+    certified, hence shellable, candidates; so a top level whose source scan is
+    memoized already is read from that entry and not scanned again.
     """
     if max_vertices > MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
@@ -523,30 +550,6 @@ def edge_minimal(c: SimplicialComplex) -> bool:
     return True
 
 
-def _pair_bit(a: int, b: int) -> int:
-    """The bit of the vertex pair {a, b} in an edge mask.  Pairs are numbered
-    by their larger vertex, then the smaller, so the pairs at a new vertex
-    follow those below it and the numbering does not depend on the level."""
-    lo, hi = min(a, b), max(a, b)
-    return 1 << (hi * (hi - 1) // 2 + lo)
-
-
-def _edge_mask(facets: Iterable[int]) -> int:
-    return sum(_pair_bit(*face_vertices(f)) for f in facets if f.bit_count() == 2)
-
-
-def _graph_copies(n: int, lower: list[SimplicialComplex]) -> set[int]:
-    """Every relabeling of the obstructions into vertices 0..n-1, each as its
-    vertex set W with its edge mask above it, ``W | edges << n``."""
-    copies = set()
-    for c in lower:
-        edges = [face_vertices(f) for f in c.facets if f.bit_count() == 2]
-        for image in permutations(range(n), c.n_vertices):
-            w = sum(1 << v for v in image)
-            copies.add(w | sum(_pair_bit(image[a], image[b]) for a, b in edges) << n)
-    return copies
-
-
 def _graph_level(
     dim: int,
     sources: list[tuple[int, ...]],
@@ -560,35 +563,27 @@ def _graph_level(
     The sources are the canonical facet tuples of the hereditarily-P classes
     on n - 1 vertices.  The new vertex n - 1 gets a neighbourhood N: none in
     dimension 0, and in dimension 1 every N that gives it minimum degree,
-    |N| <= deg(u) + [u in N] for every old vertex u.  A candidate is dropped
-    unlabelled when its restriction to a vertex set W that holds the new
-    vertex and misses an old one is a labelled copy of an obstruction in
-    ``lower``, compared as ``W | edges << n``, since a 0-facet is a vertex
-    too; only W of an obstruction's size can match.  At the top level P is
-    decided on the raw candidate first, and only the candidates that fail it
-    are labelled.
+    |N| <= deg(u) + [u in N] for every old vertex u.  A candidate that
+    fails the copy test of the module docstring against ``lower``, on the
+    codes of its vertices and edges, is dropped unlabelled.  At the top
+    level P is decided on the raw candidate first, and only the candidates
+    that fail it are labelled.
     """
     new = n - 1
-    shift = new * (new - 1) // 2  # the bit of the pair {0, new}
-    sizes = {c.n_vertices for c in lower}
-    around = [
-        (w, _edge_mask((1 << a) | (1 << b) for a, b in combinations(face_vertices(w), 2)))
-        for w in range(1 << new, (1 << n) - 1)
-        if w.bit_count() in sizes
-    ]
-    copies = _graph_copies(n, lower)
+    index = _face_index(n, (1, 2))
+    shift = len(index) - n  # the faces at the new vertex: itself, then its edges
+    _, around, copies = _copy_test_tables(n, [c.facets for c in lower], (1, 2))
     seen: set[CanonicalForm] = set()
     hereditary: list[tuple[int, ...]] = []
     found: list[SimplicialComplex] = []
     for rep in sources:
-        base = _edge_mask(rep)
+        base = _code(rep, index)
         deg = [sum(f >> u & 1 for f in rep if f.bit_count() == 2) for u in range(new)]
         for nb in range(1 << new if dim == 1 else 1):
             k = nb.bit_count()
             if any(k > deg[u] + (nb >> u & 1) for u in range(new)):
                 continue
-            edges = base | nb << shift
-            if any(w | (edges & pairs) << n in copies for w, pairs in around):
+            if _has_core_copy(base | (1 | nb << 1) << shift, around, copies):
                 continue
             star = tuple((1 << u) | (1 << new) for u in face_vertices(nb)) or (1 << new,)
             candidate = from_facets(rep + star)
@@ -615,19 +610,14 @@ def generic_obstructions(dim: int, max_vertices: int, prop: PropertyKind) -> lis
     from a hereditarily-P class or from an obstruction leaves a
     hereditarily-P class on n - 1 vertices, a source up to relabeling; so
     every class on n vertices is reached by attaching a minimum-degree
-    vertex last.  A candidate's vertex deletions are all hereditarily P
-    exactly when none of its restrictions is a labelled copy of an
-    obstruction on fewer vertices, since a minimal failing restriction is
-    one; the restrictions that leave the new vertex out lie in the source,
-    so only the vertex sets that hold it and miss an old one are tested.
-    The top level is the bound, whose hereditary classes would only be
+    vertex last.  Whether a candidate is hereditarily P is the copy test of
+    the module docstring.  The top level is the bound, whose hereditary classes would only be
     sources of a level that is not scanned.  Each obstruction found is
     re-checked with ``obstruction_report``, and a mismatch raises.
     """
     if dim not in (0, 1):
         raise CapacityError("exhaustive generation covers dimensions 0 and 1")
-    if not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
-        raise CapacityError(f"vertex count must be 1..{MAX_OBSTRUCTION_VERTICES}")
+    _check_bound(max_vertices)
     sources: list[tuple[int, ...]] = [(0,)]
     out: list[SimplicialComplex] = []
     for n in range(1, max_vertices + 1):
@@ -670,10 +660,11 @@ def enumerate_obstructions(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "edge_minimal_obstructions" and dim != 2:
         raise ValueError("edge-minimality is a 2-dimensional notion")
+    if not isinstance(prop, PropertyKind):
+        raise ValueError(f"unknown property {prop!r}")
     if max_vertices is None:
         max_vertices = DEFAULT_MAX_VERTICES[dim]
-    elif not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
-        raise CapacityError(f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
+    _check_bound(max_vertices)
 
     if dim <= 1:
         base = generic_obstructions(dim, max_vertices, prop)

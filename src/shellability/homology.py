@@ -38,6 +38,7 @@ in every degree -1..dim.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import cache
@@ -106,9 +107,11 @@ def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
 def smith_normal_form(matrix) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix, plus its rank.
 
-    Accepts any rectangular sequence of int rows (a BoundaryMatrix's entries
-    included).  One loop on sparse rows: it pivots on the sparsest row's unit
-    entry while one is left, then on an entry of least magnitude.
+    Accepts any rectangular sequence of integer rows (a BoundaryMatrix's
+    entries included); an entry that is not an integer, such as a float or a
+    string, raises TypeError.  One loop on sparse rows: it pivots on the
+    sparsest row's unit entry while one is left, then on an entry of least
+    magnitude.
     """
     n_cols = len(matrix[0]) if matrix else 0
     rows: dict[int, dict[int, int]] = {}
@@ -116,7 +119,7 @@ def smith_normal_form(matrix) -> tuple[list[int], int]:
     for i, row in enumerate(matrix):
         if len(row) != n_cols:
             raise ValueError("ragged matrix")
-        entries = {j: int(v) for j, v in enumerate(row) if v}
+        entries = {j: v for j, v in enumerate(map(operator.index, row)) if v}
         if entries:
             rows[i] = entries
             for j in entries:

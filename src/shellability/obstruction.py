@@ -9,6 +9,9 @@ excluded minors under restriction and link jointly.
 For link-preserving properties (all three here) the strong-obstruction
 condition collapses to three separate checks; the test suite checks the
 collapse against the literal product-form definition instead of assuming it.
+The link check reads the vertex links only: the link of a face tau is the
+link of tau - v inside the link of any vertex v of tau, so when the link of
+a vertex satisfies the property, so does the link of every face through it.
 
 Whether every proper restriction satisfies a property is decided by
 recursion over isomorphism classes rather than over the 2^n - 1 proper
@@ -30,7 +33,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import cache
-from .complexes import CANONICAL_VERTEX_CAP, SimplicialComplex, all_faces, face_vertices, memoized
+from .complexes import CANONICAL_VERTEX_CAP, SimplicialComplex, face_vertices, memoized
 from .properties import PropertyKind, satisfies
 
 _HEREDITARY_CACHE = cache.new_cache()
@@ -41,7 +44,7 @@ class ObstructionReport:
     is_obstruction: bool
     is_strong: bool
     failing_restriction: Optional[int] = None  # W with the restriction failing the property
-    failing_link: Optional[int] = None         # nonempty face whose link fails it
+    failing_link: Optional[int] = None         # the first vertex whose link fails it, as a face
 
 
 def _proper_subsets_desc(vertex_mask: int):
@@ -95,13 +98,11 @@ def obstruction_report(c: SimplicialComplex, prop: PropertyKind) -> ObstructionR
     w = _failing_restriction(c, prop)
     if w is not None:
         return ObstructionReport(False, False, failing_restriction=w)
-    # an obstruction; strong iff every link of a nonempty face satisfies the
-    # property (sufficient because the property is link-preserving)
-    for tau in all_faces(c):
-        if tau == 0:
-            continue
-        if not satisfies(c.link(tau), prop):
-            return ObstructionReport(True, False, failing_link=tau)
+    # an obstruction; strong iff every vertex link satisfies the property,
+    # which then holds for the link of every nonempty face
+    for v in face_vertices(c.vertices):
+        if not satisfies(c.link(1 << v), prop):
+            return ObstructionReport(True, False, failing_link=1 << v)
     return ObstructionReport(True, True)
 
 

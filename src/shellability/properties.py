@@ -28,8 +28,10 @@ def decide(c: SimplicialComplex, prop: PropertyKind) -> tuple[bool, ShellingDeci
     if prop is PropertyKind.PARTITIONABLE:
         decision = is_partitionable(c)
         return decision.partitionable, decision
-    report = is_sequentially_cm(c)
-    return report.verdict, report
+    if prop is PropertyKind.SEQUENTIALLY_CM:
+        report = is_sequentially_cm(c)
+        return report.verdict, report
+    raise ValueError(f"unknown property {prop!r}")
 
 
 def satisfies(c: SimplicialComplex, prop: PropertyKind) -> bool:

@@ -107,7 +107,7 @@ def test_enumerate_complexes_guards():
     with pytest.raises(CapacityError):
         generic_obstructions(2, 5, SH)
     for bound in (0, 8):
-        with pytest.raises(CapacityError, match="vertex count must be 1..7"):
+        with pytest.raises(CapacityError, match="max_vertices must be 1..7"):
             generic_obstructions(1, bound, SH)
     with pytest.raises(CapacityError):
         enumerate_dim2_complexes(7)
@@ -224,19 +224,23 @@ def test_edge_addition_closure_small():
     assert report.augmentations_checked > 60
 
 
-@pytest.mark.parametrize("dim, mode, max_vertices, error, message", [
-    (3, "obstructions", None, CapacityError, "dimensions 0..2"),
-    (2, "bogus", None, ValueError, "unknown mode 'bogus'"),
-    (0, "edge_minimal_obstructions", None, ValueError, "2-dimensional"),
-    (1, "edge_minimal_obstructions", None, ValueError, "2-dimensional"),
-    (1, "obstructions", 0, CapacityError, "max_vertices must be 1..7"),
-    (2, "obstructions", 0, CapacityError, "max_vertices must be 1..7"),
-    (1, "obstructions", 8, CapacityError, "max_vertices must be 1..7"),
-    (2, "edge_minimal_obstructions", 8, CapacityError, "max_vertices must be 1..7"),
+@pytest.mark.parametrize("dim, prop, mode, max_vertices, error, message", [
+    (3, SH, "obstructions", None, CapacityError, "dimensions 0..2"),
+    (2, SH, "bogus", None, ValueError, "unknown mode 'bogus'"),
+    (0, SH, "edge_minimal_obstructions", None, ValueError, "2-dimensional"),
+    (1, SH, "edge_minimal_obstructions", None, ValueError, "2-dimensional"),
+    (1, SH, "obstructions", 0, CapacityError, "max_vertices must be 1..7"),
+    (2, SH, "obstructions", 0, CapacityError, "max_vertices must be 1..7"),
+    (1, SH, "obstructions", 8, CapacityError, "max_vertices must be 1..7"),
+    (2, SH, "edge_minimal_obstructions", 8, CapacityError, "max_vertices must be 1..7"),
+    (1, "partitionable", "obstructions", None, ValueError, "unknown property 'partitionable'"),
+    (2, "shellable", "obstructions", None, ValueError, "unknown property 'shellable'"),
+    (0, None, "obstructions", 3, ValueError, "unknown property None"),
 ], ids=["dim-3", "unknown-mode", "edge-minimal-dim-0", "edge-minimal-dim-1",
-        "bound-0-dim-1", "bound-0-dim-2", "bound-8-dim-1", "bound-8-dim-2"])
+        "bound-0-dim-1", "bound-0-dim-2", "bound-8-dim-1", "bound-8-dim-2",
+        "property-name-dim-1", "property-name-dim-2", "property-none"])
 def test_enumerate_obstructions_checks_its_arguments_before_any_search(
-    monkeypatch, dim, mode, max_vertices, error, message
+    monkeypatch, dim, prop, mode, max_vertices, error, message
 ):
     def no_search(*args, **kwargs):
         raise AssertionError("a search ran")
@@ -244,7 +248,7 @@ def test_enumerate_obstructions_checks_its_arguments_before_any_search(
     for name in ("generic_obstructions", "dim2_shellability_obstructions", "triangle_cores", "_graph_level"):
         monkeypatch.setattr(enumeration, name, no_search)
     with pytest.raises(error, match=message):
-        enumerate_obstructions(dim, SH, mode, max_vertices)
+        enumerate_obstructions(dim, prop, mode, max_vertices)
 
 
 def _recorded_levels(monkeypatch) -> list[tuple[int, int, int, bool]]:
@@ -333,6 +337,25 @@ def test_the_top_level_labels_only_the_candidates_that_fail(monkeypatch):
             assert len(labelled) == (1 if n == 4 else 0), (prop, n)
             assert below_labels >= len(below[0]) + len(below[1])
             sources, lower = below[0], lower + below[1]
+
+
+def test_face_numbering_puts_the_faces_at_the_new_vertex_last():
+    """Both searches number faces by top vertex first.  The triangles follow
+    the pairs below their top vertex, so the star of a link d is
+    d << star_shift; in dimensions 0-1 the new vertex comes before its edges
+    {u, new} in the order of u, so attaching a neighbourhood nb adds
+    (1 | nb << 1) << shift to the code."""
+    for s in range(1, 8):
+        triangles = enumeration._face_index(s, (3,))
+        assert list(triangles) == [(1 << a) | (1 << b) | (1 << c) for c in range(s) for a, b in combinations(range(c), 2)]
+        index = enumeration._face_index(s, (1, 2))
+        shift, new = len(index) - s, s - 1
+        assert sorted(index.values()) == list(range(s * (s + 1) // 2))
+        points = tuple(1 << u for u in range(new))
+        for nb in range(1 << new):
+            star = tuple((1 << u) | (1 << new) for u in range(new) if nb >> u & 1) + (1 << new,)
+            code = enumeration._code(points + star, index)
+            assert code == enumeration._code(points, index) | (1 | nb << 1) << shift
 
 
 def test_generic_obstructions_match_the_per_count_filter():
@@ -562,9 +585,7 @@ def test_source_automorphisms_match_brute_force(monkeypatch):
         sources = _level_sources(s)
         tables = _pair_tables(s)
         groups = _deficit_groups(tables)
-        restrictions = enumeration._restrictions(s)
-        around = [m for w, m in restrictions.items() if w >> (s - 1) & 1]
-        copies = enumeration._core_copies(s, _lower_cores(s))
+        _, around, copies = enumeration._copy_test_tables(s, _lower_cores(s), (3,))
         terminal = s == 7
         if s < 7:
             share = sources
@@ -581,7 +602,7 @@ def test_source_automorphisms_match_brute_force(monkeypatch):
             auts = brute_force_automorphisms(x, s - 1)
             assert sorted(_automorphisms(x, deg)) == sorted(auts)
             links = _admissible_links(groups, deg, extras, tables)
-            face_mask, base = _face_pair_mask(x, tables), tables.mask(x)
+            face_mask, base = _face_pair_mask(x, tables), enumeration._code(x, tables.index)
             passing = [
                 d for d in links
                 if not (terminal and _cone_extension_shellable(d, face_mask, tables))
@@ -615,7 +636,7 @@ def test_mask_test_matches_the_star_removal_tests(monkeypatch):
     five_cores = triangle_cores(5)[5]
     for s, terminal, share in ((5, False, slice(None)), (6, False, slice(None)), (7, True, slice(3, None, 20))):
         sources, lower = _level_sources(s), _lower_cores(s)
-        every = len(enumeration._restrictions(s))
+        every = len(enumeration._copy_test_tables(s, lower, (3,))[0])
         calls = []
 
         def recorded(mask, restrictions, copies):
@@ -636,8 +657,8 @@ def test_mask_test_matches_the_star_removal_tests(monkeypatch):
             removals = [_star_removed(triangles, u) for u in range(s if rep else s - 1)]
             assert rejected != all(_known(r, sizes) for r in removals), triangles
             assert rejected != all(map(source_lookup_known, removals)), triangles
-            if rejected and not has_copy(mask, enumeration._restrictions(s).values(),
-                                         enumeration._core_copies(s, five_cores)):
+            if rejected and not has_copy(mask, enumeration._restrictions(s, (3,)).values(),
+                                         enumeration._core_copies(s, five_cores, (3,))):
                 by_six.append(triangles)
         counts = (len(calls), sum(rejected for _, _, rejected in calls), len(by_six))
         assert counts == {5: (54, 0, 0), 6: (6307, 4427, 0), 7: (47873, 47873, 2)}[s], counts
@@ -661,10 +682,10 @@ def test_scan_rechecks_the_star_removals_of_a_new_class(monkeypatch):
     core, and the scan stops."""
     sources = _level_sources(6)
     tables = _pair_tables(6)
-    first_five = enumeration._restrictions(6)[0b11111]
-    extra = {tables.mask(rep) & first_five for rep in _level_sources(7)[len(sources):]}
+    first_five = enumeration._restrictions(6, (3,))[0b11111]
+    extra = {enumeration._code(rep, tables.index) & first_five for rep in _level_sources(7)[len(sources):]}
     core_copies = enumeration._core_copies
-    monkeypatch.setattr(enumeration, "_core_copies", lambda s, lower: core_copies(s, lower) | extra)
+    monkeypatch.setattr(enumeration, "_core_copies", lambda *args: core_copies(*args) | extra)
     with pytest.raises(RuntimeError, match="a star removal of a new class is not hereditarily shellable"):
         _scan_level(sources, 6, _lower_cores(6), terminal=False)
 

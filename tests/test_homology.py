@@ -51,11 +51,21 @@ def test_snf_torsion_classics():
     assert smith_normal_form([[2]]) == ([2], 1)
     factors, rank = smith_normal_form([[2, 0], [0, 3]])
     assert (factors, rank) == ([1, 6], 2)
+    # bools and sympy Integers are integers too
+    assert smith_normal_form([[True, 0], [0, sympy.Integer(3)]]) == ([1, 3], 2)
 
 
 def _sympy_factors(m):
     sm = sympy_snf(sympy.Matrix(m))
     return sorted(abs(sm[i, i]) for i in range(min(len(m), len(m[0]))) if sm[i, i] != 0)
+
+
+@pytest.mark.parametrize("matrix", [[[1.5, 2]], [[2.7, 0], [0, 3]], [[0.5]], [["1"]]],
+                         ids=["float-row", "float-diagonal", "half", "string"])
+def test_snf_rejects_entries_that_are_not_integers(matrix):
+    """A float or a string entry is refused, not truncated to an integer."""
+    with pytest.raises(TypeError):
+        smith_normal_form(matrix)
 
 
 def test_snf_against_rational_rank_and_sympy():

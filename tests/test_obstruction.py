@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from shellability import cache, obstruction
 from shellability.complexes import face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
@@ -7,7 +9,7 @@ from shellability.obstruction import is_hereditary, obstruction_report
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind, satisfies
 
-from conftest import corpus, golden_classes, random_complex
+from conftest import DUNCE_HAT_FACETS, cone, corpus, golden_classes, random_complex, suspension
 from oracles import (
     hereditary_via_obstructions,
     hereditary_via_strong_obstructions,
@@ -172,3 +174,33 @@ def test_restrictions_above_the_labeling_cap_are_scanned_once_each(monkeypatch):
     finally:
         cache.clear_all_caches()
     assert calls <= 2 ** 14
+
+
+@pytest.mark.parametrize("prop", ["shellable", None, "scm"])
+def test_a_property_that_is_not_a_property_kind_raises(prop):
+    """Only a PropertyKind names a decider: a name or None raises instead of
+    reaching the sequential Cohen-Macaulay decider, which calls the
+    nonshellable but Cohen-Macaulay dunce hat an instance."""
+    dunce_hat = from_facets(DUNCE_HAT_FACETS)
+    assert not satisfies(dunce_hat, SH)
+    for check in (satisfies, obstruction_report, is_hereditary):
+        with pytest.raises(ValueError, match=f"unknown property {prop!r}"):
+            check(dunce_hat, prop)
+
+
+def test_strong_test_reads_vertex_links_only():
+    """The report's strong test reads the links of the vertices only, and the
+    reference, which reads the link of every nonempty face, gives the same
+    report on the golden classes, their cones and suspensions, Ind(C_n) and a
+    seeded corpus, obstructions with a failing link among them."""
+    golden = golden_classes()
+    inputs = golden + [cone(c) for c in golden] + [suspension(c) for c in golden]
+    inputs += [independence_complex(cycle_graph(n)) for n in range(4, 11)]
+    inputs += corpus(4141, 120, n_max=7, multi_facet=True)
+    failing = 0
+    for c in inputs:
+        for prop in PropertyKind:
+            report = obstruction_report(c, prop)
+            assert report == naive_obstruction_report(c, prop)
+            failing += report.failing_link is not None
+    assert failing >= 40
