@@ -10,18 +10,17 @@ dropped (dict order is insertion order).  Eviction only ever costs
 recomputation, never changes a verdict.  The limit is a constant; no
 environment variable sets it, and the enumeration tables never come near it.
 
-The deciders other than homology memoize on canonical forms through
-``complexes.memoized``, so isomorphic queries (which the restriction/link
-enumeration produces in bulk) are answered once; that helper lives in
-``complexes``, next to the canonical labeling, because this module cannot
-import it without an import cycle.
+The deciders memoize on the input's raw facets and decide the input
+itself, so they never label it.  Only the memo of hereditary verdicts
+(``obstruction._hereditary``) and the enumeration work on isomorphism
+classes, where the restriction and link searches produce isomorphic
+complexes in bulk.
 
 The tables are ``complexes._CANON_CACHE`` (canonical forms by raw facets),
 the three decider memos ``shelling._DECIDE_CACHE``,
-``partition._PARTITION_CACHE`` and ``cohen_macaulay._CM_CACHE``,
-``homology._HOMOLOGY_CACHE`` (one entry per complex, keyed by its raw
-facets, holding its reduced homology groups in every degree, so homology
-never canonicalizes),
+``partition._PARTITION_CACHE`` and ``cohen_macaulay._CM_CACHE`` (keyed by
+raw facets), ``homology._HOMOLOGY_CACHE`` (one entry per complex, keyed by
+its raw facets, holding its reduced homology groups in every degree),
 ``obstruction._HEREDITARY_CACHE`` (whether every restriction of a class
 satisfies a property, keyed by class and property), and the enumeration
 memos:

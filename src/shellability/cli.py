@@ -9,7 +9,9 @@ Exit codes for ``check``: 0 when the queried predicate holds, 1 when it does
 not, 2 on usage or parse errors.  Every command exits 2 when a file cannot be
 read or written, and ``indcycle`` exits 2 for a cycle length outside 3..30.
 ``atlas`` and ``enumerate --output`` check the output path before they
-search, so a path that cannot be written fails at once.
+search, so a path that cannot be written fails at once.  ``enumerate``
+without ``--output`` writes only the JSON catalog to standard output, and
+its ``--summary`` table and ``--compare`` lines go to standard error.
 All outputs are deterministic, and every search, the seven-vertex core scan
 included, runs in this process.
 """
@@ -199,17 +201,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {len(entries)} classes to {args.output}")
+        report = sys.stdout
     else:
         sys.stdout.write(text)
+        report = sys.stderr
     if args.summary:
         for line in catalog_mod.summary_lines(entries):
-            print(line)
+            print(line, file=report)
     classes = {c.canonical_form() for c in found}
     for other in compare:
         others = enumerate_obstructions(args.dim, other, mode, max_vertices)
         same = classes == {c.canonical_form() for c in others}
         tag = f"obstructions({prop.value}) vs obstructions({other.value})"
-        print(f"{tag}: {'IDENTICAL' if same else 'DIFFERENT'}")
+        print(f"{tag}: {'IDENTICAL' if same else 'DIFFERENT'}", file=report)
         if not same:
             return 1
     return 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import cache
-from .complexes import PurityError, SimplicialComplex, _edge_classes, all_faces, memoized, relabel_face
+from .complexes import PurityError, SimplicialComplex, _edge_classes, all_faces
 from .homology import HomologyGroup, reduced_homology
 from .shelling import is_shellable
 
@@ -45,17 +45,17 @@ class CMReport:
     witness: Optional[CMWitness] = None
 
 
-def _find_witness(rep: SimplicialComplex) -> Optional[CMWitness]:
+def _find_witness(c: SimplicialComplex) -> Optional[CMWitness]:
     # the link of a face τ of a pure d-complex is pure of dimension d - |τ|,
     # so only faces with |τ| < d have a degree below the top to check
-    faces = [tau for tau in all_faces(rep) if tau.bit_count() < rep.dim]
-    if rep.strongly_connected():
+    faces = [tau for tau in all_faces(c) if tau.bit_count() < c.dim]
+    if c.strongly_connected():
         # all_faces order (dimension, then mask), reversed: links of large
         # faces are small; scanning them first keeps the homology cache hot
         # and fails fast on deep defects
         faces.reverse()
     for tau in faces:
-        link = rep.link(tau)
+        link = c.link(tau)
         for k in range(0, link.dim):
             group = reduced_homology(link, k)
             if not group.is_trivial():
@@ -63,15 +63,11 @@ def _find_witness(rep: SimplicialComplex) -> Optional[CMWitness]:
     return None
 
 
-def _relabel_witness(w: CMWitness, mapping: dict[int, int]) -> CMWitness:
-    return replace(w, face=relabel_face(w.face, mapping))
-
-
 def is_cohen_macaulay(c: SimplicialComplex) -> CMReport:
     """Reisner-style decision for pure complexes; raises PurityError otherwise."""
     if not c.is_pure():
         raise PurityError("Cohen-Macaulayness is defined for pure complexes")
-    witness = memoized(_CM_CACHE, c, _find_witness, _relabel_witness)
+    witness = cache.memo(_CM_CACHE, c.facets, _find_witness, c)
     return CMReport(witness is None, witness)
 
 

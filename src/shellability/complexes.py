@@ -641,32 +641,6 @@ def _canonicalize(facets: tuple[int, ...], vertices: int) -> tuple[CanonicalForm
     return CanonicalForm(n, tuple(map(low.__and__, key))), tuple(zip(face_vertices(vertices), label))
 
 
-def _on_representative(compute, canon: CanonicalForm, *key):
-    """``compute`` on the complex whose facets are the canonical ones."""
-    return compute(SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1), *key)
-
-
-def memoized(table: dict, c: SimplicialComplex, compute, relabel=None, key: tuple = ()):
-    """``compute(c, *key)``, memoized in ``table`` on the isomorphism class of ``c``.
-
-    On a miss, ``compute`` runs on the canonical representative, so what it
-    returns speaks of canonical vertex ids; ``relabel(result, inverse)`` maps
-    a result back to the ids of ``c`` through the inverse canonical map.  A
-    result of None carries no labels and is returned as it is, and so is
-    every result when ``relabel`` is None.  Above ``CANONICAL_VERTEX_CAP``,
-    where labeling would cost more than most decisions, the memo is keyed on
-    the raw facets instead and ``compute`` runs on ``c`` itself: a repeated
-    query is still answered once, but a relabeled copy is decided anew.
-    """
-    if c.n_vertices > CANONICAL_VERTEX_CAP:
-        return cache.memo(table, (c.facets, *key), compute, c, *key)
-    canon = c.canonical_form()
-    result = cache.memo(table, (canon, *key), _on_representative, compute, canon, *key)
-    if result is None or relabel is None:
-        return result
-    return relabel(result, {new: old for old, new in c._canon_map})
-
-
 # ---------------------------------------------------------------------------
 # facet-list text format
 # ---------------------------------------------------------------------------

@@ -139,10 +139,10 @@ def independence_cycle_report(n_max: int = 9) -> CycleObstructionReport:
     every n except 5 (where it is a shellable 5-cycle, hereditarily so).
     Even n fail partitionability through the two-private-facets pattern; odd
     n have a band top skeleton with first homology Z.  Only this finite range
-    is checked, up to n_max = 10.  The 10-vertex complex itself lies above
-    the canonical-labeling cap, so its decisions are memoized on its raw
-    facets and each is made once; its vertex deletions are below the cap, so
-    its restrictions are decided through the memo of hereditary verdicts, one
+    is checked, up to n_max = 10.  Each complex is decided on its raw facets
+    and each decision is made once; the 10-vertex complex lies above the
+    canonical-labeling cap, but its vertex deletions are below it, so its
+    restrictions are decided through the memo of hereditary verdicts, one
     isomorphism class at a time.
     """
     if n_max > 10:

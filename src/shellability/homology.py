@@ -30,10 +30,11 @@ is the signed incidence matrix of the 1-skeleton, which is totally
 unimodular: its rank is the number of vertices less the number of
 components, and it has no torsion.
 
-Homology is memoized on the raw facets, not on canonical forms: a group
-carries no vertex labels, and a canonical labeling costs more than the
-homology it would save.  A complex has one memo entry, holding its groups
-in every degree -1..dim.
+Homology is memoized on the raw facets, not on canonical forms, and so is
+every decider (shelling, partition, Cohen-Macaulay): a canonical labeling
+costs more than the decision it would save, so each input is decided in its
+own labels and a relabeled copy is a new key.  A complex has one homology
+entry, holding its groups in every degree -1..dim.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ every proper restriction lies inside some ``c - v``, a restriction of a
 restriction is a restriction, and isomorphic complexes have isomorphic
 restrictions, so the verdict memoized on a canonical form holds for every
 labeling of it.  Each class is decided once per property, however many
-complexes and labelings reach it.  When some restriction fails, the
-largest-first subset scan still names the failing one, so the reported
-restriction does not depend on the memo.
+complexes and labelings reach it.  This is the package's one decision memo
+keyed on classes: the deciders themselves memoize on raw facets.  When
+some restriction fails, the largest-first subset scan still names the
+failing one, so the reported restriction does not depend on the memo.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import cache
-from .complexes import CANONICAL_VERTEX_CAP, SimplicialComplex, face_vertices, memoized
+from .complexes import CANONICAL_VERTEX_CAP, CanonicalForm, SimplicialComplex, face_vertices
 from .properties import PropertyKind, satisfies
 
 _HEREDITARY_CACHE = cache.new_cache()
@@ -59,8 +60,22 @@ def _proper_subsets_desc(vertex_mask: int):
 
 
 def _hereditary(c: SimplicialComplex, prop: PropertyKind) -> bool:
-    """Whether every restriction of the complex, itself included, satisfies the property."""
-    return memoized(_HEREDITARY_CACHE, c, _decide_hereditary, key=(prop,))
+    """Whether every restriction of the complex, itself included, satisfies the property.
+
+    Memoized on the isomorphism class of ``c`` and decided on the class's
+    canonical representative, so every labeling of a class, and every
+    property asked of it, reaches the deciders with the same facets.  Above
+    ``CANONICAL_VERTEX_CAP`` the memo is keyed on the raw facets and ``c``
+    itself is decided: a relabeled copy is decided anew.
+    """
+    if c.n_vertices > CANONICAL_VERTEX_CAP:
+        return cache.memo(_HEREDITARY_CACHE, (c.facets, prop), _decide_hereditary, c, prop)
+    canon = c.canonical_form()
+    return cache.memo(_HEREDITARY_CACHE, (canon, prop), _decide_representative, canon, prop)
+
+
+def _decide_representative(canon: CanonicalForm, prop: PropertyKind) -> bool:
+    return _decide_hereditary(SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1), prop)
 
 
 def _decide_hereditary(c: SimplicialComplex, prop: PropertyKind) -> bool:

@@ -34,8 +34,6 @@ from .complexes import (
     SimplicialComplex,
     components,
     from_facets,
-    memoized,
-    relabel_face,
     subsets_of,
 )
 from .shelling import is_shellable
@@ -191,12 +189,6 @@ def _decide_partition(c: SimplicialComplex) -> Optional[tuple[tuple[int, int], .
     return _exact_cover_assignment(c)
 
 
-def _relabel_assignment(assignment, mapping: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(
-        (relabel_face(sigma, mapping), relabel_face(tau, mapping)) for sigma, tau in assignment
-    ))
-
-
 def is_partitionable(c: SimplicialComplex) -> PartitionDecision:
     """Exact decision with a re-checkable interval assignment on success."""
     shelling = is_shellable(c).certificate
@@ -209,7 +201,7 @@ def is_partitionable(c: SimplicialComplex) -> PartitionDecision:
     if c.dim == 1 and _tree_components_of_edge_part(c) > 1:
         return PartitionDecision(False)
 
-    assignment = memoized(_PARTITION_CACHE, c, _decide_partition, _relabel_assignment)
+    assignment = cache.memo(_PARTITION_CACHE, c.facets, _decide_partition, c)
     if assignment is None:
         return PartitionDecision(False)
     return PartitionDecision(True, PartitionCertificate(assignment))

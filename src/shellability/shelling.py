@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import cache
 from .complexes import (
-    SimplicialComplex, _edge_classes, face_vertices, memoized, relabel_face, subsets_of, union,
+    SimplicialComplex, _edge_classes, face_vertices, subsets_of, union,
 )
 from .homology import reduced_homology
 
@@ -172,13 +172,9 @@ def _decide_uncached(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
     return _search_ordering(c)
 
 
-def _relabel_ordering(ordering: tuple[int, ...], mapping: dict[int, int]) -> tuple[int, ...]:
-    return tuple(relabel_face(m, mapping) for m in ordering)
-
-
 def _decide_search(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
     """Memoized exact search for a shelling order; None when there is none."""
-    return memoized(_DECIDE_CACHE, c, _decide_uncached, _relabel_ordering)
+    return cache.memo(_DECIDE_CACHE, c.facets, _decide_uncached, c)
 
 
 def _attach_order(seen: int, edge_facets: list[int]) -> Optional[list[int]]:

@@ -167,10 +167,9 @@ def test_check_accepts_only_the_listed_property_names(tmp_path, two_k2, capsys, 
 def test_check_decides_the_property_once(tmp_path, capsys, monkeypatch, prop, plain, certified):
     """A certificate costs no decision of its own: in every variant, a check
     of this nonshellable 10-vertex input with ``--certificate`` runs as many
-    shelling searches as the same check without it.  The input is above the
-    labeling cap, where the deciders memoize on raw facets, so the caches are
-    cleared before each check; ``plain`` and ``certified`` are the counts of
-    the plain variant."""
+    shelling searches as the same check without it.  The deciders memoize
+    on raw facets, so the caches are cleared before each check; ``plain``
+    and ``certified`` are the counts of the plain variant."""
     from shellability import cache, shelling
 
     c = from_facets([f | {8, 9} for f in DUNCE_HAT_FACETS])  # the join with an edge
@@ -346,6 +345,18 @@ def test_enumerate_compare_names_the_pair(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "obstructions(scm) vs obstructions(partitionable): IDENTICAL"
+
+
+def test_enumerate_to_stdout_writes_only_the_catalog_there(capsys):
+    """Without ``--output`` standard output is the catalog alone, so it
+    parses as JSON; the summary and comparison lines go to standard error."""
+    assert main(["enumerate", "--dim", "1", "--max-vertices", "4",
+                 "--summary", "--compare", "partitionable"]) == 0
+    captured = capsys.readouterr()
+    assert [e["label"] for e in json.loads(captured.out)["entries"]] == ["2K2"]
+    err = captured.err.splitlines()
+    assert any("2K2" in line for line in err[:-1])
+    assert err[-1] == "obstructions(shellable) vs obstructions(partitionable): IDENTICAL"
 
 
 def test_enumerate_edge_minimal_six_vertices(tmp_path, capsys):

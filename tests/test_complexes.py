@@ -590,6 +590,25 @@ def test_only_the_cache_module_trims_or_stores_into_a_module_table():
     assert found == []
 
 
+def test_the_deciders_never_call_the_canonical_labeling():
+    """The deciders and homology memoize on raw facets: no call in their
+    modules names ``canonical_form`` or ``memoized``.  Only the hereditary
+    memo and the enumeration work on isomorphism classes."""
+    import ast
+    from pathlib import Path
+
+    found = []
+    for name in ("shelling", "partition", "cohen_macaulay", "homology"):
+        path = Path(complexes.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in ("canonical_form", "memoized"):
+                    found.append(f"{path.name}:{node.lineno} {called}")
+    assert found == []
+
+
 def test_the_package_has_no_assert_statements():
     """``python -O`` strips ``assert`` statements, so no check of the package
     may be one: each raises an exception of its own."""

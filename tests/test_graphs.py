@@ -144,9 +144,9 @@ def test_cycle_report_from_four_checks_one_case():
 
 
 def test_cycle_report_n10_above_canonical_cap():
-    """The 10-cycle complex is above the labeling cap, so its decisions are
-    memoized on its raw facets; its restrictions are decided through the memo
-    of hereditary verdicts."""
+    """The 10-cycle complex is above the labeling cap and its vertex
+    deletions are not, so its restrictions are decided through the memo of
+    hereditary verdicts, one isomorphism class at a time."""
     report = independence_cycle_report(10)
     assert report.ok
     top = [case for case in report.cases if case.n == 10][0]

@@ -176,6 +176,37 @@ def test_restrictions_above_the_labeling_cap_are_scanned_once_each(monkeypatch):
     assert calls <= 2 ** 14
 
 
+def test_the_hereditary_memo_is_keyed_on_classes(monkeypatch):
+    """The one memo keyed on isomorphism classes: two labelings of the
+    nonshellable 2K2 fill one entry and are decided once, and a second
+    labeling of the hereditarily shellable Ind(C_5) adds no entry and no decision to
+    those of its whole deletion tree."""
+    decided = []
+    decide = obstruction._decide_hereditary
+
+    def counted(c, prop):
+        decided.append(c)
+        return decide(c, prop)
+
+    monkeypatch.setattr(obstruction, "_decide_hereditary", counted)
+    two_k2 = from_facets([{0, 1}, {2, 3}])
+    ind_c5 = independence_complex(cycle_graph(5))
+    cache.clear_all_caches()
+    try:
+        for c, holds in ((two_k2, False), (ind_c5, True)):
+            mapping = dict(zip(c.vertex_ids(), (4, 0, 8, 2, 6, 1, 3)))
+            before = len(obstruction._HEREDITARY_CACHE), len(decided)
+            assert obstruction._hereditary(c, SH) is holds
+            after = len(obstruction._HEREDITARY_CACHE), len(decided)
+            assert obstruction._hereditary(c.relabel(mapping), SH) is holds
+            assert (len(obstruction._HEREDITARY_CACHE), len(decided)) == after
+            if not holds:
+                assert after == (before[0] + 1, before[1] + 1)
+        assert len(decided) > 3
+    finally:
+        cache.clear_all_caches()
+
+
 @pytest.mark.parametrize("prop", ["shellable", None, "scm"])
 def test_a_property_that_is_not_a_property_kind_raises(prop):
     """Only a PropertyKind names a decider: a name or None raises instead of

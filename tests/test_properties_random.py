@@ -4,9 +4,12 @@ enumerated obstruction classes.  Zero tolerated violations anywhere."""
 import random
 from itertools import combinations
 
+from shellability import cache
+from shellability.cohen_macaulay import is_sequentially_cm
 from shellability.complexes import face, from_facets
 from shellability.enumeration import dim2_shellability_obstructions
 from shellability.graphs import graph_from_edges, independence_complex
+from shellability.homology import reduced_homology
 from shellability.obstruction import is_hereditary
 from shellability.partition import is_partitionable, verify_partition
 from shellability.properties import PropertyKind, satisfies
@@ -96,6 +99,36 @@ def test_certificate_round_trips():
             assert verify_partition(c, partition.certificate.as_dict())
             part_certs += 1
     assert shell_certs >= 100 and part_certs >= 100
+
+
+def test_verdicts_do_not_depend_on_vertex_labels():
+    """Each labeling is decided on its own facets, so no shared memo entry
+    makes the answers agree: the verdicts match across relabelings onto ids
+    0..8, and every certificate and witness holds in its own labels."""
+    rng = random.Random(111)
+    decided = []
+    for c in corpus(seed=110, count=300, n_max=8, max_facets=12, multi_facet=True):
+        ids = c.vertex_ids()
+        verdicts = set()
+        for labeled in [c] + [c.relabel(dict(zip(ids, rng.sample(range(9), len(ids))))) for _ in range(3)]:
+            cache.clear_all_caches()
+            shelling, partition, scm = (
+                is_shellable(labeled), is_partitionable(labeled), is_sequentially_cm(labeled)
+            )
+            verdicts.add((shelling.shellable, partition.partitionable, scm.verdict))
+            if shelling.shellable:
+                assert verify_shelling(labeled, shelling.certificate.ordering)[0]
+            if partition.partitionable:
+                assert verify_partition(labeled, partition.certificate.assignment)
+            if not scm.verdict:
+                w = scm.witness
+                group = reduced_homology(labeled.pure_skeleton(w.skeleton_dim).link(w.face), w.degree)
+                assert group == w.group and not group.is_trivial()
+        assert len(verdicts) == 1, c.facets
+        decided.append(verdicts.pop())
+    cache.clear_all_caches()
+    assert sum(shellable for shellable, _, _ in decided) >= 150
+    assert sum(not scm for _, _, scm in decided) >= 50
 
 
 def test_fast_paths_match_generic_search_low_dim():

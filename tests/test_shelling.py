@@ -245,7 +245,9 @@ SLOWEST_PLAIN_ORDERING = (
 
 
 def _canonical_representative(c) -> SimplicialComplex:
-    """The complex the memoized decider searches: canonical ids 0..n-1."""
+    """The labeling the slow inputs are slow in: canonical ids 0..n-1.  The
+    deciders search each input in its own labels, so a test that times the
+    search on a slow input decides this copy of it."""
     canon = c.canonical_form()
     return SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1)
 
@@ -289,7 +291,7 @@ def test_failed_facet_sets_are_not_searched_again(monkeypatch):
     """With the record, deciding the slowest input places 1,069 facets;
     without it, 653,582.  Each of the three deciders decides it from cold
     caches within the budget."""
-    c = from_facets(SLOW_SHELLABLE[0])
+    c = _canonical_representative(from_facets(SLOW_SHELLABLE[0]))
     placed = _placement_budget(monkeypatch, 2000)
     decisions = []
     try:
@@ -363,5 +365,42 @@ def test_decisions_above_the_labeling_cap_are_memoized_on_raw_facets(monkeypatch
         assert shifted != c
         assert not is_shellable(shifted).shellable
         assert len(searches) == 2
+    finally:
+        cache.clear_all_caches()
+
+
+def test_the_deciders_never_label_below_the_cap(monkeypatch):
+    """Below the labeling cap too, the three deciders memoize on the input's
+    raw facets: deciding a seeded corpus on up to nine vertices labels
+    nothing, and a relabeled copy of the dunce hat is a new key and is
+    searched again."""
+    from shellability import complexes
+
+    draws = corpus(seed=42, count=200, n_max=9, max_facets=12, multi_facet=True)
+    assert max(c.n_vertices for c in draws) == complexes.CANONICAL_VERTEX_CAP
+    searches = []
+    search = shelling._search_ordering
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(shelling, "_search_ordering", counted)
+    cache.clear_all_caches()
+    try:
+        for c in draws:
+            for decide in (is_shellable, is_partitionable, is_sequentially_cm):
+                decide(c)
+        assert complexes._CANON_CACHE == {}
+        c = from_facets(DUNCE_HAT_FACETS)
+        searches.clear()
+        assert not is_shellable(c).shellable
+        assert not is_shellable(c).shellable
+        assert len(searches) == 1
+        shifted = c.relabel({v: 8 - v for v in c.vertex_ids()})
+        assert shifted != c
+        assert not is_shellable(shifted).shellable
+        assert len(searches) == 2
+        assert complexes._CANON_CACHE == {}
     finally:
         cache.clear_all_caches()
