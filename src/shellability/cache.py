@@ -16,11 +16,15 @@ itself, so they never label it.  Only the memo of hereditary verdicts
 classes, where the restriction and link searches produce isomorphic
 complexes in bulk.
 
-The tables are ``complexes._CANON_CACHE`` (canonical forms by raw facets),
-the three decider memos ``shelling._DECIDE_CACHE``,
-``partition._PARTITION_CACHE`` and ``cohen_macaulay._CM_CACHE`` (keyed by
-raw facets), ``homology._HOMOLOGY_CACHE`` (one entry per complex, keyed by
-its raw facets, holding its reduced homology groups in every degree),
+Each table is keyed by raw facets unless said otherwise.  The canonical
+forms and the three decisions are stored as their public functions return
+them, so a hit rebuilds and re-checks nothing.  The tables are
+``complexes._CANON_CACHE`` (the ``CanonicalForm``), the three decider
+memos ``shelling._DECIDE_CACHE`` (the ``ShellingDecision``, its shelling
+verified once), ``partition._PARTITION_CACHE`` (the
+``PartitionDecision``) and ``cohen_macaulay._CM_CACHE`` (the ``CMReport``
+of ``is_cohen_macaulay``), ``homology._HOMOLOGY_CACHE`` (one entry per
+complex, holding its reduced homology groups in every degree),
 ``obstruction._HEREDITARY_CACHE`` (whether every restriction of a class
 satisfies a property, keyed by class and property), and the enumeration
 memos:

@@ -63,12 +63,16 @@ def _find_witness(c: SimplicialComplex) -> Optional[CMWitness]:
     return None
 
 
+def _link_scan(c: SimplicialComplex) -> CMReport:
+    witness = _find_witness(c)
+    return CMReport(witness is None, witness)
+
+
 def is_cohen_macaulay(c: SimplicialComplex) -> CMReport:
     """Reisner-style decision for pure complexes; raises PurityError otherwise."""
     if not c.is_pure():
         raise PurityError("Cohen-Macaulayness is defined for pure complexes")
-    witness = cache.memo(_CM_CACHE, c.facets, _find_witness, c)
-    return CMReport(witness is None, witness)
+    return cache.memo(_CM_CACHE, c.facets, _link_scan, c)
 
 
 def _pure_skeletons_cm(c: SimplicialComplex) -> CMReport:

@@ -160,7 +160,7 @@ class SimplicialComplex:
     complex without any face at all is deliberately unrepresentable.
     """
 
-    __slots__ = ("facets", "vertices", "_faces", "_faces_by_dim", "_canon", "_canon_map")
+    __slots__ = ("facets", "vertices", "_faces", "_faces_by_dim", "_canon")
 
     facets: tuple[int, ...]
     vertices: int
@@ -172,7 +172,6 @@ class SimplicialComplex:
         self._faces = None
         self._faces_by_dim = None
         self._canon = None
-        self._canon_map = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -282,22 +281,11 @@ class SimplicialComplex:
 
     def canonical_form(self) -> CanonicalForm:
         if self._canon is None:
-            self._canon, self._canon_map = cache.memo(
-                _CANON_CACHE, self.facets, _canonicalize, self.facets, self.vertices
-            )
+            self._canon = cache.memo(_CANON_CACHE, self.facets, _canonicalize, self.facets, self.vertices)
         return self._canon
-
-    def canonical_map(self) -> dict[int, int]:
-        """Vertex relabeling (original id -> canonical id) realising canonical_form()."""
-        if self._canon is None:
-            self.canonical_form()
-        return dict(self._canon_map)
 
     def is_isomorphic(self, other: "SimplicialComplex") -> bool:
         return self.canonical_form() == other.canonical_form()
-
-    def relabel(self, mapping: dict[int, int]) -> "SimplicialComplex":
-        return from_facets([relabel_face(fct, mapping) for fct in self.facets])
 
     # -- value semantics -----------------------------------------------------
 
@@ -333,18 +321,11 @@ def from_facets(candidates: Iterable[FaceLike]) -> SimplicialComplex:
     return SimplicialComplex(tuple(kept), union(kept))
 
 
-def relabel_face(mask: int, mapping: dict[int, int]) -> int:
-    out = 0
-    for v in face_vertices(mask):
-        out |= 1 << mapping[v]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # canonical labeling
 # ---------------------------------------------------------------------------
 
-_CANON_CACHE: dict[tuple[int, ...], tuple[CanonicalForm, tuple[tuple[int, int], ...]]]
+_CANON_CACHE: dict[tuple[int, ...], CanonicalForm]
 _CANON_CACHE = cache.new_cache()
 
 # A node of the search tree is a leaf once its cells admit at most this many
@@ -549,8 +530,8 @@ def _orbits(n: int, generators: list[list[int]]) -> list[int]:
 
 def _search_tree(
     n: int, facet_set: set[int], facet_bits: list[tuple[int, ...]], root: list[int]
-) -> tuple[list[int], list[int]]:
-    """Least leaf of the individualization-refinement tree below ``root``.
+) -> tuple[int, ...]:
+    """Least leaf key of the individualization-refinement tree below ``root``.
 
     A node individualizes, in turn, each vertex of its first non-singleton
     cell and refines again.  A child is skipped when an automorphism fixing
@@ -562,8 +543,6 @@ def _search_tree(
     """
     leaves: dict[tuple[int, ...], list[int]] = {}
     automorphisms: list[list[int]] = []
-    best_key: list[int] | None = None
-    best_label: list[int] = []
 
     def found(label: list[int], twin: list[int]) -> list[int]:
         """The automorphism taking each vertex to the one ``twin`` labels alike."""
@@ -573,7 +552,6 @@ def _search_tree(
         return [inverse[lab] for lab in label]
 
     def visit(colors: list[int], prefix: tuple[int, ...]) -> None:
-        nonlocal best_key, best_label
         cells = _cells(colors)
         if _is_leaf(cells):
             ties: list = []
@@ -594,8 +572,6 @@ def _search_tree(
                 if any(orbit[v] != orbit[g[v]] for v in range(n)):
                     kept.append(g)
             automorphisms.extend(kept)
-            if best_key is None or key < best_key:
-                best_key, best_label = key, label
             return
         explored: list[int] = []
         for v in next(cell for cell in cells if len(cell) > 1):
@@ -613,17 +589,17 @@ def _search_tree(
             explored.append(v)
 
     visit(root, ())
-    return best_key, best_label
+    return min(leaves)
 
 
-def _canonicalize(facets: tuple[int, ...], vertices: int) -> tuple[CanonicalForm, tuple[tuple[int, int], ...]]:
+def _canonicalize(facets: tuple[int, ...], vertices: int) -> CanonicalForm:
     n = vertices.bit_count()
     if n > CANONICAL_VERTEX_CAP:
         raise CapacityError(
             f"canonical labeling supports at most {CANONICAL_VERTEX_CAP} vertices, got {n}"
         )
     if n == 0:
-        return CanonicalForm(0, (0,)), ()
+        return CanonicalForm(0, (0,))
     masks = facets
     if vertices & (vertices + 1):  # the ids leave gaps: close each, top one first
         for gap in reversed(face_vertices(~vertices & ((1 << vertices.bit_length()) - 1))):
@@ -633,12 +609,11 @@ def _canonicalize(facets: tuple[int, ...], vertices: int) -> tuple[CanonicalForm
     colors = _refine_colors(n, facet_bits)
     cells = _cells(colors)
     if _is_leaf(cells):
-        key, perms = _leaf(n, set(masks), facet_bits, cells)
-        label = _label(n, cells, perms)
+        key = _leaf(n, set(masks), facet_bits, cells)[0]
     else:
-        key, label = _search_tree(n, set(masks), facet_bits, colors)
+        key = _search_tree(n, set(masks), facet_bits, colors)
     low = (1 << n) - 1
-    return CanonicalForm(n, tuple(map(low.__and__, key))), tuple(zip(face_vertices(vertices), label))
+    return CanonicalForm(n, tuple(map(low.__and__, key)))
 
 
 # ---------------------------------------------------------------------------

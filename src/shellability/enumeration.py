@@ -110,6 +110,8 @@ DEFAULT_MAX_VERTICES = {0: 7, 1: 6, 2: 7}
 
 def _check_bound(max_vertices: int) -> None:
     """The one vertex-bound check of the searches and the atlas."""
+    if isinstance(max_vertices, bool) or not isinstance(max_vertices, int):
+        raise TypeError(f"max_vertices must be an int, got {max_vertices!r}")
     if not 1 <= max_vertices <= MAX_OBSTRUCTION_VERTICES:
         raise CapacityError(f"max_vertices must be 1..{MAX_OBSTRUCTION_VERTICES}")
 

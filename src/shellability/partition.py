@@ -189,22 +189,26 @@ def _decide_partition(c: SimplicialComplex) -> Optional[tuple[tuple[int, int], .
     return _exact_cover_assignment(c)
 
 
-def is_partitionable(c: SimplicialComplex) -> PartitionDecision:
-    """Exact decision with a re-checkable interval assignment on success."""
+def _decide_with_shelling(c: SimplicialComplex) -> PartitionDecision:
+    """``is_partitionable`` on a memo miss: a shelling's intervals, else the
+    dimension-1 tree test and ``_decide_partition``."""
     shelling = is_shellable(c).certificate
     if shelling is not None:
         assignment = tuple(sorted(zip(shelling.ordering, shelling.restriction_sets)))
         if not verify_partition(c, assignment):
             raise RuntimeError("shelling intervals do not partition the faces")
         return PartitionDecision(True, PartitionCertificate(assignment))
-
     if c.dim == 1 and _tree_components_of_edge_part(c) > 1:
         return PartitionDecision(False)
-
-    assignment = cache.memo(_PARTITION_CACHE, c.facets, _decide_partition, c)
+    assignment = _decide_partition(c)
     if assignment is None:
         return PartitionDecision(False)
     return PartitionDecision(True, PartitionCertificate(assignment))
+
+
+def is_partitionable(c: SimplicialComplex) -> PartitionDecision:
+    """Exact decision with a re-checkable interval assignment on success."""
+    return cache.memo(_PARTITION_CACHE, c.facets, _decide_with_shelling, c)
 
 
 def band_complex(d: int, n: int) -> SimplicialComplex:

@@ -8,7 +8,8 @@ equivalent working criterion used throughout is the restriction map
 
 under which an ordering is a shelling iff no R(F_i) is contained in an
 earlier facet.  Both formulations are implemented and verified against each
-other on every call.
+other once per decision: the decider memoizes each decision with its
+certificate.
 
 The decision procedure backtracks over dimension-nonincreasing orderings
 only; a shellable complex always admits such a shelling (the rearrangement
@@ -164,19 +165,6 @@ def _homology_prescreen_nonshellable(c: SimplicialComplex) -> bool:
     return False
 
 
-def _decide_uncached(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
-    if c.is_pure() and not c.strongly_connected():
-        return None
-    if _homology_prescreen_nonshellable(c):
-        return None
-    return _search_ordering(c)
-
-
-def _decide_search(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
-    """Memoized exact search for a shelling order; None when there is none."""
-    return cache.memo(_DECIDE_CACHE, c.facets, _decide_uncached, c)
-
-
 def _attach_order(seen: int, edge_facets: list[int]) -> Optional[list[int]]:
     """Order edge facets so each one touches the part already seen."""
     remaining = sorted(edge_facets)
@@ -201,26 +189,24 @@ def _certificate(c: SimplicialComplex, ordering) -> ShellingCertificate:
     return ShellingCertificate(tuple(ordering), restrictions)
 
 
-def is_shellable(c: SimplicialComplex) -> ShellingDecision:
-    """Exact decision; ships a verified shelling order whenever the answer is yes.
-
-    Low dimensions use structural criteria: everything of dimension <= 0 is
-    shellable; a 1-dimensional complex is shellable iff the subcomplex
-    generated by its edges is connected; a 2-dimensional complex is shellable
-    iff that holds and its pure 2-skeleton is shellable.  Higher dimensions
-    (and pure 2-skeletons themselves) go through the memoized search.
-    """
+def _decide(c: SimplicialComplex) -> ShellingDecision:
+    """``is_shellable`` on a memo miss: the order is found, then verified."""
     d = c.dim
     if d <= 0:
         return ShellingDecision(True, _certificate(c, c.facets))
 
-    if d <= 2:
-        # the pure 2-skeleton of a 2-complex is its 3-vertex facets, and its
-        # 1-skeleton is connected when the facets with an edge form one class
-        triangles = tuple(f for f in c.facets if f.bit_count() == 3)
-        top = _decide_search(SimplicialComplex(triangles, union(triangles))) if triangles else ()
-        if top is None or _edge_classes(c.facets) != 1:
+    if d <= 2 and c.facets[0].bit_count() <= 2:
+        # the 1-skeleton is connected when the facets with an edge form one
+        # class, and the pure 2-skeleton is the 3-vertex facets
+        if _edge_classes(c.facets) != 1:
             return ShellingDecision(False)
+        triangles = tuple(f for f in c.facets if f.bit_count() == 3)
+        top = ()
+        if triangles:
+            skeleton = is_shellable(SimplicialComplex(triangles, union(triangles))).certificate
+            if skeleton is None:
+                return ShellingDecision(False)
+            top = skeleton.ordering
         edges = [f for f in c.facets if f.bit_count() == 2]
         tail = _attach_order(union(top), edges)
         if tail is None:
@@ -228,8 +214,23 @@ def is_shellable(c: SimplicialComplex) -> ShellingDecision:
         isolated = sorted(f for f in c.facets if f.bit_count() == 1)
         return ShellingDecision(True, _certificate(c, [*top, *tail, *isolated]))
 
-    ordering = _decide_search(c)
+    if (c.is_pure() and not c.strongly_connected()) or _homology_prescreen_nonshellable(c):
+        return ShellingDecision(False)
+    ordering = _search_ordering(c)
     if ordering is None:
         return ShellingDecision(False)
     return ShellingDecision(True, _certificate(c, ordering))
 
+
+def is_shellable(c: SimplicialComplex) -> ShellingDecision:
+    """Exact decision; ships a verified shelling order whenever the answer is yes.
+
+    Memoized on the facets, so the order is verified once.  Low dimensions
+    use structural criteria: everything of dimension <= 0 is shellable; a 1-
+    or 2-dimensional complex with an edge or vertex facet is shellable iff
+    the subcomplex generated by its edges is connected and its pure
+    2-skeleton, decided through this memo, is shellable.  Every other
+    complex, a pure 2-complex included, goes through strong connectivity
+    (when pure), the homology prescreen and the search.
+    """
+    return cache.memo(_DECIDE_CACHE, c.facets, _decide, c)

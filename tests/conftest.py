@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from shellability.complexes import SimplicialComplex, face, from_facets
+from shellability.complexes import SimplicialComplex, face, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 
@@ -60,6 +60,11 @@ def ind_c6() -> SimplicialComplex:
 
 def full_simplex(n: int) -> SimplicialComplex:
     return from_facets([(1 << n) - 1])
+
+
+def relabel(c: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComplex:
+    """The complex with each vertex v renamed mapping[v]."""
+    return from_facets([{mapping[v] for v in face_vertices(f)} for f in c.facets])
 
 
 def cone(c: SimplicialComplex) -> SimplicialComplex:

@@ -27,7 +27,9 @@ from shellability.graphs import Graph, graph_from_edges, independence_complex
 from shellability.homology import HomologyGroup, boundary_matrix, reduced_homology, smith_normal_form
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
-from shellability.shelling import ShellingDecision, _attach_order, _certificate, _decide_search, is_shellable
+from shellability.shelling import ShellingDecision, _attach_order, _certificate, is_shellable
+
+from conftest import relabel
 
 
 def plain_search_ordering(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
@@ -100,13 +102,19 @@ def shellable_through_skeletons(c: SimplicialComplex) -> ShellingDecision:
 
     The reference for ``is_shellable`` below dimension 3: the branch it ran
     before it read the 3-vertex facets and the edge classes straight from
-    the facet list, kept verbatim.
+    the facet list, with the order of the pure 2-skeleton read from that
+    skeleton's own decision.
     """
     d = c.dim
     if d <= 0 or d > 2:
         raise ValueError("the skeleton criteria cover dimensions 1 and 2")
-    top = _decide_search(c.pure_skeleton(2)) if d == 2 else ()
-    if top is None or not c.pure_skeleton(1).connected():
+    top: tuple[int, ...] = ()
+    if d == 2:
+        skeleton = is_shellable(c.pure_skeleton(2)).certificate
+        if skeleton is None:
+            return ShellingDecision(False)
+        top = skeleton.ordering
+    if not c.pure_skeleton(1).connected():
         return ShellingDecision(False)
     edges = [f for f in c.facets if f.bit_count() == 2]
     tail = _attach_order(union(top), edges)
@@ -944,4 +952,4 @@ def flag_round_trip(c: SimplicialComplex) -> bool:
     rebuilt = independence_complex(non_edge_graph(c))
     verts = face_vertices(c.vertices)
     mapping = {i: v for i, v in enumerate(verts)}
-    return rebuilt.relabel(mapping) == c
+    return relabel(rebuilt, mapping) == c

@@ -135,6 +135,14 @@ def test_write_atlas_fails_on_its_directory_before_the_search(tmp_path, monkeypa
     assert (tmp_path / "taken").read_text() == ""
 
 
+@pytest.mark.parametrize("bound", [6.5, True], ids=["float", "bool"])
+def test_write_atlas_rejects_a_bound_that_is_not_an_int_before_creating_anything(tmp_path, monkeypatch, bound):
+    _no_search(monkeypatch)
+    with pytest.raises(TypeError, match="max_vertices must be an int"):
+        write_atlas(tmp_path / "out", bound)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_output_writes_what_stdout_prints(tmp_path, capsys):
     """Checking the output path first leaves the written bytes as they were,
     for a new file and for one that is overwritten."""

@@ -233,11 +233,13 @@ def test_edge_addition_closure_small():
     (2, SH, "obstructions", 0, CapacityError, "max_vertices must be 1..7"),
     (1, SH, "obstructions", 8, CapacityError, "max_vertices must be 1..7"),
     (2, SH, "edge_minimal_obstructions", 8, CapacityError, "max_vertices must be 1..7"),
+    (1, SH, "obstructions", True, TypeError, "max_vertices must be an int, got True"),
+    (2, SH, "obstructions", 6.5, TypeError, "max_vertices must be an int, got 6.5"),
     (1, "partitionable", "obstructions", None, ValueError, "unknown property 'partitionable'"),
     (2, "shellable", "obstructions", None, ValueError, "unknown property 'shellable'"),
     (0, None, "obstructions", 3, ValueError, "unknown property None"),
 ], ids=["dim-3", "unknown-mode", "edge-minimal-dim-0", "edge-minimal-dim-1",
-        "bound-0-dim-1", "bound-0-dim-2", "bound-8-dim-1", "bound-8-dim-2",
+        "bound-0-dim-1", "bound-0-dim-2", "bound-8-dim-1", "bound-8-dim-2", "bound-true", "bound-float",
         "property-name-dim-1", "property-name-dim-2", "property-none"])
 def test_enumerate_obstructions_checks_its_arguments_before_any_search(
     monkeypatch, dim, prop, mode, max_vertices, error, message

@@ -14,6 +14,7 @@ from shellability.graphs import (
 )
 from shellability.partition import band_complex
 
+from conftest import relabel
 from oracles import flag_round_trip, is_flag, minimal_nonfaces, non_edge_graph
 
 
@@ -85,15 +86,14 @@ def test_independence_complex_takes_the_sets_as_facets_without_absorption():
 def test_ind_c7_is_the_7_band():
     ind7 = independence_complex(cycle_graph(7))
     assert ind7.is_isomorphic(band_complex(2, 7))
-    relabel = {k: 2 * k % 7 for k in range(7)}
-    assert band_complex(2, 7).relabel(relabel) == ind7
+    assert relabel(band_complex(2, 7), {k: 2 * k % 7 for k in range(7)}) == ind7
 
 
 def test_ind_c6_is_the_matching_complex(ind_c6, complex_1a):
     assert ind_c6.is_isomorphic(complex_1a)
     # explicit witness map for the triangle labels (0,1,2) and (3,4,5)
     mapping = {0: 0, 1: 2, 2: 4, 3: 3, 4: 5, 5: 1}
-    assert complex_1a.relabel(mapping) == ind_c6
+    assert relabel(complex_1a, mapping) == ind_c6
 
 
 def test_minimal_nonfaces_and_flag(hollow_triangle, two_k2):

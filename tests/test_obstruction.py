@@ -9,7 +9,7 @@ from shellability.obstruction import is_hereditary, obstruction_report
 from shellability.partition import band_complex
 from shellability.properties import PropertyKind, satisfies
 
-from conftest import DUNCE_HAT_FACETS, cone, corpus, golden_classes, random_complex, suspension
+from conftest import DUNCE_HAT_FACETS, cone, corpus, golden_classes, random_complex, relabel, suspension
 from oracles import (
     hereditary_via_obstructions,
     hereditary_via_strong_obstructions,
@@ -198,7 +198,7 @@ def test_the_hereditary_memo_is_keyed_on_classes(monkeypatch):
             before = len(obstruction._HEREDITARY_CACHE), len(decided)
             assert obstruction._hereditary(c, SH) is holds
             after = len(obstruction._HEREDITARY_CACHE), len(decided)
-            assert obstruction._hereditary(c.relabel(mapping), SH) is holds
+            assert obstruction._hereditary(relabel(c, mapping), SH) is holds
             assert (len(obstruction._HEREDITARY_CACHE), len(decided)) == after
             if not holds:
                 assert after == (before[0] + 1, before[1] + 1)

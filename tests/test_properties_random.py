@@ -15,7 +15,7 @@ from shellability.partition import is_partitionable, verify_partition
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import is_shellable, verify_shelling
 
-from conftest import corpus
+from conftest import corpus, relabel
 from oracles import fast_paths_agree, flag_round_trip, is_flag
 
 
@@ -110,7 +110,7 @@ def test_verdicts_do_not_depend_on_vertex_labels():
     for c in corpus(seed=110, count=300, n_max=8, max_facets=12, multi_facet=True):
         ids = c.vertex_ids()
         verdicts = set()
-        for labeled in [c] + [c.relabel(dict(zip(ids, rng.sample(range(9), len(ids))))) for _ in range(3)]:
+        for labeled in [c] + [relabel(c, dict(zip(ids, rng.sample(range(9), len(ids))))) for _ in range(3)]:
             cache.clear_all_caches()
             shelling, partition, scm = (
                 is_shellable(labeled), is_partitionable(labeled), is_sequentially_cm(labeled)

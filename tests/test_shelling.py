@@ -4,14 +4,14 @@ from itertools import permutations
 import pytest
 
 from shellability import cache
-from shellability.cohen_macaulay import is_sequentially_cm
+from shellability.cohen_macaulay import is_cohen_macaulay, is_sequentially_cm
 from shellability.complexes import SimplicialComplex, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability import shelling
 from shellability.partition import band_complex, is_partitionable, verify_partition
 from shellability.shelling import is_shellable, verify_shelling
 
-from conftest import DUNCE_HAT_FACETS, corpus, full_simplex, golden_classes, homology_oracle_inputs
+from conftest import DUNCE_HAT_FACETS, corpus, full_simplex, golden_classes, homology_oracle_inputs, relabel
 from oracles import (
     fast_paths_agree, homology_prescreen_by_skeletons, plain_search_ordering, shellable_by_search,
     shellable_through_skeletons,
@@ -361,7 +361,7 @@ def test_decisions_above_the_labeling_cap_are_memoized_on_raw_facets(monkeypatch
         assert not is_shellable(c).shellable
         assert len(searches) == 1
         assert complexes._CANON_CACHE == {}
-        shifted = c.relabel({v: 9 - v for v in c.vertex_ids()})
+        shifted = relabel(c, {v: 9 - v for v in c.vertex_ids()})
         assert shifted != c
         assert not is_shellable(shifted).shellable
         assert len(searches) == 2
@@ -397,10 +397,45 @@ def test_the_deciders_never_label_below_the_cap(monkeypatch):
         assert not is_shellable(c).shellable
         assert not is_shellable(c).shellable
         assert len(searches) == 1
-        shifted = c.relabel({v: 8 - v for v in c.vertex_ids()})
+        shifted = relabel(c, {v: 8 - v for v in c.vertex_ids()})
         assert shifted != c
         assert not is_shellable(shifted).shellable
         assert len(searches) == 2
         assert complexes._CANON_CACHE == {}
+    finally:
+        cache.clear_all_caches()
+
+
+def test_each_facet_list_is_verified_once(monkeypatch):
+    """All three deciders, asked twice, verify one shelling and one interval
+    partition per facet list; a nonpure input's pure 2-skeleton is decided,
+    and its shelling verified, once more.  A second call returns the stored
+    decision itself."""
+    from shellability import partition
+
+    calls = {"shelling": 0, "partition": 0}
+
+    def counted(kind, verify):
+        def wrapper(*args):
+            calls[kind] += 1
+            return verify(*args)
+        return wrapper
+
+    monkeypatch.setattr(shelling, "verify_shelling", counted("shelling", shelling.verify_shelling))
+    monkeypatch.setattr(partition, "verify_partition", counted("partition", partition.verify_partition))
+    nonpure = from_facets([{0, 1, 2}, {1, 2, 3}, {3, 4}, {5}])
+    disk = from_facets([{0, 1, 2}, {0, 2, 3}, {0, 3, 4}])
+    try:
+        for c, skeleton in ((nonpure, 1), (disk, 0)):
+            cache.clear_all_caches()
+            calls.update(shelling=0, partition=0)
+            for _ in range(2):
+                assert is_shellable(c).shellable
+                assert is_partitionable(c).partitionable
+                assert is_sequentially_cm(c).verdict
+            assert calls == {"shelling": 1 + skeleton, "partition": 1}, c
+            assert is_shellable(c) is is_shellable(c)
+            assert is_partitionable(c) is is_partitionable(c)
+        assert is_cohen_macaulay(disk) is is_cohen_macaulay(disk)
     finally:
         cache.clear_all_caches()
