@@ -26,8 +26,9 @@ verified once), ``partition._PARTITION_CACHE`` (the
 of ``is_cohen_macaulay``), ``homology._HOMOLOGY_CACHE`` (one entry per
 complex, holding its reduced homology groups in every degree),
 ``obstruction._HEREDITARY_CACHE`` (whether every restriction of a class
-satisfies a property, keyed by class and property), and the enumeration
-memos:
+satisfies a property, keyed by canonical form and property alone; the
+recursion that fills it stops one vertex above the labeling cap), and the
+enumeration memos:
 ``enumeration._CORES_MEMO`` holds one entry per scanned (support level, top)
 pair, since a bound's top level is scanned for cores only and a larger bound
 scans it again as a source level; ``_PAIR_TABLES`` holds one entry per

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .complexes import SimplicialComplex, face_vertices, from_facets
-from .enumeration import DEFAULT_MAX_VERTICES, MAX_OBSTRUCTION_VERTICES, _check_bound, edge_minimal, enumerate_obstructions
+from .enumeration import DEFAULT_MAX_VERTICES, MAX_OBSTRUCTION_VERTICES, _check_bound, _sort_key, edge_minimal, enumerate_obstructions
 from .obstruction import obstruction_report
 from .partition import band_complex
 from .properties import PropertyKind, satisfies
@@ -48,9 +48,6 @@ class CatalogEntry:
     obstruction: dict
     strong_obstruction: dict
     edge_minimal: bool
-
-    def complex(self) -> SimplicialComplex:
-        return from_facets([set(f) for f in self.facets])
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -102,10 +99,7 @@ def _assign_labels(minimal: list[SimplicialComplex]) -> dict[SimplicialComplex, 
 
 def build_entries(complexes: list[SimplicialComplex]) -> list[CatalogEntry]:
     """Catalog entries (sorted, labeled, full property vectors) for obstruction classes."""
-    ordered = sorted(
-        complexes,
-        key=lambda c: (c.n_vertices, len(c.facets), c.canonical_form()),
-    )
+    ordered = sorted(complexes, key=_sort_key)
     minimal = {c: c.dim >= 1 and edge_minimal(c) for c in ordered}
     labels = _assign_labels([c for c in ordered if c.dim == 2 and minimal[c]])
     for c in ordered:

@@ -251,14 +251,6 @@ class SimplicialComplex:
 
     # -- connectivity ------------------------------------------------------
 
-    def connected(self) -> bool:
-        """Connectivity of the 1-skeleton ({∅} and single vertices count as connected).
-
-        Two facets share a vertex exactly when they are joined in the
-        1-skeleton, so this counts the facet classes linked by shared vertices.
-        """
-        return len(components(self.facets)) == 1
-
     def strongly_connected(self) -> bool:
         """Facet connectivity through codimension-one intersections (pure input only)."""
         if not self.is_pure():

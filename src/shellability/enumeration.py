@@ -121,11 +121,11 @@ def _sort_key(c: SimplicialComplex) -> tuple:
     return (canon.n_vertices, len(c.facets), canon.facets)
 
 
-def _non_face_pairs(c: SimplicialComplex, vertices: Iterable[int]) -> list[int]:
-    """The vertex pairs among ``vertices`` that are not faces of c."""
+def _non_face_pairs(c: SimplicialComplex) -> list[int]:
+    """The vertex pairs of c that are not faces of c."""
     faces = c.faces()
     out = []
-    for a, b in combinations(vertices, 2):
+    for a, b in combinations(c.vertex_ids(), 2):
         m = (1 << a) | (1 << b)
         if m not in faces:
             out.append(m)
@@ -449,8 +449,7 @@ def triangle_cores(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -> dict[int, li
     certified, hence shellable, candidates; so a top level whose source scan is
     memoized already is read from that entry and not scanned again.
     """
-    if max_vertices > MAX_OBSTRUCTION_VERTICES:
-        raise CapacityError(f"core search is bounded at {MAX_OBSTRUCTION_VERTICES} vertices")
+    _check_bound(max_vertices)
     sources: list[tuple[int, ...]] = [(), ((0b111),)]
     lower: list[tuple[int, ...]] = []
     out = {}
@@ -479,6 +478,7 @@ def dim2_shellability_obstructions(max_vertices: int = MAX_OBSTRUCTION_VERTICES)
     direct obstruction check is exhaustive.  Each core's subsets are
     visited one orbit of its automorphisms at a time.
     """
+    _check_bound(max_vertices)  # before the memo, whose key 1 a bound of True would hit
     return list(cache.memo(_DIM2_MEMO, max_vertices, _dim2_obstructions, max_vertices))
 
 
@@ -524,7 +524,7 @@ def _dim2_obstructions(max_vertices: int) -> list[SimplicialComplex]:
     for s, cores in sorted(triangle_cores(max_vertices).items()):
         for core in cores:
             base = from_facets(core)
-            pairs = _non_face_pairs(base, base.vertex_ids())
+            pairs = _non_face_pairs(base)
             for ebits in _edge_orbit_reps(core, pairs):
                 extra = tuple(p for i, p in enumerate(pairs) if ebits >> i & 1)
                 candidate = from_facets(core + extra)
@@ -715,7 +715,7 @@ def verify_edge_addition_closure(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -
     checked = 0
     augmentation_failures = []
     for c in catalog:
-        for pair in _non_face_pairs(c, c.vertex_ids()):
+        for pair in _non_face_pairs(c):
             grown = from_facets(c.facets + (pair,))
             checked += 1
             if not obstruction_report(grown, PropertyKind.SHELLABLE).is_obstruction:

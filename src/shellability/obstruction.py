@@ -22,8 +22,9 @@ restriction is a restriction, and isomorphic complexes have isomorphic
 restrictions, so the verdict memoized on a canonical form holds for every
 labeling of it.  Each class is decided once per property, however many
 complexes and labelings reach it.  This is the package's one decision memo
-keyed on classes: the deciders themselves memoize on raw facets.  When
-some restriction fails, the largest-first subset scan still names the
+keyed on classes: the deciders themselves memoize on raw facets, and
+above one vertex past the labeling cap they alone serve the subset scan.
+When some restriction fails, the largest-first subset scan still names the
 failing one, so the reported restriction does not depend on the memo.
 """
 
@@ -64,21 +65,16 @@ def _hereditary(c: SimplicialComplex, prop: PropertyKind) -> bool:
 
     Memoized on the isomorphism class of ``c`` and decided on the class's
     canonical representative, so every labeling of a class, and every
-    property asked of it, reaches the deciders with the same facets.  Above
-    ``CANONICAL_VERTEX_CAP`` the memo is keyed on the raw facets and ``c``
-    itself is decided: a relabeled copy is decided anew.
+    property asked of it, reaches the deciders with the same facets.  The
+    callers stay within ``CANONICAL_VERTEX_CAP`` vertices; above it
+    ``canonical_form`` raises ``CapacityError``.
     """
-    if c.n_vertices > CANONICAL_VERTEX_CAP:
-        return cache.memo(_HEREDITARY_CACHE, (c.facets, prop), _decide_hereditary, c, prop)
     canon = c.canonical_form()
-    return cache.memo(_HEREDITARY_CACHE, (canon, prop), _decide_representative, canon, prop)
+    return cache.memo(_HEREDITARY_CACHE, (canon, prop), _decide_hereditary, canon, prop)
 
 
-def _decide_representative(canon: CanonicalForm, prop: PropertyKind) -> bool:
-    return _decide_hereditary(SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1), prop)
-
-
-def _decide_hereditary(c: SimplicialComplex, prop: PropertyKind) -> bool:
+def _decide_hereditary(canon: CanonicalForm, prop: PropertyKind) -> bool:
+    c = SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1)
     return satisfies(c, prop) and _deletions_hereditary(c, prop)
 
 
@@ -92,11 +88,12 @@ def _failing_restriction(c: SimplicialComplex, prop: PropertyKind) -> Optional[i
     Up to one vertex above the labeling cap, every vertex deletion is
     memoized on its isomorphism class, so the class recursion answers first
     and the subset scan runs only to name a restriction that is known to
-    fail.  Above that the deletions are memoized too, on their raw facets,
-    but the plain scan runs alone: the recursion is depth-first, so a
-    failing deletion can wait behind the whole subtree of an earlier
-    deletion that passes, while the largest-first scan tries every deletion
-    first.
+    fail.  This is the package's one boundary at the cap.  Above it the
+    plain scan runs alone, and the deciders' own raw-facet memos decide
+    each restriction: the class recursion labels every deletion, and it is
+    depth-first, so a failing deletion can wait behind the whole subtree of
+    an earlier deletion that passes, while the largest-first scan tries
+    every deletion first.
     """
     if c.n_vertices <= CANONICAL_VERTEX_CAP + 1 and _deletions_hereditary(c, prop):
         return None

@@ -47,9 +47,6 @@ class PartitionCertificate:
 
     assignment: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.assignment)
-
 
 @dataclass(frozen=True)
 class PartitionDecision:

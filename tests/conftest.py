@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from shellability.complexes import SimplicialComplex, face, face_vertices, from_facets
+from shellability.catalog import CatalogEntry
+from shellability.complexes import SimplicialComplex, components, face, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 
@@ -65,6 +66,20 @@ def full_simplex(n: int) -> SimplicialComplex:
 def relabel(c: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComplex:
     """The complex with each vertex v renamed mapping[v]."""
     return from_facets([{mapping[v] for v in face_vertices(f)} for f in c.facets])
+
+
+def is_connected(c: SimplicialComplex) -> bool:
+    """Connectivity of the 1-skeleton ({∅} and single vertices count as connected).
+
+    Two facets share a vertex exactly when they are joined in the
+    1-skeleton, so this counts the facet classes linked by shared vertices.
+    """
+    return len(components(c.facets)) == 1
+
+
+def entry_complex(e: CatalogEntry) -> SimplicialComplex:
+    """The complex that a catalog entry lists."""
+    return from_facets([set(f) for f in e.facets])
 
 
 def cone(c: SimplicialComplex) -> SimplicialComplex:

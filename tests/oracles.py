@@ -22,14 +22,14 @@ from shellability.complexes import (
     subsets_of,
     union,
 )
-from shellability.enumeration import MAX_OBSTRUCTION_VERTICES, _non_face_pairs, _sort_key
+from shellability.enumeration import MAX_OBSTRUCTION_VERTICES, _sort_key
 from shellability.graphs import Graph, graph_from_edges, independence_complex
 from shellability.homology import HomologyGroup, boundary_matrix, reduced_homology, smith_normal_form
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import ShellingDecision, _attach_order, _certificate, is_shellable
 
-from conftest import relabel
+from conftest import is_connected, relabel
 
 
 def plain_search_ordering(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
@@ -114,7 +114,7 @@ def shellable_through_skeletons(c: SimplicialComplex) -> ShellingDecision:
         if skeleton is None:
             return ShellingDecision(False)
         top = skeleton.ordering
-    if not c.pure_skeleton(1).connected():
+    if not is_connected(c.pure_skeleton(1)):
         return ShellingDecision(False)
     edges = [f for f in c.facets if f.bit_count() == 2]
     tail = _attach_order(union(top), edges)
@@ -302,7 +302,7 @@ def _seed_classes(dim: int, n: int) -> list[SimplicialComplex]:
         raise CapacityError(f"vertex count must be 1..{MAX_OBSTRUCTION_VERTICES}")
     if dim == 0:
         return [from_facets([1])]
-    return _grow_classes(from_facets([0b11]), n, _non_face_pairs)
+    return _grow_classes(from_facets([0b11]), n, _edge_candidates)
 
 
 def _exact_classes(classes: list[SimplicialComplex], n: int) -> list[SimplicialComplex]:
@@ -364,6 +364,13 @@ def two_k2_free_graph_classes(n: int) -> int:
     return len(keys)
 
 
+def _edge_candidates(c: SimplicialComplex, vertices) -> list[int]:
+    """The vertex pairs among ``vertices`` that are not faces of c."""
+    faces = c.faces()
+    pairs = (union(1 << v for v in combo) for combo in combinations(vertices, 2))
+    return [m for m in pairs if m not in faces]
+
+
 def _triangle_candidates(c: SimplicialComplex, vertices) -> list[int]:
     """The vertex triples among ``vertices`` that are not facets of c."""
     facets = set(c.facets)
@@ -386,7 +393,7 @@ def enumerate_dim2_complexes(n: int) -> list[SimplicialComplex]:
         return []
     classes = []
     for t in _grow_classes(from_facets([0b111]), n, _triangle_candidates):
-        classes.extend(_grow_classes(t, n, _non_face_pairs))
+        classes.extend(_grow_classes(t, n, _edge_candidates))
     return _exact_classes(classes, n)
 
 

@@ -28,7 +28,7 @@ from shellability.partition import _tree_components_of_edge_part, _two_private_f
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import is_shellable
 
-from conftest import corpus
+from conftest import corpus, is_connected
 
 SH = PropertyKind.SHELLABLE
 
@@ -85,7 +85,7 @@ def test_c03_vertex_bound_and_top_stratum():
         and len(cores[7]) >= 1
         and len(catalog) == 52  # frozen regression baseline for the class count
         and all(
-            c.connected()
+            is_connected(c)
             and all(f.bit_count() >= 2 for f in c.facets)
             and sum(1 for f in c.facets if f.bit_count() == 3) >= 2
             for c in catalog
@@ -117,7 +117,7 @@ def _disconnected_edge_link_witness(c) -> bool:
         link = c.link(1 << v)
         if len(link.faces_of_dim(1)) < 2 or link.dim != 1:
             continue
-        if link.pure_skeleton(1).connected():
+        if is_connected(link.pure_skeleton(1)):
             continue
         if not is_partitionable(link).partitionable and not satisfies(link, PropertyKind.SEQUENTIALLY_CM):
             return True

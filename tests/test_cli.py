@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from shellability import cli
 from shellability.catalog import write_atlas
 from shellability.cli import main
 from shellability.complexes import CapacityError, face, face_vertices, format_complex, from_facets, parse_complex
@@ -353,6 +354,27 @@ def test_enumerate_compare_names_the_pair(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "obstructions(scm) vs obstructions(partitionable): IDENTICAL"
+
+
+def test_enumerate_compare_exits_1_on_the_first_different_set(tmp_path, capsys, monkeypatch):
+    """A compared property whose obstruction set differs prints DIFFERENT and
+    exits 1 at once: the second ``--compare`` is not searched."""
+    calls = []
+    real = cli.enumerate_obstructions
+
+    def one_class_short(dim, prop, mode, max_vertices):
+        calls.append(prop.value)
+        found = real(dim, prop, mode, max_vertices)
+        return found if len(calls) == 1 else found[:-1]
+
+    monkeypatch.setattr(cli, "enumerate_obstructions", one_class_short)
+    out = tmp_path / "cat.json"
+    code = main(["enumerate", "--dim", "1", "--max-vertices", "5", "--property", "shellable",
+                 "--output", str(out), "--compare", "partitionable", "--compare", "scm"])
+    assert code == 1
+    assert calls == ["shellable", "partitionable"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "obstructions(shellable) vs obstructions(partitionable): DIFFERENT"
 
 
 def test_enumerate_to_stdout_writes_only_the_catalog_there(capsys):

@@ -19,7 +19,7 @@ from shellability.properties import PropertyKind
 from shellability.shelling import is_shellable
 
 from conftest import (
-    DUNCE_HAT_FACETS, cone, corpus, full_simplex, golden_classes, homology_oracle_inputs, suspension,
+    DUNCE_HAT_FACETS, cone, corpus, full_simplex, golden_classes, homology_oracle_inputs, is_connected, suspension,
 )
 from oracles import full_scan_witness, homology_group_by_degree, pure_skeletons_cm_by_scan
 
@@ -87,7 +87,7 @@ def test_one_dimensional_characterisation():
     for c in corpus(seed=52, count=80):
         if c.dim != 1:
             continue
-        expected = c.pure_skeleton(1).connected()
+        expected = is_connected(c.pure_skeleton(1))
         assert is_sequentially_cm(c).verdict == expected
 
 

@@ -1,7 +1,11 @@
+import ast
+import functools
 import hashlib
 import random
+import re
 import warnings
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +29,7 @@ from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 from shellability.shelling import is_shellable
 
-from conftest import corpus, full_simplex, homology_oracle_inputs, relabel
+from conftest import corpus, full_simplex, homology_oracle_inputs, is_connected, relabel
 from oracles import link_by_definition, pure_skeleton_by_definition, tuple_refine_colors
 
 
@@ -52,7 +56,7 @@ def test_from_facets_is_idempotent_on_corpus():
 
 def test_two_disjoint_edges_shape(two_k2):
     assert two_k2.f_vector() == [1, 4, 2]
-    assert not two_k2.connected()
+    assert not is_connected(two_k2)
 
 
 def test_all_faces_counts(two_k2, delta5):
@@ -157,13 +161,13 @@ def test_f_vector_dim_purity(two_k2, delta5):
 
 
 def test_connectivity(two_k2, delta5):
-    assert not two_k2.connected()
-    assert delta5.connected() and delta5.strongly_connected()
+    assert not is_connected(two_k2)
+    assert is_connected(delta5) and delta5.strongly_connected()
     shared_vertex = from_facets(masks({0, 1, 2}, {0, 3, 4}))
-    assert shared_vertex.connected()
+    assert is_connected(shared_vertex)
     assert not shared_vertex.strongly_connected()
-    assert from_facets([{0}]).connected()
-    assert from_facets([]).connected()
+    assert is_connected(from_facets([{0}]))
+    assert is_connected(from_facets([]))
     with pytest.raises(PurityError):
         from_facets(masks({0, 1, 2}, {3, 4})).strongly_connected()
 
@@ -175,6 +179,12 @@ def test_components_and_union():
     # a later mask merges two classes found apart
     assert components(masks({0, 1}, {2, 3}, {1, 2})) == masks({0, 1, 2, 3})
     assert union(masks({0, 1}, {1, 5})) == face({0, 1, 5})
+
+
+def test_repr_lists_the_facets_as_vertex_sets():
+    """Every internal error message names its complex through ``repr``."""
+    assert repr(from_facets([])) == "SimplicialComplex({∅})"
+    assert repr(from_facets(masks({0, 1, 2}, {2, 3}))) == "SimplicialComplex({2,3}, {0,1,2})"
 
 
 def test_connected_matches_a_breadth_first_search():
@@ -189,7 +199,7 @@ def test_connected_matches_a_breadth_first_search():
         while frontier:
             frontier = [w for v in frontier for w in adjacent[v] if w not in reached]
             reached.update(frontier)
-        assert c.connected() == (len(reached) == len(adjacent)), c
+        assert is_connected(c) == (len(reached) == len(adjacent)), c
 
 
 def test_vertex_cap():
@@ -509,7 +519,6 @@ def test_clear_all_caches_empties_the_canonical_form_memo():
 def test_every_memo_table_is_registered_and_cleared():
     import importlib
     import pkgutil
-    import re
 
     import shellability
     from shellability.cohen_macaulay import is_sequentially_cm
@@ -557,18 +566,21 @@ def test_memo_drops_the_oldest_half_of_a_full_table(monkeypatch):
     assert table == {2: "2", 3: "3", 4: "4"}
 
 
+@functools.cache
+def _package_trees() -> dict[str, ast.Module]:
+    """Each module of the package by file name, read and parsed once for the source scans."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(complexes.__file__).parent.glob("*.py"))}
+
+
 def test_only_the_cache_module_trims_or_stores_into_a_module_table():
     """Every memo table is read and written through ``cache.memo``: no other
     module calls ``trim``, assigns into a table defined at module level or
     calls one of its mutating methods."""
-    import ast
-    from pathlib import Path
-
     found = []
-    for path in sorted(Path(complexes.__file__).parent.glob("*.py")):
-        if path.name == "cache.py":
+    for name, tree in _package_trees().items():
+        if name == "cache.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         tables = {
             target.id
             for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
@@ -578,16 +590,16 @@ def test_only_the_cache_module_trims_or_stores_into_a_module_table():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "trim":
-                    found.append(f"{path.name}:{node.lineno} trim")
-                if (name in ("setdefault", "update", "add", "append", "pop", "clear")
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == "trim":
+                    found.append(f"{name}:{node.lineno} trim")
+                if (called in ("setdefault", "update", "add", "append", "pop", "clear")
                         and isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
                         and func.value.id in tables):
-                    found.append(f"{path.name}:{node.lineno} {func.value.id}.{name}")
+                    found.append(f"{name}:{node.lineno} {func.value.id}.{called}")
             if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
                     and isinstance(node.value, ast.Name) and node.value.id in tables):
-                found.append(f"{path.name}:{node.lineno} {node.value.id}[...]")
+                found.append(f"{name}:{node.lineno} {node.value.id}[...]")
     assert found == []
 
 
@@ -595,48 +607,62 @@ def test_the_deciders_never_call_the_canonical_labeling():
     """The deciders and homology memoize on raw facets: no call in their
     modules names ``canonical_form`` or ``memoized``.  Only the hereditary
     memo and the enumeration work on isomorphism classes."""
-    import ast
-    from pathlib import Path
-
     found = []
-    for name in ("shelling", "partition", "cohen_macaulay", "homology"):
-        path = Path(complexes.__file__).parent / f"{name}.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for module in ("shelling", "partition", "cohen_macaulay", "homology"):
+        for node in ast.walk(_package_trees()[f"{module}.py"]):
             if isinstance(node, ast.Call):
                 func = node.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if called in ("canonical_form", "memoized"):
-                    found.append(f"{path.name}:{node.lineno} {called}")
+                    found.append(f"{module}.py:{node.lineno} {called}")
     assert found == []
+
+
+# Definitions kept although nothing in the package calls them, each with its reason.
+KEPT_UNUSED = {
+    "clear_all_caches": "the README documents it as the way to empty every memo table",
+}
+
+
+def _code_names(node: ast.AST) -> list[str]:
+    """The names a node uses in code: a name, an attribute, or what an import binds."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return []
 
 
 def test_every_definition_in_the_package_is_named_elsewhere_or_exported():
     """The package keeps no code that only the tests call: every ``def`` and
-    ``class`` in it is exported by ``__init__`` or named somewhere in its
-    source outside its own body.  Dunder methods are exempt.  The scan reads
-    text, so a mention in a docstring counts as a use."""
-    import ast
-    import re
-    from pathlib import Path
-
-    texts = {path.name: path.read_text(encoding="utf-8")
-             for path in sorted(Path(complexes.__file__).parent.glob("*.py"))}
+    ``class`` in it is exported by ``__init__`` or used in the package's
+    code outside its own body, as a name, an attribute or an import.  A
+    mention in a docstring or a comment does not count.  Dunder methods and
+    the names in ``KEPT_UNUSED`` are exempt.  Known limit: an attribute is
+    not resolved to its class, so a method that shares its name with an
+    attribute used elsewhere still passes."""
+    trees = _package_trees()
     exported = {
         alias.asname or alias.name
-        for node in ast.parse(texts["__init__.py"]).body if isinstance(node, ast.ImportFrom)
+        for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            for used in _code_names(node):
+                uses.setdefault(used, []).append((name, node.lineno))
     found = []
-    for name, text in texts.items():
-        lines = text.splitlines()
-        for node in ast.walk(ast.parse(text)):
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if re.fullmatch(r"__\w+__", node.name) or node.name in exported:
+            if re.fullmatch(r"__\w+__", node.name) or node.name in exported or node.name in KEPT_UNUSED:
                 continue
-            outside = [t for other, t in texts.items() if other != name]
-            outside.append("\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:]))
-            if not any(re.search(rf"\b{node.name}\b", t) for t in outside):
+            if not any(other != name or not node.lineno <= line <= node.end_lineno
+                       for other, line in uses.get(node.name, [])):
                 found.append(f"{name}:{node.lineno} {node.name}")
     assert found == []
 
@@ -644,13 +670,10 @@ def test_every_definition_in_the_package_is_named_elsewhere_or_exported():
 def test_the_package_has_no_assert_statements():
     """``python -O`` strips ``assert`` statements, so no check of the package
     may be one: each raises an exception of its own."""
-    import ast
-    from pathlib import Path
-
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(complexes.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []

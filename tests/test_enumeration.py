@@ -38,6 +38,7 @@ from shellability.partition import band_complex
 from shellability.properties import PropertyKind
 from shellability.shelling import is_shellable
 
+from conftest import entry_complex, is_connected
 from oracles import (
     _known,
     _pad_isolated,
@@ -188,7 +189,7 @@ def test_pruning_lemmas_hold_post_hoc():
     """Every found obstruction is connected, has no 0-facets, and has at
     least two triangles; the search's pruning assumptions, re-checked."""
     for c in dim2_shellability_obstructions(6):
-        assert c.connected()
+        assert is_connected(c)
         assert all(f.bit_count() >= 2 for f in c.facets)
         assert sum(1 for f in c.facets if f.bit_count() == 3) >= 2
 
@@ -251,6 +252,22 @@ def test_enumerate_obstructions_checks_its_arguments_before_any_search(
         monkeypatch.setattr(enumeration, name, no_search)
     with pytest.raises(error, match=message):
         enumerate_obstructions(dim, prop, mode, max_vertices)
+
+
+@pytest.mark.parametrize("max_vertices, error, message", [
+    (0, CapacityError, "max_vertices must be 1..7"),
+    (8, CapacityError, "max_vertices must be 1..7"),
+    (True, TypeError, "max_vertices must be an int, got True"),
+    (6.5, TypeError, "max_vertices must be an int, got 6.5"),
+], ids=["bound-0", "bound-8", "bound-true", "bound-float"])
+@pytest.mark.parametrize("search", [triangle_cores, dim2_shellability_obstructions, verify_edge_addition_closure])
+def test_the_dimension_two_searches_check_their_bound_before_any_scan(monkeypatch, search, max_vertices, error, message):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a level was scanned")
+
+    monkeypatch.setattr(enumeration, "_scan_level", no_scan)
+    with pytest.raises(error, match=message):
+        search(max_vertices)
 
 
 def _recorded_levels(monkeypatch) -> list[tuple[int, int, int, bool]]:
@@ -400,10 +417,8 @@ def test_catalog_entries_are_stable_and_labeled():
     for e in entries:
         assert not e.shellable and not e.partitionable and not e.sequentially_cm
         assert e.obstruction == {"shellable": True, "partitionable": True, "scm": True}
-        c = e.complex()
-        assert c.canonical_form() == from_facets(
-            [set(f) for f in e.facets]
-        ).canonical_form()
+        c = entry_complex(e)
+        assert c.canonical_form().facets == c.facets  # the class's canonical representative
 
 
 # Facet lists of the lettered classes in the 6-vertex catalog.  Letters inside
@@ -421,7 +436,7 @@ LETTERED_CLASSES = {
 
 def test_family_letters_are_pinned():
     minimal = enumerate_obstructions(2, SH, "edge_minimal_obstructions", 6)
-    by_label = {e.label: e.complex() for e in build_entries(minimal)}
+    by_label = {e.label: entry_complex(e) for e in build_entries(minimal)}
     for label, facets in LETTERED_CLASSES.items():
         assert by_label[label].is_isomorphic(from_facets([set(f) for f in facets])), label
 
@@ -787,7 +802,7 @@ def test_edge_orbits_match_exhaustive_labelling():
     every = labelled = 0
     for core in cores:
         base = from_facets(core)
-        pairs = enumeration._non_face_pairs(base, base.vertex_ids())
+        pairs = enumeration._non_face_pairs(base)
         first = {}
         for ebits in range(1 << len(pairs)):
             extra = tuple(p for i, p in enumerate(pairs) if ebits >> i & 1)

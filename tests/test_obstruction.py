@@ -153,11 +153,10 @@ def test_class_recursion_matches_the_subset_scan(complex_1a):
 
 def test_restrictions_above_the_labeling_cap_are_scanned_once_each(monkeypatch):
     """Above one vertex past the labeling cap the largest-first scan runs
-    alone: at most one decision per vertex subset.  Fourteen vertices leave
-    four levels above the cap, where the deletions are memoized on raw facets
-    rather than on classes; a path that decided them without a memo would
-    make some 30,000 decisions, and at twelve vertices fewer than 2^12 and go
-    unseen."""
+    alone, and the class recursion is never called: at most one decision per
+    vertex subset.  Fourteen vertices leave four levels above the cap; a path
+    that recursed over their deletions without a memo would make some 30,000
+    decisions, and at twelve vertices fewer than 2^12 and go unseen."""
     calls = 0
 
     def counted(c, prop):

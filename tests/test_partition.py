@@ -111,7 +111,7 @@ def test_certificates_verify_on_corpus():
     for c in corpus(seed=41, count=80):
         decision = is_partitionable(c)
         if decision.partitionable:
-            assert verify_partition(c, decision.certificate.as_dict())
+            assert verify_partition(c, decision.certificate.assignment)
             positives += 1
         else:
             assert decision.certificate is None

@@ -96,7 +96,7 @@ def test_certificate_round_trips():
             shell_certs += 1
         partition = is_partitionable(c)
         if partition.partitionable:
-            assert verify_partition(c, partition.certificate.as_dict())
+            assert verify_partition(c, partition.certificate.assignment)
             part_certs += 1
     assert shell_certs >= 100 and part_certs >= 100
 
