@@ -8,20 +8,13 @@ from .complexes import (
     InvalidFaceError,
     PurityError,
     SimplicialComplex,
-    all_faces,
     face,
     face_vertices,
     format_complex,
     from_facets,
     parse_complex,
 )
-from .homology import (
-    BoundaryMatrix,
-    HomologyGroup,
-    boundary_matrix,
-    reduced_homology,
-    smith_normal_form,
-)
+from .homology import HomologyGroup, reduced_homology, smith_normal_form
 from .shelling import (
     ShellingCertificate,
     ShellingDecision,

@@ -23,8 +23,10 @@ them, so a hit rebuilds and re-checks nothing.  The tables are
 memos ``shelling._DECIDE_CACHE`` (the ``ShellingDecision``, its shelling
 verified once), ``partition._PARTITION_CACHE`` (the
 ``PartitionDecision``) and ``cohen_macaulay._CM_CACHE`` (the ``CMReport``
-of ``is_cohen_macaulay``), ``homology._HOMOLOGY_CACHE`` (one entry per
-complex, holding its reduced homology groups in every degree),
+of ``is_cohen_macaulay``, its only filler: the sequential Cohen-Macaulay
+scan reads link homology and stores no report), ``homology._HOMOLOGY_CACHE``
+(one entry per complex, holding its reduced homology groups in every
+degree),
 ``obstruction._HEREDITARY_CACHE`` (whether every restriction of a class
 satisfies a property, keyed by canonical form and property alone; the
 recursion that fills it stops one vertex above the labeling cap), and the

@@ -12,10 +12,19 @@ posets I", 1996), and a pure shellable complex is Cohen-Macaulay.  So
 ``is_sequentially_cm`` asks ``is_shellable`` first and answers yes without
 homology when there is a shelling; only the other complexes go through the
 pure-skeleton link scan, ``_pure_skeletons_cm``, which finds every witness.
-That scan reads the two lowest skeletons from the facets: a pure 0-complex
-is Cohen-Macaulay, and a pure 1-complex is Cohen-Macaulay exactly when it is
-connected, so neither is built, labelled or memoized.  ``is_cohen_macaulay``
-always scans.
+
+No pure skeleton is built.  The pure i-skeleton Δ^[i] is the i-skeleton of
+Δ_{≥i}, the subcomplex generated by the facets with at least i + 1
+vertices, and the link of a face τ in Δ^[i] is the (i − |τ|)-skeleton of
+its link in Δ_{≥i}.  A skeleton has the homology of the whole below its
+top degree, so the scan of Δ^[i], ``_find_witness(c, i)``, visits the faces
+of Δ_{≥i} with |τ| < i and reads each link's low homology from Δ_{≥i}; for a
+pure input, Δ_{≥i} is the input itself, whose links the homology memo
+already holds.  A link whose top degree is 0 in Δ^[i] (|τ| = i − 1) is
+read from its facets: H̃_0 = Z^(k−1) for k classes.  So the pure
+1-skeleton fails exactly when the edges fall into k > 1 classes, and the
+pure 0-skeleton, with no face below its top, always passes.
+``is_cohen_macaulay`` is the scan of the top skeleton, memoized.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import cache
-from .complexes import PurityError, SimplicialComplex, _edge_classes, all_faces
+from .complexes import PurityError, SimplicialComplex, _one_class, _upper, components
 from .homology import HomologyGroup, reduced_homology
 from .shelling import is_shellable
 
@@ -45,26 +54,34 @@ class CMReport:
     witness: Optional[CMWitness] = None
 
 
-def _find_witness(c: SimplicialComplex) -> Optional[CMWitness]:
-    # the link of a face τ of a pure d-complex is pure of dimension d - |τ|,
-    # so only faces with |τ| < d have a degree below the top to check
-    faces = [tau for tau in all_faces(c) if tau.bit_count() < c.dim]
-    if c.strongly_connected():
-        # all_faces order (dimension, then mask), reversed: links of large
-        # faces are small; scanning them first keeps the homology cache hot
-        # and fails fast on deep defects
+def _find_witness(c: SimplicialComplex, i: int) -> Optional[CMWitness]:
+    """The first face τ of the pure i-skeleton Δ^[i] whose link has a
+    nonvanishing group below its top degree i − |τ|, read from Δ_{≥i}."""
+    upper = _upper(c, i)
+    # only faces with |τ| < i have a degree below the top; order by
+    # (dimension, mask), reversed when Δ^[i] is strongly connected: links of
+    # large faces are small, so scanning them first keeps the homology
+    # cache hot and fails fast on deep defects
+    faces = [tau for k in range(-1, i - 1) for tau in upper.faces_of_dim(k)]
+    if _one_class(upper.facets, i):
         faces.reverse()
     for tau in faces:
-        link = c.link(tau)
-        for k in range(0, link.dim):
+        top = i - tau.bit_count()
+        if top == 1:
+            k = len(components(f ^ tau for f in upper.facets if f & tau == tau))
+            if k > 1:
+                return CMWitness(tau, 0, HomologyGroup(k - 1))
+            continue
+        link = upper.link(tau)
+        for k in range(0, top):
             group = reduced_homology(link, k)
             if not group.is_trivial():
                 return CMWitness(tau, k, group)
     return None
 
 
-def _link_scan(c: SimplicialComplex) -> CMReport:
-    witness = _find_witness(c)
+def _top_scan(c: SimplicialComplex) -> CMReport:
+    witness = _find_witness(c, c.dim)
     return CMReport(witness is None, witness)
 
 
@@ -72,22 +89,15 @@ def is_cohen_macaulay(c: SimplicialComplex) -> CMReport:
     """Reisner-style decision for pure complexes; raises PurityError otherwise."""
     if not c.is_pure():
         raise PurityError("Cohen-Macaulayness is defined for pure complexes")
-    return cache.memo(_CM_CACHE, c.facets, _link_scan, c)
+    return cache.memo(_CM_CACHE, c.facets, _top_scan, c)
 
 
 def _pure_skeletons_cm(c: SimplicialComplex) -> CMReport:
-    """The link scan of every pure skeleton, lowest first; no shelling consulted.
-
-    The only face below the top of a pure 1-complex is ∅, so it fails when
-    its edges fall into k > 1 classes, with the scan's witness H̃_0 = Z^(k-1).
-    """
-    k = _edge_classes(c.facets)
-    if k > 1:
-        return CMReport(False, CMWitness(0, 0, HomologyGroup(k - 1), skeleton_dim=1))
-    for i in range(2, c.dim + 1):
-        report = is_cohen_macaulay(c.pure_skeleton(i))
-        if not report.verdict:
-            return CMReport(False, replace(report.witness, skeleton_dim=i))
+    """The link scan of every pure skeleton, lowest first; no shelling consulted."""
+    for i in range(1, c.dim + 1):
+        witness = _find_witness(c, i)
+        if witness is not None:
+            return CMReport(False, replace(witness, skeleton_dim=i))
     return CMReport(True)
 
 

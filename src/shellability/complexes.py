@@ -119,6 +119,29 @@ def _edge_classes(facets: Iterable[int]) -> int:
     return len(components(f for f in facets if f.bit_count() >= 2))
 
 
+def _one_class(facets: tuple[int, ...], shared: int) -> bool:
+    """Whether the facets form one class when two that share at least
+    ``shared`` vertices are linked (at most one facet is one class).
+
+    The pure i-skeleton of a complex is strongly connected exactly when its
+    facets with at least i + 1 vertices form one class at ``shared = i``:
+    the i-faces of one facet are strongly connected, and an i-face of F
+    meets one of G in i vertices exactly when F and G share i vertices.
+    """
+    m = len(facets)
+    if m <= 1:
+        return True
+    reached = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(m):
+            if j not in reached and (facets[i] & facets[j]).bit_count() >= shared:
+                reached.add(j)
+                stack.append(j)
+    return len(reached) == m
+
+
 def subsets_of(mask: int) -> Iterator[int]:
     """All subsets of a face mask, the empty face included."""
     sub = mask
@@ -255,19 +278,7 @@ class SimplicialComplex:
         """Facet connectivity through codimension-one intersections (pure input only)."""
         if not self.is_pure():
             raise PurityError("strong connectivity is defined for pure complexes")
-        k = self.facets[0].bit_count()
-        m = len(self.facets)
-        if m <= 1:
-            return True
-        reached = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(m):
-                if j not in reached and (self.facets[i] & self.facets[j]).bit_count() == k - 1:
-                    reached.add(j)
-                    stack.append(j)
-        return len(reached) == m
+        return _one_class(self.facets, self.dim)
 
     # -- isomorphism ---------------------------------------------------------
 
@@ -674,6 +685,11 @@ def format_complex(c: SimplicialComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def all_faces(c: SimplicialComplex) -> list[int]:
-    """All faces as a deterministic sorted list (by dimension, then mask)."""
-    return sorted(c.faces(), key=_facet_sort_key)
+def _upper(c: SimplicialComplex, i: int) -> SimplicialComplex:
+    """Δ_{≥i}, the subcomplex generated by the facets with at least i + 1
+    vertices (i at most the dimension), whose i-skeleton is the pure
+    i-skeleton of c; c itself when that is every facet."""
+    if c.facets[0].bit_count() > i:
+        return c
+    top = tuple(f for f in c.facets if f.bit_count() > i)
+    return SimplicialComplex(top, union(top))

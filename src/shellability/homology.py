@@ -5,13 +5,18 @@ is a generator in dimension -1), so all homology here is reduced homology.
 Smith normal form is computed exactly; Python integers make every
 intermediate value arbitrary precision for free.
 
-Boundary matrices are sparse with entries ±1, so the reduction is one loop
-on sparse rows that eliminates on unit pivots first, as in Dumas,
-Heckenbach, Saunders and Welker, "Computing simplicial homology based on
-efficient Smith normal form algorithms" (2003): while some row has an entry
-±1, the sparsest such row clears its pivot's column by row operations, and
-the pivot's row and column are dropped, with the invariant factor 1.  Once
-no unit entry is left, the same loop pivots on an entry p of least
+Boundary matrices are sparse with entries ±1, and no dense matrix is
+built: ∂_k is reduced as its transpose, which has the same invariant
+factors, one sparse row {σ − v: ±1} per k-face σ, read straight from the
+faces.  The reduction is one loop on sparse rows that eliminates on unit
+pivots first, as in Dumas, Heckenbach, Saunders and Welker, "Computing
+simplicial homology based on efficient Smith normal form algorithms"
+(2003).  A column met by a single row with entry ±1 is a free face: that
+row and column are dropped at once, with the invariant factor 1, and no
+other row changes.  Otherwise, while some row has an entry ±1, the
+sparsest such row clears its pivot's column by row operations, and the
+pivot's row and column are dropped, with the invariant factor 1.  Once no
+unit entry is left, the same loop pivots on an entry p of least
 magnitude.  Row and column operations leave remainders below |p|; while
 one is left, p's row goes back and a smaller entry is the next pivot.  Once
 p clears its row and column, it is frozen only if it divides every entry
@@ -40,6 +45,7 @@ entry, holding its groups in every degree -1..dim.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import cache
@@ -80,65 +86,58 @@ class HomologyGroup:
 ZERO_GROUP = HomologyGroup(0)
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """The boundary map from k-chains to (k-1)-chains in sorted-mask bases."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-
-def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
-    """Augmented boundary matrix; k = 0 maps vertices onto the empty face."""
-    if k < -1:
-        raise ValueError("boundary is defined for k >= -1")
-    rows = tuple(c.faces_of_dim(k - 1))
-    cols = tuple(c.faces_of_dim(k))
-    index = {m: i for i, m in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
-    for j, col_face in enumerate(cols):
-        verts = face_vertices(col_face)
-        for pos, v in enumerate(verts):
-            sub = col_face ^ (1 << v)
-            entries[index[sub]][j] = -1 if pos % 2 else 1
-    return BoundaryMatrix(rows, cols, tuple(tuple(r) for r in entries))
-
-
 def smith_normal_form(matrix) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix, plus its rank.
 
-    Accepts any rectangular sequence of integer rows (a BoundaryMatrix's
-    entries included); an entry that is not an integer, such as a float or a
-    string, raises TypeError.  One loop on sparse rows: it pivots on the
-    sparsest row's unit entry while one is left, then on an entry of least
-    magnitude.
+    Accepts a sequence of rows, each either a rectangular sequence of
+    integers or a mapping {column: entry} of its nonzero entries; an entry
+    that is not an integer, such as a float or a string, raises TypeError.
+    One loop on sparse rows.  It first takes a column met by a single row
+    whose entry is ±1: that row is a free face, and dropping it changes no
+    other row.  Otherwise it pivots on the sparsest row's unit entry while
+    one is left, then on an entry of least magnitude.
     """
-    n_cols = len(matrix[0]) if matrix else 0
+    width = len(matrix[0]) if matrix else 0
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(matrix):
-        if len(row) != n_cols:
+        if isinstance(row, Mapping):
+            pairs = row.items()
+        elif len(row) != width:
             raise ValueError("ragged matrix")
-        entries = {j: v for j, v in enumerate(map(operator.index, row)) if v}
+        else:
+            pairs = enumerate(row)
+        entries = {j: v for j, v in ((j, operator.index(v)) for j, v in pairs) if v}
         if entries:
             rows[i] = entries
             for j in entries:
                 col_rows.setdefault(j, set()).add(i)
 
+    # columns met by a single row, at the start or once a pivot row is
+    # dropped; whether the entry is a unit is checked when one is taken
+    single = [j for j, met in col_rows.items() if len(met) == 1]
     divisors: list[int] = []
     while rows:
         pivot = None
-        shortest = n_cols + 1
-        for i, row in rows.items():
-            if len(row) >= shortest:
-                continue
-            for j, v in row.items():
-                if v == 1 or v == -1:
-                    pivot, pivot_col, shortest = i, j, len(row)
+        while single:
+            j = single.pop()
+            met = col_rows.get(j)
+            if met is not None and len(met) == 1:
+                i = next(iter(met))
+                if rows[i][j] in (1, -1):
+                    pivot, pivot_col = i, j
                     break
-            if shortest == 1:
-                break
+        if pivot is None:
+            shortest = len(col_rows) + 1  # every entry's column is a key
+            for i, row in rows.items():
+                if len(row) >= shortest:
+                    continue
+                for j, v in row.items():
+                    if v == 1 or v == -1:
+                        pivot, pivot_col, shortest = i, j, len(row)
+                        break
+                if shortest == 1:
+                    break
         if pivot is None:
             least = 0
             for i, row in rows.items():
@@ -147,7 +146,10 @@ def smith_normal_form(matrix) -> tuple[list[int], int]:
                         pivot, pivot_col, least = i, j, abs(v)
         pivot_row = rows.pop(pivot)
         for j in pivot_row:
-            col_rows[j].discard(pivot)
+            met = col_rows[j]
+            met.discard(pivot)
+            if len(met) == 1:
+                single.append(j)
         p = pivot_row[pivot_col]
         touched = col_rows.pop(pivot_col)
         for i in touched:
@@ -191,13 +193,27 @@ def smith_normal_form(matrix) -> tuple[list[int], int]:
     return divisors, len(divisors)
 
 
+def _boundary_rows(faces: list[int], cofaces: list[int]) -> list[dict[int, int]]:
+    """The transpose of ∂_k as sparse rows: one row {σ − v: ±1} per k-face σ
+    in ``cofaces``, its columns the positions of the (k−1)-faces in
+    ``faces``.  The sign of σ − v is (−1)^(position of v in σ)."""
+    index = {s: j for j, s in enumerate(faces)}
+    return [
+        {index[s ^ 1 << v]: -1 if pos % 2 else 1 for pos, v in enumerate(face_vertices(s))}
+        for s in cofaces
+    ]
+
+
 def _homology_groups(c: SimplicialComplex) -> tuple[HomologyGroup, ...]:
     """The groups of degrees -1..dim, from one reduction per map ∂_2..∂_dim.
 
     A cone, with a vertex in every facet, is contractible and needs no
     matrix.  ∂_1 is the signed incidence matrix of the 1-skeleton, which is
     totally unimodular: its rank is the vertex count less the number of
-    components, and it has no torsion.
+    components, and it has no torsion.  ∂_k for k >= 2 is reduced as its
+    transpose, which has the same invariant factors: one sparse row
+    {σ − v: ±1} per k-face σ, over the faces enumerated once and bucketed
+    by size, which give the f-vector too.
     """
     if c.dim < 0:
         return (HomologyGroup(1),)
@@ -210,16 +226,19 @@ def _homology_groups(c: SimplicialComplex) -> tuple[HomologyGroup, ...]:
     # of ranks and torsion belongs to ∂_{i-1}; at dim 0, ∂_1 is the zero map
     ranks = [0, 1, c.n_vertices - len(components(c.facets))]
     torsion: list[tuple[int, ...]] = [(), (), ()]
-    for k in range(2, c.dim + 1):
-        factors, rank = smith_normal_form(boundary_matrix(c, k).entries)
-        ranks.append(rank)
-        torsion.append(tuple(d for d in factors if d > 1))
-    ranks.append(0)
-    torsion.append(())
     if c.dim <= 1:  # the faces of a graph are ∅, its vertices and its edges
         f = [1, c.n_vertices, sum(fct.bit_count() == 2 for fct in c.facets)][: c.dim + 2]
     else:
-        f = c.f_vector()
+        by_size: list[list[int]] = [[] for _ in range(c.dim + 2)]
+        for s in c.faces():
+            by_size[s.bit_count()].append(s)
+        f = [len(faces) for faces in by_size]
+        for k in range(2, c.dim + 1):
+            factors, rank = smith_normal_form(_boundary_rows(by_size[k], by_size[k + 1]))
+            ranks.append(rank)
+            torsion.append(tuple(d for d in factors if d > 1))
+    ranks.append(0)
+    torsion.append(())
     return tuple(HomologyGroup(n - ranks[i] - ranks[i + 1], torsion[i + 1]) for i, n in enumerate(f))
 
 

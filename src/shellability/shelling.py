@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import cache
 from .complexes import (
-    SimplicialComplex, _edge_classes, face_vertices, subsets_of, union,
+    SimplicialComplex, _edge_classes, _upper, face_vertices, subsets_of, union,
 )
 from .homology import reduced_homology
 
@@ -151,16 +151,20 @@ def _homology_prescreen_nonshellable(c: SimplicialComplex) -> bool:
     A pure shellable complex has vanishing reduced homology below its
     dimension, and every pure skeleton of a shellable complex is shellable;
     so a nontrivial low group of any pure skeleton is a certificate of
-    nonshellability.
+    nonshellability.  No skeleton is built: the pure i-skeleton is the
+    i-skeleton of Δ_{≥i}, the subcomplex generated by the facets with at
+    least i + 1 vertices, so its groups below degree i are those of Δ_{≥i},
+    which is the complex itself when it is pure.  H̃_0 of the pure
+    1-skeleton is Z^(k-1) for k classes of edges.
     """
-    if c.is_pure():
-        return any(not reduced_homology(c, k).is_trivial() for k in range(0, c.dim))
-    # H̃_0 of the pure 1-skeleton is Z^(k-1) for k classes of edges
     if _edge_classes(c.facets) > 1:
         return True
-    for i in range(2, c.dim + 1):
-        skel = c.pure_skeleton(i)
-        if any(not reduced_homology(skel, k).is_trivial() for k in range(0, i)):
+    # when no facet has i + 1 vertices, Δ_{≥i} = Δ_{≥i+1}, and the check of
+    # degrees below i + 1 covers that of degrees below i; so only the facet
+    # dimensions are checked
+    for i in sorted({f.bit_count() - 1 for f in c.facets if f.bit_count() > 2}):
+        upper = _upper(c, i)
+        if any(not reduced_homology(upper, k).is_trivial() for k in range(0, i)):
             return True
     return False
 

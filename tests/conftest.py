@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from pathlib import Path
@@ -178,3 +179,28 @@ def homology_oracle_inputs() -> list[SimplicialComplex]:
             for d in [s] + [s.link(tau) for tau in s.faces()]:
                 seen.setdefault(d.facets, d)
     return list(seen.values())
+
+
+def mixed_size_draws(seed: int, count: int) -> list[SimplicialComplex]:
+    """Seeded complexes on 5..9 vertices with two to seven faces drawn of
+    sizes 2..5, so that the subcomplex generated by the facets with at least
+    i + 1 vertices changes with i; a draw left with one facet is drawn again."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(5, 9)
+        c = from_facets([rng.sample(range(n), rng.randint(2, 5)) for _ in range(rng.randint(2, 7))])
+        if len(c.facets) >= 2:
+            out.append(c)
+    return out
+
+
+@functools.cache
+def skeleton_identity_inputs() -> tuple[SimplicialComplex, ...]:
+    """The inputs on which the scans that read each pure skeleton from the
+    facets with enough vertices are compared with the scans of the built
+    skeletons: 1,200 mixed-size draws, the homology oracle's inputs, and the
+    cones and suspensions of the golden classes."""
+    golden = golden_classes()
+    inputs = mixed_size_draws(seed=33, count=1200) + homology_oracle_inputs()
+    return tuple(inputs + [cone(c) for c in golden] + [suspension(c) for c in golden])

@@ -5,7 +5,7 @@ characterisation directly, without the fast paths, prescreens or memo tables
 of the deciders it checks.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 from typing import Optional
 
@@ -16,7 +16,7 @@ from shellability.complexes import (
     CapacityError,
     InvalidFaceError,
     SimplicialComplex,
-    all_faces,
+    _facet_sort_key,
     face_vertices,
     from_facets,
     subsets_of,
@@ -24,12 +24,17 @@ from shellability.complexes import (
 )
 from shellability.enumeration import MAX_OBSTRUCTION_VERTICES, _sort_key
 from shellability.graphs import Graph, graph_from_edges, independence_complex
-from shellability.homology import HomologyGroup, boundary_matrix, reduced_homology, smith_normal_form
+from shellability.homology import HomologyGroup, reduced_homology, smith_normal_form
 from shellability.obstruction import ObstructionReport, _proper_subsets_desc, obstruction_report
 from shellability.properties import PropertyKind, satisfies
 from shellability.shelling import ShellingDecision, _attach_order, _certificate, is_shellable
 
 from conftest import is_connected, relabel
+
+
+def all_faces(c: SimplicialComplex) -> list[int]:
+    """All faces as a deterministic sorted list (by dimension, then mask)."""
+    return sorted(c.faces(), key=_facet_sort_key)
 
 
 def plain_search_ordering(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
@@ -126,8 +131,9 @@ def shellable_through_skeletons(c: SimplicialComplex) -> ShellingDecision:
 
 def homology_prescreen_by_skeletons(c: SimplicialComplex) -> bool:
     """The reference for ``shelling._homology_prescreen_nonshellable``: the
-    low homology of every pure skeleton, 1 included, as before H̃_0 of the
-    pure 1-skeleton was read from the classes of edges."""
+    low homology of every built pure skeleton, 1 included, as before H̃_0
+    of the pure 1-skeleton was read from the classes of edges and the
+    groups of the others from the facets with enough vertices."""
     if c.is_pure():
         return any(not reduced_homology(c, k).is_trivial() for k in range(0, c.dim))
     for i in range(1, c.dim + 1):
@@ -722,6 +728,36 @@ def naive_exact_cover_assignment(c: SimplicialComplex) -> Optional[tuple[tuple[i
     return None
 
 
+@dataclass(frozen=True)
+class BoundaryMatrix:
+    """The boundary map from k-chains to (k-1)-chains in sorted-mask bases."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    entries: tuple[tuple[int, ...], ...]
+
+
+def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
+    """Augmented boundary matrix; k = 0 maps vertices onto the empty face.
+
+    The dense reference for the sparse rows of ``homology._homology_groups``:
+    the matrix homology built before it read ∂_k's transpose straight from
+    the faces, kept verbatim.
+    """
+    if k < -1:
+        raise ValueError("boundary is defined for k >= -1")
+    rows = tuple(c.faces_of_dim(k - 1))
+    cols = tuple(c.faces_of_dim(k))
+    index = {m: i for i, m in enumerate(rows)}
+    entries = [[0] * len(cols) for _ in rows]
+    for j, col_face in enumerate(cols):
+        verts = face_vertices(col_face)
+        for pos, v in enumerate(verts):
+            sub = col_face ^ (1 << v)
+            entries[index[sub]][j] = -1 if pos % 2 else 1
+    return BoundaryMatrix(rows, cols, tuple(tuple(r) for r in entries))
+
+
 def dense_smith_normal_form(matrix) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix, plus its rank.
 
@@ -840,8 +876,10 @@ def homology_group_by_degree(c: SimplicialComplex, k: int) -> HomologyGroup:
 def full_scan_witness(rep: SimplicialComplex) -> Optional[CMWitness]:
     """The first face whose link has a nonvanishing group below its top.
 
-    The reference for ``cohen_macaulay._find_witness``: the scan it ran
-    before it skipped the faces whose links have no degree to check, kept
+    The reference for ``cohen_macaulay._find_witness`` at the top skeleton
+    of a pure complex: the scan it ran before it skipped the faces whose
+    links have no degree to check and read the graph links' H̃_0 from their
+    facets, kept
     verbatim except that homology comes from ``homology_group_by_degree``.
     It builds the link of every face.
     """
@@ -861,8 +899,9 @@ def full_scan_witness(rep: SimplicialComplex) -> Optional[CMWitness]:
 
 def pure_skeletons_cm_by_scan(c: SimplicialComplex) -> CMReport:
     """The reference for ``cohen_macaulay._pure_skeletons_cm``: every pure
-    skeleton, 0 and 1 included, through ``is_cohen_macaulay``, lowest first,
-    as before the low two were read from the facets."""
+    skeleton, 0 and 1 included, built and scanned through
+    ``is_cohen_macaulay``, lowest first, as before each skeleton was read
+    from the facets with enough vertices."""
     for i in range(0, c.dim + 1):
         report = is_cohen_macaulay(c.pure_skeleton(i))
         if not report.verdict:

@@ -19,7 +19,8 @@ from shellability.properties import PropertyKind
 from shellability.shelling import is_shellable
 
 from conftest import (
-    DUNCE_HAT_FACETS, cone, corpus, full_simplex, golden_classes, homology_oracle_inputs, is_connected, suspension,
+    DUNCE_HAT_FACETS, cone, corpus, full_simplex, golden_classes, homology_oracle_inputs, is_connected,
+    skeleton_identity_inputs, suspension,
 )
 from oracles import full_scan_witness, homology_group_by_degree, pure_skeletons_cm_by_scan
 
@@ -189,12 +190,12 @@ def test_ind_cycles_not_scm():
 
 
 def test_is_cohen_macaulay_returns_the_full_scan_witness(monkeypatch):
-    """Through the canonical-form memo, so on the representative and
-    relabelled back, as the package runs the scan."""
+    """Through the memo, as the package runs the scan: the scan of the top
+    skeleton, read from the complex's links, finds the full scan's witness."""
     pure = [c for c in homology_oracle_inputs() if c.is_pure()]
     cache.clear_all_caches()
     reports = [is_cohen_macaulay(c) for c in pure]
-    monkeypatch.setattr(cohen_macaulay, "_find_witness", full_scan_witness)
+    monkeypatch.setattr(cohen_macaulay, "_find_witness", lambda c, i: full_scan_witness(c))
     cache.clear_all_caches()
     assert reports == [is_cohen_macaulay(c) for c in pure]
     assert sum(not r.verdict for r in reports) >= 90
@@ -202,8 +203,10 @@ def test_is_cohen_macaulay_returns_the_full_scan_witness(monkeypatch):
 
 def test_the_witness_scan_builds_only_links_with_a_degree_to_check(monkeypatch):
     """A face τ of a pure d-complex has a link of dimension d - |τ|, with a
-    degree below its top only when |τ| < d.  The scan builds exactly those
-    links, in the full scan's order, and returns the same witness."""
+    degree below its top only when |τ| < d.  The scan visits exactly those
+    faces, in the full scan's order, and returns the same witness; it
+    builds the links of those with |τ| < d - 1 and reads H̃_0 of the others,
+    graphs, from their facets."""
     built: list[int] = []
     real_link = SimplicialComplex.link
 
@@ -217,20 +220,23 @@ def test_the_witness_scan_builds_only_links_with_a_degree_to_check(monkeypatch):
     for c in pure:
         built.clear()
         expected_witness = full_scan_witness(c)
-        expected = [tau for tau in built if tau.bit_count() < c.dim]
-        skipped += len(built) - len(expected)
+        visited = [tau for tau in built if tau.bit_count() < c.dim]
+        skipped += len(built) - len(visited)
         built.clear()
-        assert _find_witness(c) == expected_witness, c.facets
-        assert built == expected, c.facets
+        assert _find_witness(c, c.dim) == expected_witness, c.facets
+        # the full scan stops at the same face, so the faces visited are
+        # those up to the witness
+        assert built == [tau for tau in visited if tau.bit_count() < c.dim - 1], c.facets
         witnesses += expected_witness is not None
     assert skipped >= 1000 and witnesses >= 90
 
 
 def test_the_skeleton_scan_reads_skeletons_0_and_1_from_the_facets(monkeypatch):
     """The same reports as scanning every pure skeleton, witness and
-    skeleton_dim included, while is_cohen_macaulay never gets a skeleton of
-    dimension 1 or less: a pure 0-complex is Cohen-Macaulay, and a pure
-    1-complex fails exactly when its edges fall into more than one class."""
+    skeleton_dim included, while is_cohen_macaulay never gets a skeleton: a
+    pure 0-complex is Cohen-Macaulay, a pure 1-complex fails exactly when
+    its edges fall into more than one class, and the higher skeletons are
+    read from the facets with enough vertices."""
     golden = golden_classes()
     inputs = homology_oracle_inputs() + golden + [cone(c) for c in golden] + [suspension(c) for c in golden]
     inputs += [from_facets(facets) for facets in (
@@ -254,5 +260,23 @@ def test_the_skeleton_scan_reads_skeletons_0_and_1_from_the_facets(monkeypatch):
     above = sum(not r.verdict and r.witness.skeleton_dim >= 2 for r in expected)
     assert all(r.witness.skeleton_dim != 0 for r in expected if not r.verdict)
     assert at_one >= 60 and above >= 250 and sum(r.verdict for r in expected) >= 1200
-    assert handed and min(handed) >= 2
+    assert handed == []
     assert _pure_skeletons_cm(from_facets([{0, 1}, {2, 3}, {4, 5}, {6}])).witness.group == HomologyGroup(2)
+
+
+def test_the_skeleton_scan_reads_each_skeleton_from_the_facets_with_enough_vertices():
+    """The scan of the pure i-skeleton reads it from Δ_{≥i}, the subcomplex
+    generated by the facets with at least i + 1 vertices: the same faces,
+    and each link's groups below its top degree from the link in Δ_{≥i}.
+    The reports equal those of scanning every built pure skeleton, witness
+    and skeleton_dim included, on inputs where Δ_{≥i} changes with i."""
+    inputs = skeleton_identity_inputs()
+    cache.clear_all_caches()
+    expected = [pure_skeletons_cm_by_scan(c) for c in inputs]
+    cache.clear_all_caches()
+    for c, want in zip(inputs, expected):
+        assert _pure_skeletons_cm(c) == want, c.facets
+    # nonpure inputs that fail at a skeleton strictly between 1 and the top
+    between = sum(not r.verdict and not c.is_pure() and 1 < r.witness.skeleton_dim < c.dim
+                  for c, r in zip(inputs, expected))
+    assert len(inputs) >= 2700 and between >= 300

@@ -16,7 +16,6 @@ from shellability.complexes import (
     FacetAbsorbedWarning,
     InvalidFaceError,
     PurityError,
-    all_faces,
     components,
     face,
     face_vertices,
@@ -29,8 +28,8 @@ from shellability.graphs import cycle_graph, independence_complex
 from shellability.partition import band_complex
 from shellability.shelling import is_shellable
 
-from conftest import corpus, full_simplex, homology_oracle_inputs, is_connected, relabel
-from oracles import link_by_definition, pure_skeleton_by_definition, tuple_refine_colors
+from conftest import corpus, full_simplex, homology_oracle_inputs, is_connected, relabel, skeleton_identity_inputs
+from oracles import all_faces, link_by_definition, pure_skeleton_by_definition, tuple_refine_colors
 
 
 def masks(*vertex_sets):
@@ -170,6 +169,25 @@ def test_connectivity(two_k2, delta5):
     assert is_connected(from_facets([]))
     with pytest.raises(PurityError):
         from_facets(masks({0, 1, 2}, {3, 4})).strongly_connected()
+
+
+def test_the_facets_with_enough_vertices_give_each_pure_skeleton_and_its_strong_connectivity():
+    """The pure i-skeleton is the pure i-skeleton of Δ_{≥i}, the subcomplex
+    generated by the facets with at least i + 1 vertices, and it is strongly
+    connected exactly when those facets form one class when two that share
+    at least i vertices are linked; for every i from 0 to the dimension."""
+    split = checked = 0
+    for c in skeleton_identity_inputs():
+        for i in range(0, c.dim + 1):
+            upper = complexes._upper(c, i)
+            assert upper.facets == tuple(f for f in c.facets if f.bit_count() > i), (c.facets, i)
+            skeleton = c.pure_skeleton(i)
+            assert upper.pure_skeleton(i) == skeleton, (c.facets, i)
+            want = skeleton.strongly_connected()
+            assert complexes._one_class(upper.facets, i) == want, (c.facets, i)
+            split += not want
+            checked += 1
+    assert checked >= 9000 and split >= 900
 
 
 def test_components_and_union():
@@ -603,19 +621,31 @@ def test_only_the_cache_module_trims_or_stores_into_a_module_table():
     assert found == []
 
 
-def test_the_deciders_never_call_the_canonical_labeling():
-    """The deciders and homology memoize on raw facets: no call in their
-    modules names ``canonical_form`` or ``memoized``.  Only the hereditary
-    memo and the enumeration work on isomorphism classes."""
+def _calls_named(modules: tuple[str, ...], names: tuple[str, ...]) -> list[str]:
+    """Each call in the modules to a function or method of one of the names."""
     found = []
-    for module in ("shelling", "partition", "cohen_macaulay", "homology"):
+    for module in modules:
         for node in ast.walk(_package_trees()[f"{module}.py"]):
             if isinstance(node, ast.Call):
                 func = node.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called in ("canonical_form", "memoized"):
+                if called in names:
                     found.append(f"{module}.py:{node.lineno} {called}")
-    assert found == []
+    return found
+
+
+def test_the_deciders_never_call_the_canonical_labeling():
+    """The deciders and homology memoize on raw facets: no call in their
+    modules names ``canonical_form`` or ``memoized``.  Only the hereditary
+    memo and the enumeration work on isomorphism classes."""
+    assert _calls_named(("shelling", "partition", "cohen_macaulay", "homology"), ("canonical_form", "memoized")) == []
+
+
+def test_the_skeleton_scans_never_build_a_pure_skeleton():
+    """The sequential Cohen-Macaulay scan and the shelling prescreen read
+    each pure skeleton from the facets with enough vertices and their
+    links: no call in their modules names ``pure_skeleton``."""
+    assert _calls_named(("cohen_macaulay", "shelling"), ("pure_skeleton",)) == []
 
 
 # Definitions kept although nothing in the package calls them, each with its reason.

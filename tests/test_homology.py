@@ -11,17 +11,14 @@ from shellability import cache, complexes, homology
 from shellability.cohen_macaulay import is_sequentially_cm
 from shellability.complexes import from_facets
 from shellability.graphs import cycle_graph, independence_complex
-from shellability.homology import (
-    HomologyGroup,
-    boundary_matrix,
-    reduced_homology,
-    smith_normal_form,
-)
+from shellability.homology import HomologyGroup, reduced_homology, smith_normal_form
 from shellability.partition import band_complex, is_partitionable, verify_partition
 from shellability.shelling import is_shellable
 
-from conftest import DUNCE_HAT_FACETS, RP2_FACETS, corpus, full_simplex, homology_oracle_inputs, relabel
-from oracles import dense_smith_normal_form, euler_characteristic, homology_group_by_degree
+from conftest import (
+    DUNCE_HAT_FACETS, RP2_FACETS, cone, corpus, full_simplex, homology_oracle_inputs, relabel, suspension,
+)
+from oracles import boundary_matrix, dense_smith_normal_form, euler_characteristic, homology_group_by_degree
 
 
 def matmul(a, b):
@@ -66,6 +63,46 @@ def test_snf_rejects_entries_that_are_not_integers(matrix):
     """A float or a string entry is refused, not truncated to an integer."""
     with pytest.raises(TypeError):
         smith_normal_form(matrix)
+
+
+def test_a_column_met_by_one_row_with_a_non_unit_entry_is_no_free_face():
+    """Each column of [[2, 0], [0, 3]] is met by one row, but neither entry
+    is a unit, so neither row may be dropped with the factor 1: the factors
+    are 1 and 6, as dense rows and as mapping rows."""
+    assert smith_normal_form([[2, 0], [0, 3]]) == ([1, 6], 2)
+    assert smith_normal_form([{0: 2}, {1: 3}]) == ([1, 6], 2)
+    assert smith_normal_form([{1: 3}, {0: 2}]) == ([1, 6], 2)
+    # a unit beside them is a free face, and the rest still reduces to 6
+    assert smith_normal_form([{0: 2}, {1: 3}, {2: -1}]) == ([1, 1, 6], 3)
+    with pytest.raises(TypeError):
+        smith_normal_form([{0: 1.5}])
+
+
+def test_the_sparse_boundary_rows_are_the_transpose_of_the_dense_map():
+    """For every homology oracle input and k = 2..dim, the rows that homology
+    reduces are the transpose of the dense ∂_k, and give the factors of the
+    dense reduction and of sympy; RP2, its cone and its suspension carry
+    the torsion."""
+    checked = torsion = 0
+    for c in homology_oracle_inputs():
+        for k in range(2, c.dim + 1):
+            dense = boundary_matrix(c, k)
+            rows = homology._boundary_rows(c.faces_of_dim(k - 1), c.faces_of_dim(k))
+            transpose = [{i: r[j] for i, r in enumerate(dense.entries) if r[j]} for j in range(len(dense.cols))]
+            assert rows == transpose, (c.facets, k)
+            got = smith_normal_form(rows)
+            assert got == dense_smith_normal_form(dense.entries), (c.facets, k)
+            assert got[0] == _sympy_factors(dense.entries), (c.facets, k)
+            checked += 1
+            torsion += any(d > 1 for d in got[0])
+    assert checked >= 600 and torsion >= 2
+    # the torsion of ∂_2..∂_dim: RP2's C2 in H_1, none in its cone, and in
+    # degree 2 of its suspension
+    rp2 = from_facets(RP2_FACETS)
+    for c, want in ((rp2, [[2]]), (cone(rp2), [[], []]), (suspension(rp2), [[], [2]])):
+        factors = [smith_normal_form(homology._boundary_rows(c.faces_of_dim(k - 1), c.faces_of_dim(k)))[0]
+                   for k in range(2, c.dim + 1)]
+        assert [[d for d in f if d > 1] for f in factors] == want, c.facets
 
 
 def test_snf_against_rational_rank_and_sympy():
@@ -282,21 +319,18 @@ def test_the_first_boundary_map_has_rank_vertices_less_components_and_no_torsion
 
 
 def _count_reductions(monkeypatch) -> tuple[list[int], list[int]]:
-    """Record the degree of every boundary matrix that homology builds, and
-    count its calls to ``smith_normal_form``."""
+    """Record the degree of every boundary map that homology reduces, read
+    from its rows (a row of ∂_k's transpose is a k-face, with k + 1
+    entries), and count its calls to ``smith_normal_form``."""
     built: list[int] = []
     reductions = [0]
-    real_boundary, real_snf = homology.boundary_matrix, homology.smith_normal_form
-
-    def boundary(c, k):
-        built.append(k)
-        return real_boundary(c, k)
+    real_snf = homology.smith_normal_form
 
     def snf(matrix):
         reductions[0] += 1
+        built.append(len(matrix[0]) - 1)
         return real_snf(matrix)
 
-    monkeypatch.setattr(homology, "boundary_matrix", boundary)
     monkeypatch.setattr(homology, "smith_normal_form", snf)
     return built, reductions
 

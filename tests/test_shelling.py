@@ -7,11 +7,15 @@ from shellability import cache
 from shellability.cohen_macaulay import is_cohen_macaulay, is_sequentially_cm
 from shellability.complexes import SimplicialComplex, face_vertices, from_facets
 from shellability.graphs import cycle_graph, independence_complex
+from shellability.homology import reduced_homology
 from shellability import shelling
 from shellability.partition import band_complex, is_partitionable, verify_partition
 from shellability.shelling import is_shellable, verify_shelling
 
-from conftest import DUNCE_HAT_FACETS, corpus, full_simplex, golden_classes, homology_oracle_inputs, is_connected, relabel
+from conftest import (
+    DUNCE_HAT_FACETS, corpus, full_simplex, golden_classes, homology_oracle_inputs, is_connected, relabel,
+    skeleton_identity_inputs,
+)
 from oracles import (
     fast_paths_agree, homology_prescreen_by_skeletons, plain_search_ordering, shellable_by_search,
     shellable_through_skeletons,
@@ -324,6 +328,25 @@ def test_the_prescreen_reads_the_1_skeleton_from_the_facets():
         assert verdict == homology_prescreen_by_skeletons(c), c.facets
         split += not is_connected(c.pure_skeleton(1))
     assert len(nonpure) >= 550 and split >= 60
+
+
+def test_the_prescreen_reads_each_skeleton_from_the_facets_with_enough_vertices():
+    """The same verdicts as reading the low homology of every built pure
+    skeleton: the pure i-skeleton's groups below degree i are those of the
+    subcomplex generated by the facets with at least i + 1 vertices."""
+    inputs = skeleton_identity_inputs()
+    cache.clear_all_caches()
+    expected = [homology_prescreen_by_skeletons(c) for c in inputs]
+    cache.clear_all_caches()
+    fired = below_top = 0
+    for c, want in zip(inputs, expected):
+        assert shelling._homology_prescreen_nonshellable(c) == want, c.facets
+        fired += want
+        # nonpure, with edges in one class and nothing wrong with the top
+        # skeleton's homology, so only a skeleton between them fires
+        below_top += (want and not c.is_pure() and is_connected(c.pure_skeleton(1))
+                      and not any(not reduced_homology(c.pure_skeleton(c.dim), k).is_trivial() for k in range(c.dim)))
+    assert len(inputs) >= 2700 and fired >= 350 and below_top >= 150
 
 
 def test_nonshellable_input_past_the_prescreen_is_searched_once(monkeypatch):
