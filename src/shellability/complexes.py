@@ -113,12 +113,6 @@ def components(masks: Iterable[int]) -> list[int]:
     return comps
 
 
-def _edge_classes(facets: Iterable[int]) -> int:
-    """The number of components of the 1-skeleton's edges: the facets with
-    an edge, linked by shared vertices (0 when there is no edge)."""
-    return len(components(f for f in facets if f.bit_count() >= 2))
-
-
 def _one_class(facets: tuple[int, ...], shared: int) -> bool:
     """Whether the facets form one class when two that share at least
     ``shared`` vertices are linked (at most one facet is one class).
@@ -188,10 +182,10 @@ class SimplicialComplex:
     facets: tuple[int, ...]
     vertices: int
 
-    def __init__(self, facets: tuple[int, ...], vertices: int):
+    def __init__(self, facets: tuple[int, ...]):
         # Internal: use from_facets(), which normalises to an antichain.
         self.facets = facets
-        self.vertices = vertices
+        self.vertices = union(facets)
         self._faces = None
         self._faces_by_dim = None
         self._canon = None
@@ -259,7 +253,7 @@ class SimplicialComplex:
         rest = [fct ^ t for fct in self.facets if fct & t == t]
         if not rest:
             raise InvalidFaceError(f"{face_vertices(t)} is not a face of the complex")
-        return SimplicialComplex(tuple(rest), union(rest))
+        return SimplicialComplex(tuple(rest))
 
     def pure_skeleton(self, i: int) -> "SimplicialComplex":
         """The subcomplex generated by all i-dimensional faces.
@@ -270,7 +264,7 @@ class SimplicialComplex:
         skeleton dimensions never have to guard the top end.
         """
         top = self.faces_of_dim(i) or [0]
-        return SimplicialComplex(tuple(top), union(top))
+        return SimplicialComplex(tuple(top))
 
     # -- connectivity ------------------------------------------------------
 
@@ -321,7 +315,7 @@ def from_facets(candidates: Iterable[FaceLike]) -> SimplicialComplex:
     if not kept:
         kept = [0]
     kept.sort(key=_facet_sort_key)
-    return SimplicialComplex(tuple(kept), union(kept))
+    return SimplicialComplex(tuple(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -692,4 +686,4 @@ def _upper(c: SimplicialComplex, i: int) -> SimplicialComplex:
     if c.facets[0].bit_count() > i:
         return c
     top = tuple(f for f in c.facets if f.bit_count() > i)
-    return SimplicialComplex(top, union(top))
+    return SimplicialComplex(top)

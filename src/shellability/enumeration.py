@@ -32,7 +32,9 @@ influence connectivity of the 1-skeleton; its triangle set T must satisfy
 
 because restrictions of an obstruction are shellable and a two-dimensional
 complex is shellable exactly when its pure 2-skeleton is shellable and its
-edge part is connected.  Vertices outside the triangle support are
+facets with an edge form one class: the rule that the ``shelling`` module
+draws from the rearrangement lemma for every complex with a facet of at
+most two vertices.  Vertices outside the triangle support are
 impossible for the same reason (deleting one leaves the triangle set intact
 and shellable, forcing the whole complex shellable).  Triangle sets with the
 property above ("cores") are found by a level-wise search over the support

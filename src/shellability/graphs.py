@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .complexes import CapacityError, SimplicialComplex, _facet_sort_key, face_vertices, union
+from .complexes import CapacityError, SimplicialComplex, _facet_sort_key, face_vertices
 from .homology import HomologyGroup, reduced_homology
 from .obstruction import is_hereditary, obstruction_report
 from .partition import _two_private_facets, band_complex, is_partitionable
@@ -95,7 +95,7 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     if g.n == 0:
         raise ValueError("independence complex needs at least one vertex")
     facets = sorted(maximal_independent_sets(g), key=_facet_sort_key)
-    return SimplicialComplex(tuple(facets), union(facets))
+    return SimplicialComplex(tuple(facets))
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,6 @@ class CycleObstructionReport:
     @property
     def ok(self) -> bool:
         return all(case.ok for case in self.cases)
-
-
-def _has_two_disjoint_top_facets(c: SimplicialComplex) -> bool:
-    top = c.dim + 1
-    tops = [f for f in c.facets if f.bit_count() == top]
-    return any(a & b == 0 for a, b in combinations(tops, 2))
 
 
 def independence_cycle_report(n_max: int = 9) -> CycleObstructionReport:
@@ -161,21 +155,20 @@ def independence_cycle_report(n_max: int = 9) -> CycleObstructionReport:
 
         disjoint = band = private = h1 = hereditary = None
         checks = [ind.dim == d, report.is_obstruction == expected, report.is_strong == expected]
+        top = ind.pure_skeleton(d)
         if n % 2 == 0:
-            disjoint = _has_two_disjoint_top_facets(ind)
+            disjoint = any(a & b == 0 for a, b in combinations(top.facets, 2))
             checks.append(disjoint)
         else:
-            skel = ind.pure_skeleton(d)
-            band = skel.is_isomorphic(band_complex(d, n))
+            band = top.is_isomorphic(band_complex(d, n))
             checks.append(band)
         if expected:
             checks += [not shellable, not partitionable, not scm]
             if n % 2 == 0:
                 private = _two_private_facets(ind)
-                skel = ind.pure_skeleton(d)
-                checks += [private, not skel.strongly_connected()]
+                checks += [private, not top.strongly_connected()]
             else:
-                h1 = reduced_homology(ind.pure_skeleton(d), 1)
+                h1 = reduced_homology(top, 1)
                 checks.append(h1 == HomologyGroup(1))
         else:
             hereditary = is_hereditary(ind, PropertyKind.SHELLABLE)[0]

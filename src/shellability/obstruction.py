@@ -74,7 +74,7 @@ def _hereditary(c: SimplicialComplex, prop: PropertyKind) -> bool:
 
 
 def _decide_hereditary(canon: CanonicalForm, prop: PropertyKind) -> bool:
-    c = SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1)
+    c = SimplicialComplex(canon.facets)
     return satisfies(c, prop) and _deletions_hereditary(c, prop)
 
 

@@ -11,12 +11,19 @@ earlier facet.  Both formulations are implemented and verified against each
 other once per decision: the decider memoizes each decision with its
 certificate.
 
-The decision procedure backtracks over dimension-nonincreasing orderings
-only; a shellable complex always admits such a shelling (the rearrangement
-property of shellings), so the restricted search is still exact.  It records
-the sets of placed facets that fail to extend, so it visits each set at most
-once.  Partitionability and sequential Cohen-Macaulayness ask this decider
-first, since a shelling proves both.
+By the rearrangement lemma (Björner and Wachs, "Shellable nonpure complexes
+and posets I", Trans. AMS 1996), a shellable complex has a shelling in order
+of nonincreasing dimension.  Its facets with at least three vertices come
+first and shell Δ_{≥2}, the subcomplex they generate; an edge facet then
+attaches exactly when it meets what came before, and a vertex facet always
+does.  So a complex with a facet of at most two vertices, in any dimension,
+is shellable exactly when its facets with an edge form one class under
+shared vertices and Δ_{≥2} is empty or shellable.  Every other complex is
+prescreened, then searched over dimension-nonincreasing orderings only,
+which the same lemma keeps exact; the search records the sets of placed
+facets that fail to extend, so it visits each set at most once.
+Partitionability and sequential Cohen-Macaulayness ask this decider first,
+since a shelling proves both.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Optional
 
 from . import cache
 from .complexes import (
-    SimplicialComplex, _edge_classes, _upper, face_vertices, subsets_of, union,
+    SimplicialComplex, _one_class, _upper, components, face_vertices, subsets_of, union,
 )
 from .homology import reduced_homology
 
@@ -145,41 +152,37 @@ def _search_ordering(c: SimplicialComplex) -> Optional[tuple[int, ...]]:
     return tuple(chosen) if extend(0) else None
 
 
-def _homology_prescreen_nonshellable(c: SimplicialComplex) -> bool:
-    """True when homology already rules shellability out.
+def _skeleton_prescreen_nonshellable(c: SimplicialComplex) -> bool:
+    """True when a pure skeleton already rules shellability out.
 
-    A pure shellable complex has vanishing reduced homology below its
-    dimension, and every pure skeleton of a shellable complex is shellable;
-    so a nontrivial low group of any pure skeleton is a certificate of
-    nonshellability.  No skeleton is built: the pure i-skeleton is the
-    i-skeleton of Δ_{≥i}, the subcomplex generated by the facets with at
-    least i + 1 vertices, so its groups below degree i are those of Δ_{≥i},
-    which is the complex itself when it is pure.  H̃_0 of the pure
-    1-skeleton is Z^(k-1) for k classes of edges.
+    Every pure skeleton of a shellable complex is shellable, so strongly
+    connected and acyclic below its top; a pure i-skeleton that is not is a
+    certificate of nonshellability.  No skeleton is built: the pure
+    i-skeleton is the i-skeleton of Δ_{≥i}, the subcomplex generated by the
+    facets with at least i + 1 vertices.  It is strongly connected exactly
+    when those facets form one class at i shared vertices, and its groups
+    below degree i are those of Δ_{≥i}, which is the complex itself when it
+    is pure.
     """
-    if _edge_classes(c.facets) > 1:
-        return True
-    # when no facet has i + 1 vertices, Δ_{≥i} = Δ_{≥i+1}, and the check of
-    # degrees below i + 1 covers that of degrees below i; so only the facet
-    # dimensions are checked
-    for i in sorted({f.bit_count() - 1 for f in c.facets if f.bit_count() > 2}):
+    # when no facet has i + 1 vertices, Δ_{≥i} = Δ_{≥i+1}, and the checks at
+    # i + 1 cover those at i; so only the facet dimensions are checked
+    for i in sorted({f.bit_count() - 1 for f in c.facets}):
         upper = _upper(c, i)
-        if any(not reduced_homology(upper, k).is_trivial() for k in range(0, i)):
+        if not _one_class(upper.facets, i):
+            return True
+        if any(not reduced_homology(upper, k).is_trivial() for k in range(i)):
             return True
     return False
 
 
-def _attach_order(seen: int, edge_facets: list[int]) -> Optional[list[int]]:
-    """Order edge facets so each one touches the part already seen."""
+def _attach_order(seen: int, edge_facets: list[int]) -> list[int]:
+    """Order edge facets so each one touches the part already seen, the
+    least first when none is seen; they all do when they form one class
+    with that part."""
     remaining = sorted(edge_facets)
     out: list[int] = []
     while remaining:
-        pick = next((e for e in remaining if e & seen), None)
-        if pick is None:
-            if seen == 0:
-                pick = remaining[0]
-            else:
-                return None
+        pick = next((e for e in remaining if e & seen), remaining[0])
         remaining.remove(pick)
         out.append(pick)
         seen |= pick
@@ -195,46 +198,37 @@ def _certificate(c: SimplicialComplex, ordering) -> ShellingCertificate:
 
 def _decide(c: SimplicialComplex) -> ShellingDecision:
     """``is_shellable`` on a memo miss: the order is found, then verified."""
-    d = c.dim
-    if d <= 0:
-        return ShellingDecision(True, _certificate(c, c.facets))
-
-    if d <= 2 and c.facets[0].bit_count() <= 2:
-        # the 1-skeleton is connected when the facets with an edge form one
-        # class, and the pure 2-skeleton is the 3-vertex facets
-        if _edge_classes(c.facets) != 1:
+    if c.facets[0].bit_count() > 2:
+        if _skeleton_prescreen_nonshellable(c):
             return ShellingDecision(False)
-        triangles = tuple(f for f in c.facets if f.bit_count() == 3)
-        top = ()
-        if triangles:
-            skeleton = is_shellable(SimplicialComplex(triangles, union(triangles))).certificate
-            if skeleton is None:
-                return ShellingDecision(False)
-            top = skeleton.ordering
-        edges = [f for f in c.facets if f.bit_count() == 2]
-        tail = _attach_order(union(top), edges)
-        if tail is None:
-            raise RuntimeError("edge facets detached despite connected 1-skeleton")
-        isolated = sorted(f for f in c.facets if f.bit_count() == 1)
-        return ShellingDecision(True, _certificate(c, [*top, *tail, *isolated]))
+        ordering = _search_ordering(c)
+        if ordering is None:
+            return ShellingDecision(False)
+        return ShellingDecision(True, _certificate(c, ordering))
 
-    if (c.is_pure() and not c.strongly_connected()) or _homology_prescreen_nonshellable(c):
+    # a facet with at most two vertices: the rule of the module docstring
+    if len(components(f for f in c.facets if f.bit_count() >= 2)) > 1:
         return ShellingDecision(False)
-    ordering = _search_ordering(c)
-    if ordering is None:
-        return ShellingDecision(False)
-    return ShellingDecision(True, _certificate(c, ordering))
+    top = tuple(f for f in c.facets if f.bit_count() > 2)
+    if top:
+        skeleton = is_shellable(SimplicialComplex(top)).certificate
+        if skeleton is None:
+            return ShellingDecision(False)
+        top = skeleton.ordering
+    tail = _attach_order(union(top), [f for f in c.facets if f.bit_count() == 2])
+    low = [f for f in c.facets if f.bit_count() <= 1]
+    return ShellingDecision(True, _certificate(c, [*top, *tail, *low]))
 
 
 def is_shellable(c: SimplicialComplex) -> ShellingDecision:
     """Exact decision; ships a verified shelling order whenever the answer is yes.
 
-    Memoized on the facets, so the order is verified once.  Low dimensions
-    use structural criteria: everything of dimension <= 0 is shellable; a 1-
-    or 2-dimensional complex with an edge or vertex facet is shellable iff
-    the subcomplex generated by its edges is connected and its pure
-    2-skeleton, decided through this memo, is shellable.  Every other
-    complex, a pure 2-complex included, goes through strong connectivity
-    (when pure), the homology prescreen and the search.
+    Memoized on the facets, so the order is verified once.  By the
+    rearrangement lemma, a complex with a facet of at most two vertices is
+    shellable iff its facets with an edge form one class and Δ_{≥2}, the
+    subcomplex generated by its facets with at least three vertices, is
+    empty or shellable, decided through this memo; the order shells Δ_{≥2},
+    then attaches the edge facets, then the vertex facets.  Every other
+    complex goes through the skeleton prescreen and the search.
     """
     return cache.memo(_DECIDE_CACHE, c.facets, _decide, c)

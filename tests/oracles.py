@@ -96,9 +96,8 @@ def shellable_by_search(c: SimplicialComplex) -> ShellingDecision:
 
 
 def fast_paths_agree(c: SimplicialComplex) -> bool:
-    """Compare the dimension <= 2 criteria against the raw search (test support)."""
-    if c.dim > 2:
-        raise ValueError("fast paths only exist for dimension <= 2")
+    """Compare ``is_shellable``, its low-facet rule and prescreen included,
+    against the raw search (test support)."""
     return is_shellable(c).shellable == shellable_by_search(c).shellable
 
 
@@ -123,22 +122,18 @@ def shellable_through_skeletons(c: SimplicialComplex) -> ShellingDecision:
         return ShellingDecision(False)
     edges = [f for f in c.facets if f.bit_count() == 2]
     tail = _attach_order(union(top), edges)
-    if tail is None:
-        raise RuntimeError("edge facets detached despite connected 1-skeleton")
     isolated = sorted(f for f in c.facets if f.bit_count() == 1)
     return ShellingDecision(True, _certificate(c, [*top, *tail, *isolated]))
 
 
-def homology_prescreen_by_skeletons(c: SimplicialComplex) -> bool:
-    """The reference for ``shelling._homology_prescreen_nonshellable``: the
-    low homology of every built pure skeleton, 1 included, as before H̃_0
-    of the pure 1-skeleton was read from the classes of edges and the
-    groups of the others from the facets with enough vertices."""
-    if c.is_pure():
-        return any(not reduced_homology(c, k).is_trivial() for k in range(0, c.dim))
+def skeleton_prescreen_by_skeletons(c: SimplicialComplex) -> bool:
+    """The reference for ``shelling._skeleton_prescreen_nonshellable``:
+    every built pure skeleton, 1 included, is checked for strong
+    connectivity and for low homology, as before each was read from the
+    facets with enough vertices."""
     for i in range(1, c.dim + 1):
         skel = c.pure_skeleton(i)
-        if any(not reduced_homology(skel, k).is_trivial() for k in range(0, i)):
+        if not skel.strongly_connected() or any(not reduced_homology(skel, k).is_trivial() for k in range(i)):
             return True
     return False
 

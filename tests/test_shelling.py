@@ -17,8 +17,8 @@ from conftest import (
     skeleton_identity_inputs,
 )
 from oracles import (
-    fast_paths_agree, homology_prescreen_by_skeletons, plain_search_ordering, shellable_by_search,
-    shellable_through_skeletons,
+    fast_paths_agree, plain_search_ordering, shellable_by_search, shellable_through_skeletons,
+    skeleton_prescreen_by_skeletons,
 )
 
 
@@ -172,12 +172,72 @@ def test_against_brute_force_orderings():
 
 
 def test_fast_paths_agree_on_low_dimensions():
-    count = 0
-    for c in corpus(seed=34, count=50):
-        if c.dim <= 2:
-            assert fast_paths_agree(c)
-            count += 1
-    assert count >= 30
+    """Every dimension of the corpus: the low-facet rule has no dimension cutoff."""
+    draws = corpus(seed=34, count=50)
+    for c in draws:
+        assert fast_paths_agree(c)
+    assert sum(c.dim > 2 for c in draws) >= 10
+
+
+def _with_low_facets(seed: int, count: int) -> list[SimplicialComplex]:
+    """Nonpure complexes of dimension 3 or 4 with an edge or vertex facet:
+    multi-facet draws with one to three edges and up to two single vertices
+    added, on their own vertices and two new ones."""
+    rng = random.Random(seed)
+    out = []
+    for c in corpus(seed=seed, count=6 * count, n_max=7, dim_cap=4, multi_facet=True):
+        if c.dim < 3 or len(out) == count:
+            continue
+        n = c.vertices.bit_length() + 2
+        extra = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 3))]
+        extra += [[v] for v in rng.sample(range(n), rng.randint(0, 2))]
+        c = from_facets([*c.facets, *extra])
+        if c.facets[0].bit_count() <= 2:
+            out.append(c)
+    return out
+
+
+def test_the_low_facet_rule_matches_the_search_above_dimension_two(monkeypatch):
+    """Above dimension 2, a complex with an edge or vertex facet is decided
+    by the rule, and only its Δ_{≥2} is searched: the verdicts are the plain
+    search's, and both orders are shellings."""
+    inputs = _with_low_facets(seed=341, count=320) + [from_facets(facets) for facets in (
+        [{0, 1, 2, 3}, {3, 4}, {4, 5}, {5, 6}],  # a dangling edge path
+        [{0, 1, 2, 3}, {3, 4}, {5}],  # an edge and an isolated vertex
+        [{0, 1, 2, 3}, {4, 5}],  # a disjoint edge: two classes
+        [{0, 1, 2, 3}, {3, 4, 5, 6}, {6, 7}],  # Δ_{≥2} is not strongly connected
+        # a cone over a nonshellable 2-complex with a pendant edge: only the search rejects Δ_{≥2}
+        [{0, 1, 3, 5}, {0, 2, 4, 5}, {1, 3, 4, 5}, {2, 3, 4, 5}, {5, 6}],
+    )]
+    searched = []
+    search = shelling._search_ordering
+
+    def recorded(c):
+        searched.append(c.facets)
+        return search(c)
+
+    monkeypatch.setattr(shelling, "_search_ordering", recorded)
+    cache.clear_all_caches()
+    shellable = 0
+    try:
+        for c in inputs:
+            got, want = is_shellable(c), shellable_by_search(c)
+            assert got.shellable == want.shellable, c.facets
+            if got.shellable:
+                assert verify_shelling(c, got.certificate.ordering)[0]
+                assert verify_shelling(c, want.certificate.ordering)[0]
+            shellable += got.shellable
+        # the dunce hat with a pendant edge, where only the search of Δ_{≥2}
+        # rejects, and with a disjoint edge: the plain search takes seconds,
+        # so the search with the record, which places the plain search's
+        # facets, is the reference
+        for edge in ({7, 8}, {8, 9}):
+            c = from_facets([*DUNCE_HAT_FACETS, edge])
+            assert not is_shellable(c).shellable and search(c) is None
+    finally:
+        cache.clear_all_caches()
+    assert len(inputs) == 325 and shellable >= 150 and len(inputs) - shellable >= 100
+    assert searched and all(facets[0].bit_count() > 2 for facets in searched)
 
 
 def test_low_dimensions_read_from_the_facets_match_the_skeleton_path():
@@ -203,11 +263,6 @@ def test_low_dimensions_read_from_the_facets_match_the_skeleton_path():
     assert nonpure_twos >= 240 and isolated_ones >= 160
     with pytest.raises(ValueError):
         shellable_through_skeletons(full_simplex(4))
-
-
-def test_fast_paths_agree_rejects_high_dimension():
-    with pytest.raises(Exception):
-        fast_paths_agree(full_simplex(5))
 
 
 def test_skeleton_and_link_closure_for_shellable_corpus():
@@ -253,7 +308,7 @@ def _canonical_representative(c) -> SimplicialComplex:
     deciders search each input in its own labels, so a test that times the
     search on a slow input decides this copy of it."""
     canon = c.canonical_form()
-    return SimplicialComplex(canon.facets, (1 << canon.n_vertices) - 1)
+    return SimplicialComplex(canon.facets)
 
 
 def test_memoized_search_matches_the_plain_search():
@@ -312,8 +367,10 @@ def test_failed_facet_sets_are_not_searched_again(monkeypatch):
 
 
 def test_the_prescreen_reads_the_1_skeleton_from_the_facets():
-    """The same verdicts as reading H̃_0 of a built pure 1-skeleton, on
-    nonpure inputs whose edges fall into one class or several."""
+    """Nonpure inputs whose edges fall into one class or several.  Those with
+    an edge or vertex facet are decided by the rule, which reads the classes
+    of the facets with an edge: the verdicts are the plain search's.  On the
+    others the prescreen's verdicts are those of the built pure skeletons."""
     inputs = homology_oracle_inputs() + corpus(seed=36, count=150, n_max=7, multi_facet=True)
     inputs += [from_facets(facets) for facets in (
         [{0, 1, 2, 3}, {4, 5}], [{0, 1, 2, 3}, {3, 4}, {5}], [{0, 1, 2, 3}, {4, 5, 6}, {6, 7}],
@@ -324,23 +381,28 @@ def test_the_prescreen_reads_the_1_skeleton_from_the_facets():
     nonpure = [c for c in inputs if not c.is_pure()]
     split = 0
     for c in nonpure:
-        verdict = shelling._homology_prescreen_nonshellable(c)
-        assert verdict == homology_prescreen_by_skeletons(c), c.facets
+        if c.facets[0].bit_count() <= 2:
+            assert is_shellable(c).shellable == shellable_by_search(c).shellable, c.facets
+        else:
+            assert shelling._skeleton_prescreen_nonshellable(c) == skeleton_prescreen_by_skeletons(c), c.facets
         split += not is_connected(c.pure_skeleton(1))
     assert len(nonpure) >= 550 and split >= 60
 
 
 def test_the_prescreen_reads_each_skeleton_from_the_facets_with_enough_vertices():
-    """The same verdicts as reading the low homology of every built pure
-    skeleton: the pure i-skeleton's groups below degree i are those of the
-    subcomplex generated by the facets with at least i + 1 vertices."""
+    """The same verdicts as checking every built pure skeleton: the pure
+    i-skeleton is strongly connected when the facets with at least i + 1
+    vertices form one class at i shared vertices, and its groups below
+    degree i are those of the subcomplex they generate.  Compared on every
+    input, those with an edge or vertex facet too, where the rule runs
+    instead: at i = 1 the prescreen reads the same classes as the rule."""
     inputs = skeleton_identity_inputs()
     cache.clear_all_caches()
-    expected = [homology_prescreen_by_skeletons(c) for c in inputs]
+    expected = [skeleton_prescreen_by_skeletons(c) for c in inputs]
     cache.clear_all_caches()
     fired = below_top = 0
     for c, want in zip(inputs, expected):
-        assert shelling._homology_prescreen_nonshellable(c) == want, c.facets
+        assert shelling._skeleton_prescreen_nonshellable(c) == want, c.facets
         fired += want
         # nonpure, with edges in one class and nothing wrong with the top
         # skeleton's homology, so only a skeleton between them fires
@@ -350,13 +412,13 @@ def test_the_prescreen_reads_each_skeleton_from_the_facets_with_enough_vertices(
 
 
 def test_nonshellable_input_past_the_prescreen_is_searched_once(monkeypatch):
-    """The dunce hat passes the homology prescreen, so only the search can
+    """The dunce hat passes the skeleton prescreen, so only the search can
     reject it; without the record it places 513,445 facets."""
     c = from_facets(DUNCE_HAT_FACETS)
     _placement_budget(monkeypatch, 5000)
     cache.clear_all_caches()
     try:
-        assert not shelling._homology_prescreen_nonshellable(c)
+        assert not shelling._skeleton_prescreen_nonshellable(c)
         assert not is_shellable(c).shellable
     finally:
         cache.clear_all_caches()
