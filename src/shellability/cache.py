@@ -19,7 +19,8 @@ complexes in bulk.
 Each table is keyed by raw facets unless said otherwise.  The canonical
 forms and the three decisions are stored as their public functions return
 them, so a hit rebuilds and re-checks nothing.  The tables are
-``complexes._CANON_CACHE`` (the ``CanonicalForm``), the three decider
+``complexes._CANON_CACHE`` (the ``CanonicalForm``, stored under its own
+facets as well, since a canonical form is its own), the three decider
 memos ``shelling._DECIDE_CACHE`` (the ``ShellingDecision``, its shelling
 verified once), ``partition._PARTITION_CACHE`` (the
 ``PartitionDecision``) and ``cohen_macaulay._CM_CACHE`` (the ``CMReport``

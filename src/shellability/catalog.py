@@ -23,9 +23,8 @@ count, canonical form) and the JSON layout is fixed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import SimplicialComplex, face_vertices, from_facets
 from .enumeration import DEFAULT_MAX_VERTICES, MAX_OBSTRUCTION_VERTICES, _check_bound, _sort_key, edge_minimal, enumerate_obstructions
@@ -35,8 +34,7 @@ from .properties import PropertyKind, satisfies
 
 CATALOG_SCHEMA = "shellability-obstruction-catalog/1"
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     label: Optional[str]
     n_vertices: int
@@ -50,7 +48,7 @@ class CatalogEntry:
     edge_minimal: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def core_type(c: SimplicialComplex) -> Optional[int]:

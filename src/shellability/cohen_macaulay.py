@@ -29,8 +29,7 @@ pure 0-skeleton, with no face below its top, always passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import cache
 from .complexes import PurityError, SimplicialComplex, _one_class, _upper, components
@@ -40,16 +39,14 @@ from .shelling import is_shellable
 _CM_CACHE = cache.new_cache()
 
 
-@dataclass(frozen=True)
-class CMWitness:
+class CMWitness(NamedTuple):
     face: int
     degree: int
     group: HomologyGroup
     skeleton_dim: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CMReport:
+class CMReport(NamedTuple):
     verdict: bool
     witness: Optional[CMWitness] = None
 
@@ -97,7 +94,7 @@ def _pure_skeletons_cm(c: SimplicialComplex) -> CMReport:
     for i in range(1, c.dim + 1):
         witness = _find_witness(c, i)
         if witness is not None:
-            return CMReport(False, replace(witness, skeleton_dim=i))
+            return CMReport(False, witness._replace(skeleton_dim=i))
     return CMReport(True)
 
 

@@ -278,7 +278,9 @@ class SimplicialComplex:
 
     def canonical_form(self) -> CanonicalForm:
         if self._canon is None:
-            self._canon = cache.memo(_CANON_CACHE, self.facets, _canonicalize, self.facets, self.vertices)
+            form = self._canon = cache.memo(_CANON_CACHE, self.facets, _canonicalize, self.facets, self.vertices)
+            # a canonical form is its own: a complex built from its facets is not labelled again
+            cache.memo(_CANON_CACHE, form.facets, lambda: form)
         return self._canon
 
     def is_isomorphic(self, other: "SimplicialComplex") -> bool:

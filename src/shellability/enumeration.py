@@ -81,10 +81,9 @@ level and reports the top stratum completing without truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, groupby, permutations, product
 from operator import le
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import cache
 from .complexes import (
@@ -692,8 +691,7 @@ def enumerate_obstructions(
 # closure and coincidence reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeAdditionReport:
+class EdgeAdditionReport(NamedTuple):
     obstructions: int
     augmentations_checked: int
     augmentation_failures: tuple[str, ...]
@@ -731,8 +729,7 @@ def verify_edge_addition_closure(max_vertices: int = MAX_OBSTRUCTION_VERTICES) -
     )
 
 
-@dataclass(frozen=True)
-class CoincidenceReport:
+class CoincidenceReport(NamedTuple):
     dimension: int
     class_count: int
     sets_identical: bool

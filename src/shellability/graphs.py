@@ -14,9 +14,8 @@ shellability for every n except 5, pinning down the witnesses
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import CapacityError, SimplicialComplex, _facet_sort_key, face_vertices
 from .homology import HomologyGroup, reduced_homology
@@ -26,26 +25,36 @@ from .properties import PropertyKind, satisfies
 from .shelling import is_shellable
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph as adjacency bitmask rows."""
-
+class _GraphFields(NamedTuple):
     n: int
     adjacency: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n > 64:
+
+class Graph(_GraphFields):
+    """Simple undirected graph as adjacency bitmask rows.
+
+    A tuple of its two fields.  ``__new__`` checks the vertex cap and that
+    the rows describe an irreflexive symmetric relation on ``0..n-1``;
+    ``typing.NamedTuple`` refuses a ``__new__`` in its own class body, so the
+    fields live in a base class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, adjacency: tuple[int, ...]):
+        if n > 64:
             raise CapacityError("at most 64 vertices")
-        if len(self.adjacency) != self.n:
+        if len(adjacency) != n:
             raise ValueError("adjacency row count must equal n")
-        for v, row in enumerate(self.adjacency):
-            if row >> self.n:
+        for v, row in enumerate(adjacency):
+            if row >> n:
                 raise ValueError("adjacency bit outside vertex range")
             if row & (1 << v):
                 raise ValueError("graph must be irreflexive")
             for w in face_vertices(row):
-                if not self.adjacency[w] & (1 << v):
+                if not adjacency[w] & (1 << v):
                     raise ValueError("adjacency must be symmetric")
+        return super().__new__(cls, n, adjacency)
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -98,8 +107,7 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex(tuple(facets))
 
 
-@dataclass(frozen=True)
-class CycleCaseReport:
+class CycleCaseReport(NamedTuple):
     n: int
     dim: int
     expected_obstruction: bool
@@ -116,10 +124,9 @@ class CycleCaseReport:
     ok: bool
 
 
-@dataclass(frozen=True)
-class CycleObstructionReport:
+class CycleObstructionReport(NamedTuple):
     n_range: tuple[int, int]
-    cases: tuple[CycleCaseReport, ...] = field(default_factory=tuple)
+    cases: tuple[CycleCaseReport, ...] = ()
 
     @property
     def ok(self) -> bool:

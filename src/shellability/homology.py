@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cache
 from .complexes import SimplicialComplex, components, face_vertices
@@ -54,21 +54,31 @@ from .complexes import SimplicialComplex, components, face_vertices
 _HOMOLOGY_CACHE = cache.new_cache()
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    """A finitely generated abelian group: free rank plus invariant factors."""
-
+class _GroupFields(NamedTuple):
     betti: int
     torsion: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.betti < 0:
+
+class HomologyGroup(_GroupFields):
+    """A finitely generated abelian group: free rank plus invariant factors.
+
+    A tuple of its two fields.  ``__new__`` checks that the rank is not
+    negative and that the torsion is a divisibility chain of factors above 1;
+    ``typing.NamedTuple`` refuses a ``__new__`` in its own class body, so the
+    fields live in a base class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, betti: int, torsion: tuple[int, ...] = ()):
+        if betti < 0:
             raise ValueError("negative rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
-                raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
-        if any(d <= 1 for d in self.torsion):
+                raise ValueError(f"torsion {torsion} is not a divisibility chain")
+        if any(d <= 1 for d in torsion):
             raise ValueError("torsion coefficients must exceed 1")
+        return super().__new__(cls, betti, torsion)
 
     def is_trivial(self) -> bool:
         return self.betti == 0 and not self.torsion
@@ -239,7 +249,12 @@ def _homology_groups(c: SimplicialComplex) -> tuple[HomologyGroup, ...]:
             torsion.append(tuple(d for d in factors if d > 1))
     ranks.append(0)
     torsion.append(())
-    return tuple(HomologyGroup(n - ranks[i] - ranks[i + 1], torsion[i + 1]) for i, n in enumerate(f))
+    groups = []
+    for i, n in enumerate(f):
+        betti = n - ranks[i] - ranks[i + 1]
+        # most degrees are trivial: share the one zero group, build only the rest
+        groups.append(HomologyGroup(betti, torsion[i + 1]) if betti or torsion[i + 1] else ZERO_GROUP)
+    return tuple(groups)
 
 
 def reduced_homology(c: SimplicialComplex, k: int) -> HomologyGroup:

@@ -30,9 +30,8 @@ failing one, so the reported restriction does not depend on the memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import cache
 from .complexes import CANONICAL_VERTEX_CAP, CanonicalForm, SimplicialComplex, face_vertices
@@ -41,8 +40,7 @@ from .properties import PropertyKind, satisfies
 _HEREDITARY_CACHE = cache.new_cache()
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     is_obstruction: bool
     is_strong: bool
     failing_restriction: Optional[int] = None  # W with the restriction failing the property

@@ -24,9 +24,8 @@ filters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import cache
 from .complexes import (
@@ -41,15 +40,13 @@ from .shelling import is_shellable
 _PARTITION_CACHE = cache.new_cache()
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(NamedTuple):
     """facet -> interval bottom, as (facet, bottom) pairs sorted by facet."""
 
     assignment: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class PartitionDecision:
+class PartitionDecision(NamedTuple):
     partitionable: bool
     certificate: Optional[PartitionCertificate] = None
 

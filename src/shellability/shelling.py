@@ -28,8 +28,7 @@ since a shelling proves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import cache
 from .complexes import (
@@ -40,16 +39,14 @@ from .homology import reduced_homology
 _DECIDE_CACHE = cache.new_cache()
 
 
-@dataclass(frozen=True)
-class ShellingCertificate:
+class ShellingCertificate(NamedTuple):
     """A shelling order together with its restriction sets, independently re-checkable."""
 
     ordering: tuple[int, ...]
     restriction_sets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ShellingDecision:
+class ShellingDecision(NamedTuple):
     shellable: bool
     certificate: Optional[ShellingCertificate] = None
 

@@ -5,7 +5,7 @@ characterisation directly, without the fast paths, prescreens or memo tables
 of the deciders it checks.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Optional
 
@@ -900,7 +900,7 @@ def pure_skeletons_cm_by_scan(c: SimplicialComplex) -> CMReport:
     for i in range(0, c.dim + 1):
         report = is_cohen_macaulay(c.pure_skeleton(i))
         if not report.verdict:
-            return CMReport(False, replace(report.witness, skeleton_dim=i))
+            return CMReport(False, report.witness._replace(skeleton_dim=i))
     return CMReport(True)
 
 

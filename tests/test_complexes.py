@@ -1,8 +1,11 @@
 import ast
 import functools
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -10,7 +13,10 @@ from pathlib import Path
 import pytest
 
 from shellability import cache, complexes
+from shellability.catalog import CatalogEntry
+from shellability.cohen_macaulay import CMReport, CMWitness
 from shellability.complexes import (
+    CANONICAL_VERTEX_CAP,
     CanonicalForm,
     CapacityError,
     FacetAbsorbedWarning,
@@ -24,11 +30,14 @@ from shellability.complexes import (
     parse_complex,
     union,
 )
-from shellability.graphs import cycle_graph, independence_complex
-from shellability.partition import band_complex
-from shellability.shelling import is_shellable
+from shellability.enumeration import CoincidenceReport, EdgeAdditionReport
+from shellability.graphs import CycleCaseReport, CycleObstructionReport, Graph, cycle_graph, independence_complex
+from shellability.homology import HomologyGroup
+from shellability.obstruction import ObstructionReport
+from shellability.partition import PartitionCertificate, PartitionDecision, band_complex
+from shellability.shelling import ShellingCertificate, ShellingDecision, is_shellable
 
-from conftest import corpus, full_simplex, homology_oracle_inputs, is_connected, relabel, skeleton_identity_inputs
+from conftest import corpus, full_simplex, golden_classes, homology_oracle_inputs, is_connected, relabel, skeleton_identity_inputs
 from oracles import all_faces, link_by_definition, pure_skeleton_by_definition, tuple_refine_colors
 
 
@@ -527,6 +536,30 @@ def test_canonical_forms_on_six_vertices_are_pinned(complex_1a, ind_c6, two_k2):
     assert [c.canonical_form() for c in corpus(seed=14, count=20, n_max=6)] == PINNED_FORMS
 
 
+def test_a_canonical_form_is_its_own_canonical_form():
+    """Labelling the facets of a canonical form gives the form back, which
+    is why ``canonical_form`` may store each form under its own facets."""
+    inputs = golden_classes() + homology_oracle_inputs() + corpus(seed=35, count=80, n_max=9, multi_facet=True)
+    checked = 0
+    for c in inputs:
+        if c.n_vertices > CANONICAL_VERTEX_CAP:
+            continue
+        form = complexes._canonicalize(c.facets, c.vertices)
+        assert complexes._canonicalize(form.facets, (1 << form.n_vertices) - 1) == form
+        checked += 1
+    assert checked >= 1000
+
+
+def test_a_complex_built_from_a_canonical_form_is_not_labelled_again(monkeypatch):
+    c = from_facets([{3, 5, 8}, {5, 8, 9}, {0, 3}])
+    form = c.canonical_form()
+    assert complexes._CANON_CACHE[form.facets] is form
+    calls = []
+    monkeypatch.setattr(complexes, "_canonicalize", lambda *args: calls.append(args))
+    assert from_facets(form.facets).canonical_form() is form
+    assert calls == []
+
+
 def test_clear_all_caches_empties_the_canonical_form_memo():
     from_facets([{0, 1}, {1, 2}, {2, 7}]).canonical_form()
     assert complexes._CANON_CACHE
@@ -707,6 +740,41 @@ def test_the_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_importing_the_package_loads_no_introspection_modules():
+    """``import shellability`` loads neither ``dataclasses`` nor the modules
+    it brings in, which cost more than the rest of the import.  The modules
+    are compared against the same fresh interpreter's own start-up set, so
+    whatever ``site`` loads does not count."""
+    code = ("import sys; before = set(sys.modules); import shellability; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(complexes.__file__).parents[1])}
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           check=True).stdout.split()
+    assert "shellability.complexes" in added
+    assert sorted({"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"} & set(added)) == []
+
+
+RESULT_TYPES = (
+    ShellingCertificate, ShellingDecision, PartitionCertificate, PartitionDecision, CMWitness, CMReport,
+    HomologyGroup, ObstructionReport, Graph, CycleCaseReport, CycleObstructionReport, EdgeAdditionReport,
+    CoincidenceReport, CatalogEntry,
+)
+
+
+@pytest.mark.parametrize("result_type", RESULT_TYPES, ids=lambda t: t.__name__)
+def test_result_types_are_immutable_tuples(result_type):
+    """Each result type is a tuple of its fields: no field can be set and no
+    attribute added, as when they were frozen dataclasses."""
+    value = result_type._make(range(len(result_type._fields)))
+    assert isinstance(value, tuple) and tuple(value) == tuple(range(len(result_type._fields)))
+    for name in result_type._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, -1)
+    with pytest.raises(AttributeError):
+        value.extra = -1
+    assert repr(value).startswith(f"{result_type.__name__}({result_type._fields[0]}=0")
 
 
 def test_canonical_cap():

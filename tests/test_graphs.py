@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -143,12 +144,17 @@ def test_cycle_report_from_four_checks_one_case():
     assert report.n_range == (4, 4) and [case.n for case in report.cases] == [4] and report.ok
 
 
+# sha256 of repr(independence_cycle_report(10)): every case, witness and group, as written
+CYCLE_REPORT_10_SHA256 = "79e12bfa45b54ed79873dac69bff7514f7aabf65e297df252f068d9813606f31"
+
+
 def test_cycle_report_n10_above_canonical_cap():
     """The 10-cycle complex is above the labeling cap and its vertex
     deletions are not, so its restrictions are decided through the memo of
     hereditary verdicts, one isomorphism class at a time."""
     report = independence_cycle_report(10)
     assert report.ok
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == CYCLE_REPORT_10_SHA256
     top = [case for case in report.cases if case.n == 10][0]
     assert top.dim == 4 and top.is_obstruction and top.is_strong
 

@@ -394,3 +394,7 @@ def test_homology_group_formatting():
     assert str(HomologyGroup(2, (2, 4))) == "Z^2 x C2 x C4"
     with pytest.raises(ValueError):
         HomologyGroup(0, (3, 2))
+    with pytest.raises(ValueError):
+        HomologyGroup(-1)
+    with pytest.raises(ValueError):
+        HomologyGroup(0, (1, 2))
